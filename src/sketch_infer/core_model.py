@@ -61,6 +61,20 @@ class DataSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
 
+    def with_response(self, y) -> DataSet:
+        """A copy with response ``y`` that shares this instance's validated X.
+
+        Only y is checked (finite, length n); X is neither copied nor
+        re-factored, so repeated-sampling replicates skip the rank-check QR.
+        """
+        y = np.asarray(y, dtype=float).reshape(-1)
+        _check_finite(y)
+        if y.shape[0] != self.n:
+            raise DomainError(f"y has length {y.shape[0]}, expected {self.n}")
+        new = object.__new__(type(self))
+        new.__dict__.update(vars(self), y=y)
+        return new
+
 
 @dataclass(frozen=True)
 class FullFit:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .core_model import _qr_full_rank
 from .errors import (
     DomainError,
     GammaNonpositive,
@@ -24,8 +25,6 @@ from .errors import (
     RankDeficient,
 )
 from .sketch_ops import SketchedData
-
-RANK_TOL = 1e-10
 
 
 class FitKind(str, enum.Enum):
@@ -69,14 +68,6 @@ class PartialInputs:
         object.__setattr__(self, "yty", float(self.yty))
 
 
-def _qr_sketched(Xs: np.ndarray):
-    Q, R = np.linalg.qr(Xs)
-    d = np.abs(np.diag(R))
-    if d.size == 0 or d.min() <= RANK_TOL * d.max():
-        raise RankDeficient("sketched design is numerically rank deficient")
-    return Q, R
-
-
 def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(R^T R)^{-1} rhs via two triangular solves."""
     return solve_triangular(R, solve_triangular(R, rhs, trans="T", lower=False), lower=False)
@@ -91,7 +82,7 @@ def fit_complete(sk: SketchedData) -> SketchFit:
     k, p = sk.spec.k, sk.p
     if k <= p:
         raise DomainError(f"complete sketching needs k > p (got k={k}, p={p})")
-    Q, R = _qr_sketched(sk.Xs)
+    Q, R = _qr_full_rank(sk.Xs)
     qty = Q.T @ sk.ys
     beta = solve_triangular(R, qty, lower=False)
     resid = sk.ys - Q @ qty
@@ -116,7 +107,7 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
     if k <= p + 1:
         raise GammaNonpositive(f"gamma = (k-p-1)/k requires k > p+1 (got k={k}, p={p})")
     gamma = (k - p - 1) / k
-    Q, R = _qr_sketched(sk.Xs)
+    Q, R = _qr_full_rank(sk.Xs)
     beta = gamma * _solve_gram(R, partial.Xty)
     ssm_p = float(partial.Xty @ beta)
     qty = Q.T @ sk.ys
@@ -150,7 +141,7 @@ def fit_efficient_star(sk: SketchedData) -> SketchFit:
     inverse of W* is ever formed.
     """
     Xt, yt = _whiten(sk)
-    Q, R = _qr_sketched(Xt)
+    Q, R = _qr_full_rank(Xt)
     qty = Q.T @ yt
     beta = solve_triangular(R, qty, lower=False)
     return SketchFit(beta=beta, kind=FitKind.EFFICIENT_STAR, gram_s_factor=R)
@@ -166,7 +157,7 @@ def ssr_star(sk: SketchedData, yty: float) -> float:
     projection only spans the sketched row space.
     """
     Xt, yt = _whiten(sk)
-    Q, _ = _qr_sketched(Xt)
+    Q, _ = _qr_full_rank(Xt)
     proj = Q.T @ yt
     val = float(yty - proj @ proj)
     if val < 0.0:

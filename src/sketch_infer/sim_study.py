@@ -283,11 +283,6 @@ def _histogram(samples: np.ndarray):
     return edges, counts
 
 
-def _overlay_from_pdf(pdf, lo: float, hi: float, points: int):
-    x = np.linspace(lo, hi, points)
-    return x, np.array([pdf(v) for v in x])
-
-
 def _t_overlay(df: int, points: int):
     lo = dist_quantile(student_t(df), 0.001)
     hi = dist_quantile(student_t(df), 0.999)
@@ -368,12 +363,13 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
             tb.ks_statistic, tb.ks_p = _ks_or_none(bs, lambda x: mvt_marginal_cdf(eq_t, j, x))
             sd = np.sqrt(eq_t.scale_matrix[j, j])
             tb.coverage = float(np.mean(cover))
-            tb.overlay_x, tb.overlay_pdf = _overlay_from_pdf(
-                lambda v: stats.t.pdf((v - eq_t.location[j]) / sd, eq_t.df) / sd,
-                eq_t.location[j] + sd * dist_quantile(student_t(eq_t.df), 0.001),
-                eq_t.location[j] + sd * dist_quantile(student_t(eq_t.df), 0.999),
+            loc = eq_t.location[j]
+            tb.overlay_x = np.linspace(
+                loc + sd * dist_quantile(student_t(eq_t.df), 0.001),
+                loc + sd * dist_quantile(student_t(eq_t.df), 0.999),
                 cfg.overlay_points,
             )
+            tb.overlay_pdf = stats.t.pdf((tb.overlay_x - loc) / sd, eq_t.df) / sd
             tables.append(_finish_table(tb))
 
             ref = rep_ref[j]
@@ -436,7 +432,7 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
 
         def one(r, _kind=kind, _base=seed_base):
             y = simulate_response(X, truth, derive_seed(cfg.root_seed, _base + 2 * r))
-            d = DataSet(X=X, y=y)
+            d = data.with_response(y)
             spec = SketchSpec(kind=_kind, k=k, seed=derive_seed(cfg.root_seed, _base + 2 * r + 1))
             sk = apply_sketch(d, spec)
             cfit = fit_complete(sk)

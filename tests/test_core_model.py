@@ -28,6 +28,38 @@ class TestDataSet:
             DataSet(X=np.eye(3), y=np.arange(3.0))
 
 
+class TestWithResponse:
+    def _data(self):
+        rng = np.random.default_rng(4)
+        return DataSet(X=rng.standard_normal((12, 3)), y=rng.standard_normal(12))
+
+    def test_matches_constructor(self):
+        data = self._data()
+        y = np.arange(12)  # integer input is converted like the constructor's
+        swapped = data.with_response(y)
+        fresh = DataSet(X=data.X, y=y)
+        assert isinstance(swapped, DataSet)
+        np.testing.assert_array_equal(swapped.X, fresh.X)
+        np.testing.assert_array_equal(swapped.y, fresh.y)
+        assert swapped.y.dtype == fresh.y.dtype
+        assert (swapped.n, swapped.p) == (fresh.n, fresh.p)
+        np.testing.assert_array_equal(data.y, self._data().y)  # original untouched
+
+    def test_shares_x_without_copy(self):
+        data = self._data()
+        assert data.with_response(np.zeros(12)).X is data.X
+
+    def test_rejects_nonfinite(self):
+        y = np.zeros(12)
+        y[5] = np.nan
+        with pytest.raises(NonFinite):
+            self._data().with_response(y)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DomainError):
+            self._data().with_response(np.zeros(11))
+
+
 class TestFitFull:
     def test_constant_column_exact_fit(self):
         X = np.ones((4, 1))

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import hadamard as dense_hadamard
 
+from sketch_infer import sketch_ops
 from sketch_infer.core_model import DataSet
 from sketch_infer.errors import DomainError
 from sketch_infer.sketch_ops import (
@@ -114,8 +115,10 @@ class TestHadamard:
         sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, 3, 0))
         assert sk.Xs.shape == (3, 2) and sk.ys.shape == (3,)
 
-    def test_matches_dense_transform(self):
-        # reproduce the operator explicitly on a small power-of-two case
+    def test_matches_dense_transform(self, monkeypatch):
+        # reproduce the operator explicitly on a small power-of-two case; a
+        # 3-column block makes the accumulation cross uneven block boundaries
+        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", 3)
         n, k, seed = 8, 3, 21
         rng = np.random.default_rng(1)
         X = rng.standard_normal((n, 2))
@@ -131,8 +134,10 @@ class TestHadamard:
         np.testing.assert_allclose(sk.ys, S @ y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sk.W_star, S @ S.T, rtol=1e-12, atol=1e-12)
 
-    def test_wstar_with_padding(self):
-        # n = 6 pads to 8; W* must equal S S^T over the 6 real columns
+    def test_wstar_with_padding(self, monkeypatch):
+        # n = 6 pads to 8; W* must equal S S^T over the 6 real columns, and
+        # the sketch S [y | X] is accumulated over 4-column blocks
+        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", 4)
         n, k, seed = 6, 4, 33
         rng = np.random.default_rng(2)
         X = rng.standard_normal((n, 2))
@@ -143,6 +148,8 @@ class TestHadamard:
         idx = gen.choice(8, size=k, replace=False)
         H = dense_hadamard(8).astype(float)
         S = (H[idx][:, :n] * signs[None, :]) / np.sqrt(k)
+        np.testing.assert_allclose(sk.Xs, S @ X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sk.ys, S @ data.y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sk.W_star, S @ S.T, rtol=1e-12, atol=1e-12)
 
 
