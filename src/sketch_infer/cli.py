@@ -25,6 +25,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
     SketchInferError,
+    ZeroEstimate,
 )
 from .estimators import (
     PartialInputs,
@@ -43,6 +44,7 @@ from .inference import (
 from .sim_study import (
     SimConfig,
     desk_config,
+    json_text,
     paper_config,
     run_repeated_sampling,
     run_repeated_sketching,
@@ -170,9 +172,9 @@ def _fit(mode: str, data: DataSet, sk):
 
 def _write_report(report: dict, path: str, fmt: str, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
+        text = json_text(report)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -254,7 +256,7 @@ def cmd_infer(args) -> int:
                 try:
                     t = partial_univariate_chi2_test(fit, float(nulls[j]), k)
                     entry.update(statistic=t.statistic, pivot=str(t.pivot_law), p_value=t.p_value)
-                except ZeroDivisionError:
+                except ZeroEstimate:
                     entry.update(statistic=None, pivot=None, p_value=None,
                                  flag="partial estimate is exactly zero")
             else:

@@ -126,16 +126,29 @@ def fit_full(data: DataSet) -> FullFit:
     return FullFit(beta_F=beta, SSR_F=ssr, SSM_F=ssm, gram_factor=R)
 
 
-def simulate_response(X, truth: ModelTruth, seed) -> np.ndarray:
-    """Draw y = X beta_0 + sigma z with z standard normal, reproducibly."""
+def response_mean(X, truth: ModelTruth) -> np.ndarray:
+    """The validated response mean X beta_0 (X finite, p columns)."""
     X = _as_matrix(X)
     _check_finite(X)
     if X.shape[1] != truth.beta_0.shape[0]:
         raise DomainError(
             f"X has {X.shape[1]} columns but beta_0 has {truth.beta_0.shape[0]} entries"
         )
+    return X @ truth.beta_0
+
+
+def draw_response(mean: np.ndarray, sigma2: float, seed) -> np.ndarray:
+    """Draw y = mean + sigma z with z standard normal, reproducibly.
+
+    ``mean`` comes from ``response_mean``; repeated-sampling runs compute it
+    once and call this per replicate.
+    """
+    if sigma2 == 0.0:  # ModelTruth allows this; keep the noiseless limit exact
+        return mean.copy()
     rng = np.random.default_rng(seed)
-    mean = X @ truth.beta_0
-    if truth.sigma2 == 0.0:  # ModelTruth forbids this, but keep the limit exact
-        return mean
-    return mean + np.sqrt(truth.sigma2) * rng.standard_normal(X.shape[0])
+    return mean + np.sqrt(sigma2) * rng.standard_normal(mean.shape[0])
+
+
+def simulate_response(X, truth: ModelTruth, seed) -> np.ndarray:
+    """Draw y = X beta_0 + sigma z with z standard normal, reproducibly."""
+    return draw_response(response_mean(X, truth), truth.sigma2, seed)

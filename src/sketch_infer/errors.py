@@ -45,6 +45,10 @@ class DegenerateSSR(SketchInferError):
     """A pivot denominator SSR term is zero or negative."""
 
 
+class ZeroEstimate(SketchInferError):
+    """A pivot divides by an estimate that is exactly zero for this realization."""
+
+
 class AssumptionViolated(SketchInferError):
     """The contrast vector is (numerically) parallel to the degenerate direction."""
 

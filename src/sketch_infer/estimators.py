@@ -73,24 +73,30 @@ def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(R, solve_triangular(R, rhs, trans="T", lower=False), lower=False)
 
 
-def fit_complete(sk: SketchedData) -> SketchFit:
-    """Least squares on the sketched data alone.
+def _complete_solve(sk: SketchedData):
+    """R of the sketch's shared QR, Q^T y_s and the complete residual SSR_s.
 
     SSR_s is the squared norm of the projection residual y_s - Q Q^T y_s,
     never the difference of two large near-equal quantities.
     """
+    Q, R = sk.qr
+    qty = Q.T @ sk.ys
+    resid = sk.ys - Q @ qty
+    return R, qty, float(resid @ resid)
+
+
+def fit_complete(sk: SketchedData) -> SketchFit:
+    """Least squares on the sketched data alone."""
     k, p = sk.spec.k, sk.p
     if k <= p:
         raise DomainError(f"complete sketching needs k > p (got k={k}, p={p})")
-    Q, R = _qr_full_rank(sk.Xs)
-    qty = Q.T @ sk.ys
+    R, qty, ssr = _complete_solve(sk)
     beta = solve_triangular(R, qty, lower=False)
-    resid = sk.ys - Q @ qty
     return SketchFit(
         beta=beta,
         kind=FitKind.COMPLETE,
         gram_s_factor=R,
-        SSR_s=float(resid @ resid),
+        SSR_s=ssr,
     )
 
 
@@ -98,8 +104,8 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
     """Adjusted partial-sketch estimator gamma (Xs^T Xs)^{-1} X^T y.
 
     Records SSM_p = y^T X beta_p.  SSR_s (from the complete solve on the
-    same sketch) is carried along so callers can form the error-variance
-    proxy without re-sketching.
+    same sketch, sharing its QR) is carried along so callers can form the
+    error-variance proxy without re-sketching.
     """
     k, p = sk.spec.k, sk.p
     if partial.Xty.shape[0] != p:
@@ -107,16 +113,14 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
     if k <= p + 1:
         raise GammaNonpositive(f"gamma = (k-p-1)/k requires k > p+1 (got k={k}, p={p})")
     gamma = (k - p - 1) / k
-    Q, R = _qr_full_rank(sk.Xs)
+    R, _, ssr = _complete_solve(sk)
     beta = gamma * _solve_gram(R, partial.Xty)
     ssm_p = float(partial.Xty @ beta)
-    qty = Q.T @ sk.ys
-    resid = sk.ys - Q @ qty
     return SketchFit(
         beta=beta,
         kind=FitKind.PARTIAL,
         gram_s_factor=R,
-        SSR_s=float(resid @ resid),
+        SSR_s=ssr,
         SSM_p=ssm_p,
         gamma=gamma,
     )

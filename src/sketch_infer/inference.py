@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     MissingWStar,
     NegativeDenominator,
+    ZeroEstimate,
 )
 from .estimators import FitKind, SketchFit, _whiten, sigma2_hat_complete
 from .sketch_ops import SketchedData
@@ -320,14 +321,14 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
     """Univariate (p = 1) partial pivot (k-2) beta_F / beta_p ~ chi2_k.
 
     Two-sided p-value by the equal-tail construction, since the reference
-    law is asymmetric.
+    law is asymmetric.  Raises ZeroEstimate when beta_p is exactly zero.
     """
     _require_kind(fit, FitKind.PARTIAL, "univariate chi2 test")
     if fit.beta.size != 1:
         raise DomainError("univariate pivot requires p = 1")
     bp = float(fit.beta[0])
     if bp == 0.0:
-        raise ZeroDivisionError("partial estimate is exactly zero")
+        raise ZeroEstimate("partial estimate is exactly zero")
     stat = (k - 2.0) * beta_F_hyp / bp
     law = chi2(k)
     c = dist_cdf(law, stat) if stat > 0 else 0.0

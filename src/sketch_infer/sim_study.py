@@ -19,13 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special, stats
 
-from .core_model import DataSet, ModelTruth, fit_full, simulate_response
+from .core_model import (
+    DataSet,
+    ModelTruth,
+    draw_response,
+    fit_full,
+    response_mean,
+    simulate_response,
+)
 from .densities import (
     complete_sketching_t_params,
     mvt_marginal_cdf,
     sample_partial_sketching_rep,
 )
-from .errors import DomainError, EmptyInput, NegativeDenominator
+from .errors import DomainError, EmptyInput, NegativeDenominator, NonFinite
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
@@ -177,9 +184,9 @@ class SimReport:
         }
 
     def write_json(self, path) -> None:
+        text = json_text(self.to_jsonable())
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_jsonable(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
     def write_csvs(self, directory) -> list:
         """One CSV per table: bin_left, bin_right, count, theory_x, theory_pdf."""
@@ -214,6 +221,18 @@ class SimReport:
             neg = "" if t.negative_denominator_rate is None else f"{t.negative_denominator_rate:.4f}"
             lines.append(f"{t.name:38s} {t.sketch:18s} {ks:>8s} {cov:>7s} {rej:>7s} {neg:>7s}")
         return lines
+
+
+def json_text(doc) -> str:
+    """``doc`` as indented, key-sorted JSON text with a trailing newline.
+
+    JSON has no NaN or Infinity, so a non-finite value raises NonFinite
+    (before anything is written) instead of producing an invalid document.
+    """
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFinite(f"report holds a non-finite value: {exc}") from exc
 
 
 def ks_statistic(samples, cdf) -> tuple:
@@ -290,6 +309,52 @@ def _t_overlay(df: int, points: int):
     return x, stats.t.pdf(x, df)
 
 
+# Gaussian kernel terms beyond this many bandwidths are below e^-72 of the
+# kernel peak; with <= 10^5 points their sum is far under double roundoff
+_KDE_CUTOFF = 12.0
+# grid points evaluated together: bounds the (points x window) scratch
+# buffer to ~1.3 MB at 20 000 points
+_KDE_BLOCK = 8
+
+
+def _gaussian_kde_sorted(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate of the sorted sample ``pts`` at ``x``.
+
+    The same estimate as ``scipy.stats.gaussian_kde(pts)(x)``: Scott's
+    bandwidth h = std(pts, ddof=1) N^(-1/5), equal weights.  Each grid point
+    sums only over the points within _KDE_CUTOFF bandwidths, found by
+    bisection in the sorted sample, so the result differs from summing every
+    term by summation order and roundoff alone.
+    """
+    N = pts.size
+    if N < 2 or pts[0] == pts[-1]:
+        raise DomainError("KDE overlay needs reference draws with positive spread")
+    h = float(np.std(pts, ddof=1)) * N ** -0.2
+    lo = np.searchsorted(pts, x - _KDE_CUTOFF * h, side="left")
+    hi = np.searchsorted(pts, x + _KDE_CUTOFF * h, side="right")
+    out = np.empty(x.size)
+    for s in range(0, x.size, _KDE_BLOCK):
+        e = min(s + _KDE_BLOCK, x.size)
+        z = np.subtract.outer(x[s:e], pts[lo[s:e].min():hi[s:e].max()])
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        out[s:e] = z.sum(axis=1)
+    return out / (N * h * np.sqrt(2.0 * np.pi))
+
+
+def _partial_overlay(ref: np.ndarray, points: int) -> tuple:
+    """Grid and density of the beta_p overlay from the sorted reference draws.
+
+    A Gaussian KDE of the draws thinned by a stride to ~20 000 points, on
+    ``points`` equally spaced values from the 0.001 to the 0.999 quantile.
+    """
+    lo, hi = np.quantile(ref, [0.001, 0.999])
+    x = np.linspace(lo, hi, points)
+    return x, _gaussian_kde_sorted(ref[:: max(1, ref.size // 20_000)], x)
+
+
 def _finish_table(t: ResultTable) -> ResultTable:
     t.bin_edges, t.counts = _histogram(t.samples)
     return t
@@ -314,13 +379,18 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     n, p, k, m = cfg.n, cfg.p, cfg.k, cfg.m
     eq_t = complete_sketching_t_params(full, gram_inv, k, p)
 
-    rep_ref = {}
+    # the partial-sketch reference law does not depend on the sketch kind:
+    # its sorted draws and overlay are computed once per target
+    rep_ref, rep_overlay = {}, {}
     for j in cfg.targets:
         e = np.zeros(p)
         e[j] = 1.0
         rep_ref[j] = np.sort(sample_partial_sketching_rep(
             e, full, gram_inv, k, p, cfg.rep_draws, derive_seed(cfg.root_seed, 2 + j)
         ))
+        rep_overlay[j] = _partial_overlay(rep_ref[j], cfg.overlay_points)
+        for a in rep_overlay[j]:
+            a.flags.writeable = False  # shared by every kind's beta_p table
 
     unit = {j: np.eye(p)[j] for j in cfg.targets}
     tq_complete = dist_quantile(student_t(k - p), 1.0 - cfg.alpha / 2.0)
@@ -377,10 +447,7 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
             tpb.ks_statistic, tpb.ks_p = _ks_or_none(
                 bp, lambda x: np.searchsorted(ref, x, side="right") / ref.size
             )
-            kde = stats.gaussian_kde(ref[:: max(1, ref.size // 20_000)])
-            lo, hi = np.quantile(ref, [0.001, 0.999])
-            tpb.overlay_x = np.linspace(lo, hi, cfg.overlay_points)
-            tpb.overlay_pdf = kde(tpb.overlay_x)
+            tpb.overlay_x, tpb.overlay_pdf = rep_overlay[j]
             tables.append(_finish_table(tpb))
 
             tnull = ResultTable(f"pivot_complete_null[{j}]", kind.value, nullstat)
@@ -419,6 +486,7 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     t_start = time.perf_counter()
     data, truth = _make_dataset(cfg)
     X = data.X
+    mean = response_mean(X, truth)
     n, p, k, m = cfg.n, cfg.p, cfg.k, cfg.m
 
     unit = {j: np.eye(p)[j] for j in cfg.targets}
@@ -431,7 +499,7 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
         seed_base = 10_000 + kind_idx * 2 * m
 
         def one(r, _kind=kind, _base=seed_base):
-            y = simulate_response(X, truth, derive_seed(cfg.root_seed, _base + 2 * r))
+            y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, _base + 2 * r))
             d = data.with_response(y)
             spec = SketchSpec(kind=_kind, k=k, seed=derive_seed(cfg.root_seed, _base + 2 * r + 1))
             sk = apply_sketch(d, spec)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core_model import DataSet
+from .core_model import DataSet, _qr_full_rank
 from .errors import DimensionMismatch, DomainError
 
 # column block for the streaming Gaussian application; fixed so that the
@@ -72,6 +73,15 @@ class SketchedData:
                 raise DimensionMismatch(f"W_star has shape {W.shape}, expected ({k}, {k})")
             if not np.allclose(W, W.T, atol=1e-10 * max(1.0, np.abs(W).max())):
                 raise DomainError("W_star is not symmetric")
+
+    @cached_property
+    def qr(self):
+        """Rank-checked economy QR (Q, R) of ``Xs``, factored once per sketch.
+
+        The complete and partial fits of one sketch share it.  A rank-deficient
+        ``Xs`` raises ``RankDeficient`` on every access (nothing is cached).
+        """
+        return _qr_full_rank(self.Xs)
 
 
 def derive_seed(root_seed: int, index: int) -> int:

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from sketch_infer import cli
 from sketch_infer.cli import main
 
 
@@ -138,6 +140,22 @@ class TestInfer:
         rep = json.loads(out.read_text())
         assert rep["coefficients"][0]["pivot"] == "chi2(12)"
 
+    def test_partial_univariate_zero_estimate_flagged(self, tmp_path):
+        # x'y = 0 exactly, so the partial estimate is exactly zero
+        x = np.tile([1.0, -1.0], 30)
+        y = np.ones(60) + 0.25 * np.repeat([1.0, -1.0], 30)
+        assert float(x @ y) == 0.0
+        path = tmp_path / "zero.csv"
+        _write_csv(path, x[:, None], y, names=["x"])
+        out = tmp_path / "infer.json"
+        rc = main(["infer", "--input", str(path), "--response", "y", "--mode", "partial",
+                   "--k", "12", "--seed", "4", "--null", "1.0", "--output", str(out)])
+        assert rc == 0
+        coef = json.loads(out.read_text())["coefficients"][0]
+        assert coef["estimate"] == 0.0
+        assert coef["flag"] == "partial estimate is exactly zero"
+        assert coef["statistic"] is None and coef["p_value"] is None
+
     def test_partial_multivariate_zero_null(self, data_csv, tmp_path):
         out = tmp_path / "infer.json"
         rc = main(["infer", "--input", str(data_csv), "--response", "y", "--mode", "partial",
@@ -204,3 +222,41 @@ class TestSimulate:
         elapsed = time.perf_counter() - t0
         assert rc == 0
         assert elapsed < 5.0
+
+
+class TestNonFiniteReport:
+    """JSON has no NaN/Infinity: a non-finite value is exit 2, with no file written."""
+
+    def test_fit_report(self, data_csv, tmp_path, monkeypatch, capsys):
+        real = cli.fit_complete
+        monkeypatch.setattr(cli, "fit_complete",
+                            lambda sk: dataclasses.replace(real(sk), SSR_s=float("nan")))
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--input", str(data_csv), "--response", "y",
+                   "--k", "10", "--seed", "5", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulation_report(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_repeated_sketching
+
+        def with_nan(cfg):
+            rep = real(cfg)
+            rep.tables[0].overlay_pdf = np.full(cfg.overlay_points, np.inf)
+            return rep
+
+        monkeypatch.setattr(cli, "run_repeated_sketching", with_nan)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": 5, "beta0": [2.0, -1.0, 0.0, 1.0],
+            "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [0],
+            "root_seed": 5, "rep_draws": 2000,
+        }))
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+        assert not (out_dir / "report.json").exists()

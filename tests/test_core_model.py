@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer.core_model import DataSet, ModelTruth, fit_full, simulate_response
+from sketch_infer.core_model import (
+    DataSet,
+    ModelTruth,
+    draw_response,
+    fit_full,
+    response_mean,
+    simulate_response,
+)
 from sketch_infer.errors import DomainError, NonFinite, RankDeficient
 
 from conftest import ks_distance, make_dataset
@@ -140,3 +147,21 @@ class TestSimulateResponse:
         X = rng.standard_normal((12, 2))
         with pytest.raises(DomainError):
             simulate_response(X, ModelTruth(beta_0=np.zeros(3), sigma2=1.0), seed=0)
+
+    def test_split_draw_matches_one_shot_formula(self, rng):
+        X = rng.standard_normal((40, 3))
+        truth = ModelTruth(beta_0=np.array([1.5, -0.5, 2.0]), sigma2=2.5)
+        mean = response_mean(X, truth)
+        for seed in (0, 7, 123):
+            expected = X @ truth.beta_0 + np.sqrt(2.5) * np.random.default_rng(seed).standard_normal(40)
+            np.testing.assert_array_equal(draw_response(mean, truth.sigma2, seed), expected)
+            np.testing.assert_array_equal(simulate_response(X, truth, seed), expected)
+        noiseless = draw_response(mean, 0.0, 0)
+        np.testing.assert_array_equal(noiseless, mean)
+        assert noiseless is not mean
+
+    def test_mean_validates_design(self, rng):
+        X = rng.standard_normal((12, 2))
+        X[3, 1] = np.nan
+        with pytest.raises(NonFinite):
+            response_mean(X, ModelTruth(beta_0=np.zeros(2), sigma2=1.0))

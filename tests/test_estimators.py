@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from sketch_infer.core_model import DataSet, fit_full
-from sketch_infer.errors import DomainError, GammaNonpositive, MissingWStar
+from sketch_infer import sketch_ops
+from sketch_infer.errors import DomainError, GammaNonpositive, MissingWStar, RankDeficient
 from sketch_infer.estimators import (
     PartialInputs,
     fit_complete,
@@ -137,6 +139,55 @@ class TestFitPartial:
         data = make_dataset(50, 4, np.ones(4), seed=2)
         with pytest.raises(GammaNonpositive):
             fit_partial(_gauss(data, 5, 1), _partial_inputs(data))
+
+
+class TestSharedQR:
+    def test_one_factorization_per_sketch(self, monkeypatch):
+        calls = []
+        real = sketch_ops._qr_full_rank
+
+        def counting(A):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(sketch_ops, "_qr_full_rank", counting)
+        data = make_dataset(100, 3, [1.0, 2.0, -1.0], seed=30)
+        sk = _gauss(data, 10, 5)
+        fit_complete(sk)
+        fit_partial(sk, _partial_inputs(data))
+        assert calls == [(10, 3)]
+
+    def test_bit_identical_to_own_factorization(self):
+        data = make_dataset(100, 3, [1.0, 2.0, -1.0], seed=31)
+        pin = _partial_inputs(data)
+        sk = _gauss(data, 10, 6)
+        cfit, pfit = fit_complete(sk), fit_partial(sk, pin)
+        # reference: each fit factoring Xs itself
+        Q, R = np.linalg.qr(sk.Xs)
+        qty = Q.T @ sk.ys
+        resid = sk.ys - Q @ qty
+        ssr = float(resid @ resid)
+        np.testing.assert_array_equal(cfit.beta, solve_triangular(R, qty, lower=False))
+        gamma = (10 - 3 - 1) / 10
+        rhs = solve_triangular(R, pin.Xty, trans="T", lower=False)
+        np.testing.assert_array_equal(pfit.beta, gamma * solve_triangular(R, rhs, lower=False))
+        np.testing.assert_array_equal(pfit.gram_s_factor, R)
+        assert cfit.SSR_s == ssr and pfit.SSR_s == ssr
+        alone = fit_partial(_gauss(data, 10, 6), pin)  # partial fit first on a fresh sketch
+        np.testing.assert_array_equal(alone.beta, pfit.beta)
+        assert alone.SSR_s == pfit.SSR_s
+
+    def test_rank_deficient_sketch_raises_for_both_fits(self, rng):
+        Xs = rng.standard_normal((10, 3))
+        Xs[:, 2] = Xs[:, 1]
+        sk = SketchedData(Xs=Xs, ys=rng.standard_normal(10),
+                          spec=SketchSpec(kind=SketchKind.GAUSSIAN, k=10, seed=0), n=50, p=3)
+        pin = PartialInputs(Xty=np.ones(3), yty=4.0)
+        for _ in range(2):
+            with pytest.raises(RankDeficient):
+                fit_complete(sk)
+            with pytest.raises(RankDeficient):
+                fit_partial(sk, pin)
 
 
 class TestEfficientStar:

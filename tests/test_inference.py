@@ -13,6 +13,8 @@ from sketch_infer.errors import (
     DomainError,
     MissingWStar,
     NegativeDenominator,
+    SketchInferError,
+    ZeroEstimate,
 )
 from sketch_infer.estimators import (
     FitKind,
@@ -321,6 +323,14 @@ class TestPartialUnivariate:
         fit = fit_partial(sk, _partial_inputs(data))
         res = partial_univariate_chi2_test(fit, 2.0 * float(np.sign(fit.beta[0])), 9)
         assert res.statistic > 0
+
+    def test_zero_estimate_typed_error(self):
+        data = make_dataset(60, 1, [2.0], seed=28, intercept=False)
+        fit = fit_partial(_gauss(data, 9, 29), PartialInputs(Xty=[0.0], yty=float(data.y @ data.y)))
+        assert fit.beta[0] == 0.0
+        with pytest.raises(ZeroEstimate, match="exactly zero") as info:
+            partial_univariate_chi2_test(fit, 1.0, 9)
+        assert isinstance(info.value, SketchInferError)
 
     def test_needs_univariate(self):
         data = make_dataset(60, 2, [2.0, 1.0], seed=30)

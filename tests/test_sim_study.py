@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer.errors import DomainError, EmptyInput
+from sketch_infer import sim_study
+from sketch_infer.core_model import fit_full
+from sketch_infer.densities import sample_partial_sketching_rep
+from sketch_infer.errors import DomainError, EmptyInput, NonFinite
 from sketch_infer.inference import Regime
 from sketch_infer.sim_study import (
     SimConfig,
+    json_text,
     ks_statistic,
+    paper_config,
     run_repeated_sampling,
     run_repeated_sketching,
 )
-from sketch_infer.sketch_ops import SketchKind
+from sketch_infer.sketch_ops import SketchKind, derive_seed
 
 
 def _small_cfg(regime, m=60, seed=77, kinds=(SketchKind.GAUSSIAN,)):
@@ -108,6 +113,76 @@ class TestRepeatedSketching:
             rep.table("beta_s[0]", "hadamard")
 
 
+def _sorted_reference(cfg, j):
+    """The harness's sorted beta_p reference draws for target j."""
+    data, _ = sim_study._make_dataset(cfg)
+    gram_inv = np.linalg.inv(data.X.T @ data.X)
+    e = np.zeros(cfg.p)
+    e[j] = 1.0
+    return np.sort(sample_partial_sketching_rep(
+        e, fit_full(data), gram_inv, cfg.k, cfg.p, cfg.rep_draws,
+        derive_seed(cfg.root_seed, 2 + j),
+    ))
+
+
+class TestPartialOverlay:
+    """The windowed KDE against scipy's full sum (summation order and exp ulps only)."""
+
+    def _check(self, ref):
+        x, pdf = sim_study._partial_overlay(ref, 512)
+        pts = ref[:: max(1, ref.size // 20_000)]
+        expected = stats.gaussian_kde(pts)(x)
+        np.testing.assert_allclose(pdf, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sim_study._gaussian_kde_sorted(pts, x), expected,
+                                   rtol=1e-12, atol=0)
+        lo, hi = np.quantile(ref, [0.001, 0.999])
+        assert x[0] == lo and x[-1] == hi and x.size == 512
+
+    def test_paper_design_reference(self):
+        ref = _sorted_reference(paper_config(Regime.REPEATED_SKETCH, m=1), 5)
+        assert ref.size == 100_000
+        self._check(ref)
+
+    def test_heavy_tailed_ratio(self):
+        rng = np.random.default_rng(11)
+        self._check(np.sort(rng.standard_normal(20_000) / rng.standard_normal(20_000)))
+
+    def test_thousand_draws(self):
+        cfg = SimConfig(n=200, p=11, k=21, m=2, beta0=np.arange(-5.0, 6.0), sigma2=1.0,
+                        sketch_kinds=tuple(SketchKind), regime=Regime.REPEATED_SKETCH,
+                        targets=(0, 5), root_seed=1, rep_draws=1000)
+        ref = _sorted_reference(cfg, 0)
+        assert ref.size == 1000
+        self._check(ref)
+
+    @pytest.mark.parametrize("pts", [np.ones(50), np.array([1.0])])
+    def test_zero_spread_rejected(self, pts):
+        with pytest.raises(DomainError):
+            sim_study._gaussian_kde_sorted(pts, np.linspace(0.0, 2.0, 5))
+
+    def test_once_per_target_shared_by_kinds(self, monkeypatch):
+        calls = []
+        real = sim_study._gaussian_kde_sorted
+
+        def counting(pts, x):
+            calls.append(pts.size)
+            return real(pts, x)
+
+        monkeypatch.setattr(sim_study, "_gaussian_kde_sorted", counting)
+        cfg = _small_cfg(Regime.REPEATED_SKETCH, m=10, kinds=tuple(SketchKind))
+        rep = run_repeated_sketching(cfg)
+        assert len(calls) == len(cfg.targets)
+        for j in cfg.targets:
+            g = rep.table(f"beta_p[{j}]", SketchKind.GAUSSIAN)
+            x, pdf = sim_study._partial_overlay(_sorted_reference(cfg, j), cfg.overlay_points)
+            np.testing.assert_array_equal(g.overlay_x, x)
+            np.testing.assert_array_equal(g.overlay_pdf, pdf)
+            for kind in cfg.sketch_kinds[1:]:
+                t = rep.table(f"beta_p[{j}]", kind)
+                np.testing.assert_array_equal(t.overlay_x, g.overlay_x)
+                np.testing.assert_array_equal(t.overlay_pdf, g.overlay_pdf)
+
+
 class TestRepeatedSampling:
     def test_bit_identical_reports(self):
         a = run_repeated_sampling(_small_cfg(Regime.REPEATED_SAMPLE))
@@ -139,6 +214,16 @@ class TestEmission:
         assert len(paths) == len(rep.tables)
         header = open(paths[0]).readline().strip()
         assert header == "bin_left,bin_right,count,theory_x,theory_pdf"
+
+    def test_non_finite_value_is_typed_error(self, tmp_path):
+        rep = run_repeated_sketching(_small_cfg(Regime.REPEATED_SKETCH, m=5))
+        rep.tables[0].ks_statistic = float("nan")
+        jpath = tmp_path / "report.json"
+        with pytest.raises(NonFinite):
+            rep.write_json(jpath)
+        assert not jpath.exists()
+        with pytest.raises(NonFinite):
+            json_text({"overlay_pdf": [1.0, float("inf")]})
 
     def test_summary_lines(self):
         rep = run_repeated_sketching(_small_cfg(Regime.REPEATED_SKETCH, m=40))
