@@ -44,6 +44,7 @@ from .inference import (
     partial_marginal_t_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
+    wstar_marginal_t_tests,
 )
 from .sim_study import (
     SimConfig,

@@ -12,9 +12,9 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core_model import DataSet
 from .errors import (
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .estimators import (
     PartialInputs,
-    _whiten,
     fit_complete,
     fit_efficient_star,
     fit_partial,
@@ -40,6 +39,7 @@ from .inference import (
     complete_marginal_t_test,
     partial_marginal_t_test,
     partial_univariate_chi2_test,
+    wstar_marginal_t_tests,
 )
 from .sim_study import (
     SimConfig,
@@ -50,7 +50,6 @@ from .sim_study import (
     run_repeated_sketching,
 )
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch
-from .special_fn import dist_cdf, dist_quantile, student_t
 
 SCHEMA = "sketch-infer/1"
 
@@ -95,29 +94,12 @@ def _read_csv(path: str, response: str, intercept: bool):
                 )
             if not 0 <= r_idx < len(header):
                 raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise _CliError(
-                    EXIT_INPUT,
-                    f"row {line_no}: expected {len(header)} fields, found {len(row)}",
-                )
-            vals = []
-            for c_idx, cell in enumerate(row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise _CliError(
-                        EXIT_INPUT,
-                        f"row {line_no}, column '{header[c_idx]}': "
-                        f"could not parse {cell.strip()!r} as a number",
-                    )
-            rows.append(vals)
-        if not rows:
-            raise _CliError(EXIT_INPUT, "input file contains no data rows")
-    M = np.asarray(rows, dtype=float)
+        M = _loadtxt_rows(fh, len(header))
+        if M is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            M = _parse_rows(reader, header)
     y = M[:, r_idx]
     X = np.delete(M, r_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != r_idx]
@@ -125,6 +107,62 @@ def _read_csv(path: str, response: str, intercept: bool):
         X = np.column_stack([np.ones(X.shape[0]), X])
         names = ["(intercept)"] + names
     return X, y, names
+
+
+# numpy's number parser strips these C0 separators around a cell as
+# whitespace; float() rejects them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_rows(fh, n_cols: int):
+    """The data rows after the header in one C-level pass, streamed from ``fh``.
+
+    Returns None whenever the per-cell parser must decide instead: loadtxt
+    fails or warns, finds no rows or the wrong column count, or the file
+    holds a character that loadtxt and float() read differently.  Every
+    file this accepts, ``_parse_rows`` accepts with bit-identical values.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                           quotechar='"', ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if M.shape[0] == 0 or M.shape[1] != n_cols:
+        return None
+    fh.seek(0)
+    while chunk := fh.read(1 << 16):
+        if any(c in chunk for c in _SEPARATORS):
+            return None
+    return M
+
+
+def _parse_rows(reader, header):
+    """Cell-by-cell parse of the data rows; names the row and column of a bad cell."""
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise _CliError(
+                EXIT_INPUT,
+                f"row {line_no}: expected {len(header)} fields, found {len(row)}",
+            )
+        vals = []
+        for c_idx, cell in enumerate(row):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise _CliError(
+                    EXIT_INPUT,
+                    f"row {line_no}, column '{header[c_idx]}': "
+                    f"could not parse {cell.strip()!r} as a number",
+                )
+        rows.append(vals)
+    if not rows:
+        raise _CliError(EXIT_INPUT, "input file contains no data rows")
+    return np.asarray(rows, dtype=float)
 
 
 def _build_dataset(X, y) -> DataSet:
@@ -272,28 +310,14 @@ def cmd_infer(args) -> int:
                                      flag=f"negative denominator: {exc}")
             coefficients.append(entry)
     else:  # efficient: classical inference on the whitened system, exact given S
-        # null-centering keeps the residual statistic signal-free
-        R = fit.gram_s_factor
-        Xt, yt = _whiten(sk)
-        et = yt - Xt @ nulls
-        w0 = solve_triangular(R, Xt.T @ et, trans="T", lower=False)
         e_full = data.y - data.X @ nulls
-        ssr_c = max(float(e_full @ e_full - w0 @ w0), 0.0)
-        sigma2_hat = ssr_c / (n - p)
-        for j in range(p):
-            e = np.zeros(p)
-            e[j] = 1.0
-            w = solve_triangular(R, e, trans="T", lower=False)
-            se = float(np.sqrt(sigma2_hat * (w @ w)))
-            stat = (float(fit.beta[j]) - float(nulls[j])) / se
-            c = dist_cdf(student_t(n - p), stat)
-            tq = dist_quantile(student_t(n - p), (1.0 + level) / 2.0)
+        tests = wstar_marginal_t_tests(fit, sk, float(e_full @ e_full), nulls, level)
+        for j, (t, ci) in enumerate(tests):
             coefficients.append({
                 "index": j, "name": names[j], "estimate": float(fit.beta[j]),
-                "null_value": float(nulls[j]), "statistic": stat,
-                "pivot": f"t({n - p})", "p_value": float(min(1.0, 2 * min(c, 1 - c))),
-                "ci_lower": float(fit.beta[j] - tq * se),
-                "ci_upper": float(fit.beta[j] + tq * se), "flag": None,
+                "null_value": float(nulls[j]), "statistic": t.statistic,
+                "pivot": f"t({n - p})", "p_value": t.p_value,
+                "ci_lower": ci.lower, "ci_upper": ci.upper, "flag": None,
             })
 
     report = {

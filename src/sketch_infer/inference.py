@@ -27,7 +27,6 @@ from .errors import (
     AssumptionViolated,
     DegenerateSSR,
     DomainError,
-    MissingWStar,
     NegativeDenominator,
     ZeroEstimate,
 )
@@ -47,6 +46,7 @@ __all__ = [
     "partial_t_statistic",
     "complete_marginal_ci",
     "wstar_exact_tests",
+    "wstar_marginal_t_tests",
     "complete_sampling_approx_test",
     "mc_calibrated_sampling_test",
     "partial_univariate_chi2_test",
@@ -209,6 +209,17 @@ def complete_marginal_ci(fit: SketchFit, sk: SketchedData, j: int, level: float)
 # exact W*-based inference on beta_0 (repeated samples)
 # ---------------------------------------------------------------------------
 
+def _centered_ssr_star(fit: SketchFit, sk: SketchedData, yty: float, hyp) -> float:
+    """Null-centered whitened residual ||y - X h||^2 - ||proj of whitened (y_s - Xs h)||^2."""
+    Xt, yt = _whiten(sk)
+    et = yt - Xt @ hyp
+    w = solve_triangular(fit.gram_s_factor, Xt.T @ et, trans="T", lower=False)
+    ssr_star = float(yty - w @ w)
+    if ssr_star <= 0.0:
+        raise DegenerateSSR(f"centered SSR* evaluated {ssr_star:.3e} <= 0")
+    return ssr_star
+
+
 def wstar_exact_tests(
     fit: SketchFit, sk: SketchedData, yty: float, beta_hyp, sigma2: float | None = None,
 ):
@@ -222,20 +233,11 @@ def wstar_exact_tests(
     form is present only when sigma2 is supplied.
     """
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* exact tests")
-    if sk.W_star is None:
-        raise MissingWStar("wstar_exact_tests needs SketchedData with W_star")
-    n, k, p = sk.n, sk.spec.k, sk.p
+    n, p = sk.n, sk.p
     hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    R = fit.gram_s_factor
+    ssr_star = _centered_ssr_star(fit, sk, yty, hyp)
     d = fit.beta - hyp
-    num = float(np.sum((R @ d) ** 2))
-
-    Xt, yt = _whiten(sk)
-    et = yt - Xt @ hyp
-    w = solve_triangular(R, Xt.T @ et, trans="T", lower=False)
-    ssr_star = float(yty - w @ w)
-    if ssr_star <= 0.0:
-        raise DegenerateSSR(f"centered SSR* evaluated {ssr_star:.3e} <= 0")
+    num = float(np.sum((fit.gram_s_factor @ d) ** 2))
 
     f_stat = (num / p) / (ssr_star / (n - p))
     flaw = f_law(p, n - p)
@@ -262,6 +264,45 @@ def wstar_exact_tests(
             method=Method.WSTAR_EXACT,
         )
     return f_res, chi_res
+
+
+def wstar_marginal_t_tests(
+    fit: SketchFit, sk: SketchedData, yty: float, beta_hyp, level: float,
+):
+    """Per-coefficient t tests and intervals for beta_0 from the whitened fit and W*.
+
+    Classical inference on the whitened system, exact given S:
+    (b*_j - h_j) / sqrt(SSR*/(n-p) [(Xs'W*^{-1}Xs)^{-1}]_jj) ~ t_{n-p}, with
+    SSR* null-centered as in wstar_exact_tests (same ``yty``).  Returns one
+    ``(TestResult, ConfidenceInterval)`` pair per coefficient.
+    """
+    _require_kind(fit, FitKind.EFFICIENT_STAR, "W* marginal t tests")
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must be in (0, 1)")
+    n, p = sk.n, sk.p
+    hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
+    sigma2_hat = _centered_ssr_star(fit, sk, yty, hyp) / (n - p)
+    law = student_t(n - p)
+    results = []
+    for j in range(p):
+        e = np.zeros(p)
+        e[j] = 1.0
+        se = math.sqrt(sigma2_hat * _gram_inv_quad(fit.gram_s_factor, e))
+        b_j = float(fit.beta[j])
+        stat = (b_j - float(hyp[j])) / se
+        tq = dist_quantile(law, (1.0 + level) / 2.0)
+        test = TestResult(
+            statistic=stat,
+            pivot_law=law,
+            p_value=_two_sided_t(stat, n - p),
+            target=Target.BETA_0,
+            regime=Regime.REPEATED_SAMPLE,
+            method=Method.WSTAR_EXACT,
+        )
+        ci = ConfidenceInterval(coefficient_index=j, lower=b_j - tq * se,
+                                upper=b_j + tq * se, level=level)
+        results.append((test, ci))
+    return results
 
 
 def complete_sampling_approx_test(

@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sketch_infer import cli
-from sketch_infer.cli import main
+from sketch_infer.cli import EXIT_INPUT, _CliError, main
 
 
 def _write_csv(path, X, y, names=None):
@@ -183,6 +185,20 @@ class TestInfer:
         assert all(c["pivot"] == "t(77)" for c in rep["coefficients"])
 
 
+    def test_efficient_noiseless_exit_2(self, tmp_path, capsys):
+        # y = X (1, 2) exactly: the centered SSR* at the true null is zero
+        X = np.column_stack([np.arange(60) % 7 - 3.0, (5 * np.arange(60)) % 11 - 5.0])
+        path = tmp_path / "noiseless.csv"
+        _write_csv(path, X, X @ np.array([1.0, 2.0]))
+        out = tmp_path / "o.json"
+        rc = main(["infer", "--input", str(path), "--response", "y", "--mode", "efficient",
+                   "--k", "10", "--null", "1,2", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "SSR*" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_config_file_run(self, tmp_path, capsys):
         cfg = {
@@ -260,3 +276,147 @@ class TestNonFiniteReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
         assert not (out_dir / "report.json").exists()
+
+
+def _read_csv_reference(path: str, response: str, intercept: bool):
+    """The cell-by-cell CSV parser the streaming one replaced, kept as its oracle."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot open input file: {exc}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise _CliError(EXIT_INPUT, "input file is empty (a header row is required)")
+        header = [h.strip() for h in header]
+        if response in header:
+            r_idx = header.index(response)
+        else:
+            try:
+                r_idx = int(response)
+            except ValueError:
+                raise _CliError(
+                    EXIT_INPUT,
+                    f"response column '{response}' not found; columns are {header}",
+                )
+            if not 0 <= r_idx < len(header):
+                raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise _CliError(
+                    EXIT_INPUT,
+                    f"row {line_no}: expected {len(header)} fields, found {len(row)}",
+                )
+            vals = []
+            for c_idx, cell in enumerate(row):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise _CliError(
+                        EXIT_INPUT,
+                        f"row {line_no}, column '{header[c_idx]}': "
+                        f"could not parse {cell.strip()!r} as a number",
+                    )
+            rows.append(vals)
+        if not rows:
+            raise _CliError(EXIT_INPUT, "input file contains no data rows")
+    M = np.asarray(rows, dtype=float)
+    y = M[:, r_idx]
+    X = np.delete(M, r_idx, axis=1)
+    names = [h for i, h in enumerate(header) if i != r_idx]
+    if intercept:
+        X = np.column_stack([np.ones(X.shape[0]), X])
+        names = ["(intercept)"] + names
+    return X, y, names
+
+
+def _parse_outcome(parser, path, response, intercept):
+    """Bit-level fingerprint of a parse: the arrays' bytes and names, or the error."""
+    try:
+        X, y, names = parser(str(path), response, intercept)
+    except _CliError as exc:
+        return ("error", exc.code, str(exc))
+    return ("ok", X.dtype, X.shape, X.tobytes(), y.dtype, y.shape, y.tobytes(), names)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_decimal30 = st.tuples(
+    st.sampled_from(["", "-", "+"]), st.integers(0, 10**30 - 1), st.integers(0, 30),
+).map(lambda t: f"{t[0]}{str(t[1]).zfill(30)[:t[2]]}.{str(t[1]).zfill(30)[t[2]:]}")
+_number = st.one_of(_floats.map(repr), _floats.map(lambda v: "%.17g" % v), _decimal30)
+_odd = st.sampled_from([
+    "1_0", "#", "#1", "0x1", "nan", "-inf", "Infinity", "", "1e400", "1.", ".5", "abc",
+    "١", "1 2", '1"2"', "1\x00",
+])
+_pad = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0", "\x0b", "\x0c"])
+# loadtxt strips these around a number, float() does not
+_separator_pad = st.sampled_from(["\x1c", "\x1f"])
+
+
+@st.composite
+def _cells(draw, clean):
+    pad = _pad if clean else st.one_of(_pad, _pad, _separator_pad)
+    core = draw(_number if clean else st.one_of(_number, _number, _odd))
+    if draw(st.integers(0, 3)) == 0:
+        core = '"' + draw(pad) + core + draw(pad) + '"'
+        if clean:  # csv.reader takes a quote as one only at the start of a cell
+            return core + draw(pad)
+        core += draw(st.sampled_from(["", " ", "2", "e3", '"']))
+    return draw(pad) + core + draw(pad)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header with 1-4 columns, then number rows; unless clean, ragged and odd rows too."""
+    clean = draw(st.booleans())
+    n_cols = draw(st.integers(1, 4))
+    lines = [",".join([f"x{i}" for i in range(n_cols - 1)] + ["y"])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", ",", ", ,", '""', "\x1c"])))
+        else:
+            width = n_cols + (draw(st.sampled_from([-1, 1])) if kind == 1 and not clean else 0)
+            lines.append(",".join(draw(_cells(clean)) for _ in range(max(width, 1))))
+    eols = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        eols[-1] = ""
+    return "".join(line + eol for line, eol in zip(lines, eols))
+
+
+class TestCsvParser:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts(), response=st.sampled_from(["y", "0"]), intercept=st.booleans())
+    @example(text="y\n", response="y", intercept=False)
+    @example(text="a,y\r\n1_0,2\r\n", response="y", intercept=False)
+    @example(text="a,y\r1,2\r\r3,4\r", response="y", intercept=True)
+    @example(text="a,y\n\x1c1,2\n", response="y", intercept=False)
+    @example(text='a,y\n"1" ,  2\n , \n"1"2,3\n', response="0", intercept=False)
+    @example(text="a,y\n1,2\n#3,4\n", response="y", intercept=False)
+    def test_matches_cell_by_cell_reference(self, tmp_path, text, response, intercept):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parse_outcome(cli._read_csv, path, response, intercept) == \
+            _parse_outcome(_read_csv_reference, path, response, intercept)
+
+    def test_well_formed_csv_skips_cell_by_cell_parse(self, tmp_path, data_csv, monkeypatch):
+        def per_cell(*args):
+            raise AssertionError("the per-cell parser ran on a well-formed file")
+
+        rows = np.random.default_rng(5).standard_normal((40, 3))
+        padded = tmp_path / "padded.csv"
+        padded.write_text("a,b,y\r\n" + "".join(
+            f'{a!r},"{b:.17g}" , {c:.17g}\r\n' + ("\r\n" if i % 9 == 0 else "")
+            for i, (a, b, c) in enumerate(rows.tolist())), newline="")
+        cases = [(data_csv, "y", True), (padded, "b", False)]
+        expected = [_parse_outcome(_read_csv_reference, *case) for case in cases]
+        monkeypatch.setattr(cli, "_parse_rows", per_cell)
+        assert [_parse_outcome(cli._read_csv, *case) for case in cases] == expected
+        assert expected[1][0] == "ok" and expected[1][2] == (40, 2)

@@ -36,6 +36,7 @@ from sketch_infer.inference import (
     partial_marginal_t_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
+    wstar_marginal_t_tests,
 )
 from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
 
@@ -225,6 +226,38 @@ class TestWStarExact:
         sk_plain = _gauss(data, 10, 18)
         with pytest.raises(MissingWStar):
             wstar_exact_tests(fit, sk_plain, float(data.y @ data.y), np.zeros(3))
+
+
+class TestWStarMarginalT:
+    def test_univariate_t_squared_is_the_f_statistic(self):
+        data = make_dataset(80, 1, [1.5], seed=19, intercept=False)
+        sk = _gauss(data, 12, 20, want_w_star=True)
+        fit = fit_efficient_star(sk)
+        e = data.y - data.X @ np.array([1.2])
+        yty = float(e @ e)
+        f_res, _ = wstar_exact_tests(fit, sk, yty, [1.2])
+        [(t, ci)] = wstar_marginal_t_tests(fit, sk, yty, [1.2], 0.9)
+        assert t.statistic ** 2 == pytest.approx(f_res.statistic, rel=1e-12)
+        assert t.p_value == pytest.approx(f_res.p_value, rel=1e-9)
+        assert str(t.pivot_law) == "t(79)" and t.target is Target.BETA_0
+        half = stats.t.ppf(0.95, 79) * (fit.beta[0] - 1.2) / t.statistic
+        assert (ci.lower, ci.upper) == pytest.approx((fit.beta[0] - half, fit.beta[0] + half))
+
+    def test_noiseless_null_is_degenerate(self):
+        X = np.column_stack([np.arange(60) % 7 - 3.0, (5 * np.arange(60)) % 11 - 5.0])
+        data = DataSet(X=X, y=X @ np.array([1.0, 2.0]))
+        sk = _gauss(data, 10, 21, want_w_star=True)
+        with pytest.raises(DegenerateSSR):
+            wstar_marginal_t_tests(fit_efficient_star(sk), sk, 0.0, [1.0, 2.0], 0.95)
+
+    def test_requires_star_fit_and_level(self):
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        sk = _gauss(data, 10, 17, want_w_star=True)
+        yty = float(data.y @ data.y)
+        with pytest.raises(DomainError):
+            wstar_marginal_t_tests(fit_complete(sk), sk, yty, np.zeros(3), 0.95)
+        with pytest.raises(DomainError):
+            wstar_marginal_t_tests(fit_efficient_star(sk), sk, yty, np.zeros(3), 1.0)
 
 
 class TestSamplingApproxT:

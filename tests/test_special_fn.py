@@ -181,6 +181,16 @@ class TestDistributions:
         ref = optimize.brentq(lambda x: dist_cdf(law, x) - 0.975, 0.0, 50.0, xtol=1e-12)
         assert abs(dist_quantile(law, 0.975) - ref) < 1e-8
 
+    def test_reused_law_matches_fresh_scipy_law(self):
+        from scipy import stats
+
+        from sketch_infer.special_fn import _frozen
+
+        assert _frozen(student_t(10)) is _frozen(student_t(10.0))
+        for _ in range(2):
+            assert dist_quantile(student_t(10), 0.975) == float(stats.t(10.0).ppf(0.975))
+            assert dist_cdf(f_law(3, 10), 1.7) == stats.f(3.0, 10.0).cdf(1.7)
+
     def test_symmetric_beta_median(self):
         for a in (0.5, 1.0, 3.7):
             assert abs(dist_quantile(beta_law(a, a), 0.5) - 0.5) < 1e-10
