@@ -38,7 +38,6 @@ from .inference import (
     complete_joint_f_test,
     complete_marginal_ci,
     complete_marginal_t_test,
-    complete_sampling_approx_test,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
     partial_marginal_t_test,
@@ -67,12 +66,9 @@ from .sketch_ops import (
 )
 from .special_fn import (
     Law,
-    QuadratureSettings,
     bessel_k,
-    bessel_k_scaled,
     dist_cdf,
     dist_quantile,
-    dist_sample,
     kummer_m,
     kummer_u,
     log_bessel_k,

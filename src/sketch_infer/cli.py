@@ -76,30 +76,12 @@ def _read_csv(path: str, response: str, intercept: bool):
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot open input file: {exc}")
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise _CliError(EXIT_INPUT, "input file is empty (a header row is required)")
-        header = [h.strip() for h in header]
-        if response in header:
-            r_idx = header.index(response)
-        else:
-            try:
-                r_idx = int(response)
-            except ValueError:
-                raise _CliError(
-                    EXIT_INPUT,
-                    f"response column '{response}' not found; columns are {header}",
-                )
-            if not 0 <= r_idx < len(header):
-                raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
-        M = _loadtxt_rows(fh, len(header))
-        if M is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            M = _parse_rows(reader, header)
+            header, r_idx, M = _read_table(fh, response)
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start:exc.start + 1].hex()
+            raise _CliError(EXIT_INPUT, f"input file is not UTF-8 text: byte 0x{bad} "
+                                        f"cannot be decoded ({exc.reason})")
     y = M[:, r_idx]
     X = np.delete(M, r_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != r_idx]
@@ -107,6 +89,35 @@ def _read_csv(path: str, response: str, intercept: bool):
         X = np.column_stack([np.ones(X.shape[0]), X])
         names = ["(intercept)"] + names
     return X, y, names
+
+
+def _read_table(fh, response: str):
+    """(header, response column index, data matrix) of an open CSV file."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise _CliError(EXIT_INPUT, "input file is empty (a header row is required)")
+    header = [h.strip() for h in header]
+    if response in header:
+        r_idx = header.index(response)
+    else:
+        try:
+            r_idx = int(response)
+        except ValueError:
+            raise _CliError(
+                EXIT_INPUT,
+                f"response column '{response}' not found; columns are {header}",
+            )
+        if not 0 <= r_idx < len(header):
+            raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
+    M = _loadtxt_rows(fh, len(header))
+    if M is None:
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        M = _parse_rows(reader, header)
+    return header, r_idx, M
 
 
 # numpy's number parser strips these C0 separators around a cell as

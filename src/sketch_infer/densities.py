@@ -335,6 +335,7 @@ def ratio_beta_law_pdf_mc(
 # ---------------------------------------------------------------------------
 
 def _check_direction(m_vec: np.ndarray, ref: np.ndarray, what: str) -> None:
+    """Reject a zero contrast m, or one parallel to ``ref`` (named ``what``)."""
     nm = np.linalg.norm(m_vec)
     nr = np.linalg.norm(ref)
     if nm == 0.0:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .densities import h_law_sample, ssr_s_law_params
+from .densities import _check_direction, h_law_sample, ssr_s_law_params
 from .errors import (
-    AssumptionViolated,
     DegenerateSSR,
     DomainError,
     NegativeDenominator,
@@ -47,7 +46,6 @@ __all__ = [
     "complete_marginal_ci",
     "wstar_exact_tests",
     "wstar_marginal_t_tests",
-    "complete_sampling_approx_test",
     "mc_calibrated_sampling_test",
     "partial_univariate_chi2_test",
     "partial_marginal_t_test",
@@ -305,18 +303,6 @@ def wstar_marginal_t_tests(
     return results
 
 
-def complete_sampling_approx_test(
-    fit: SketchFit, sk: SketchedData, j: int, beta_hyp_j: float,
-) -> TestResult:
-    """Approximate marginal test for beta_0 without W*.
-
-    Identical computation to the repeated-sketching marginal t (the W* ~
-    (n/k) I approximation makes the same statistic approximately t_{k-p}
-    under repeated samples); labeled with the sampling regime.
-    """
-    return complete_marginal_t_test(fit, sk, j, beta_hyp_j, target=Target.BETA_0)
-
-
 def mc_calibrated_sampling_test(
     fit: SketchFit, gram, n: int, k: int, p: int, beta_hyp,
     mc_size: int = 10_000, seed=0,
@@ -406,7 +392,7 @@ def partial_t_statistic(
         raise DomainError(f"m has length {m_vec.size}, expected {p}")
     R = fit.gram_s_factor
     xty = (R.T @ (R @ fit.beta)) / fit.gamma
-    _check_contrast(m_vec, xty)
+    _check_direction(m_vec, xty, "X^T y")
     mb = float(m_vec @ fit.beta)
     bracket = fit.SSM_p * fit.gamma * _gram_inv_quad(R, m_vec) - mb * mb + extra_variance
     if bracket <= 0.0:
@@ -431,7 +417,7 @@ def partial_linear_combination_test(
     m_arr = np.asarray(m_vec, dtype=float).reshape(-1)
     if regime is Regime.REPEATED_SAMPLE and p >= 2:
         # beta_p stands in for the unobservable beta_0 direction
-        _check_contrast(m_arr, fit.beta)
+        _check_direction(m_arr, fit.beta, "beta_p")
     extra = 0.0
     if regime is Regime.REPEATED_SAMPLE:
         if sigma2_proxy is None:
@@ -447,21 +433,6 @@ def partial_linear_combination_test(
         regime=regime,
         method=Method.PARTIAL_T,
     )
-
-
-def _check_contrast(m_vec: np.ndarray, ref: np.ndarray) -> None:
-    nm = float(np.linalg.norm(m_vec))
-    nr = float(np.linalg.norm(ref))
-    if nm == 0.0:
-        raise DomainError("contrast vector m must be nonzero")
-    if nr == 0.0:
-        return
-    if abs(float(m_vec @ ref)) / (nm * nr) >= 1.0 - 1e-12:
-        raise AssumptionViolated(
-            "m is (numerically) parallel to the degenerate direction; for "
-            "m = X^T y the combination m'beta_p equals SSM_p, which follows an "
-            "inverse-gamma law, and the t-form pivot does not apply"
-        )
 
 
 def partial_marginal_t_test(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,35 +251,10 @@ def ks_statistic(samples, cdf) -> tuple:
     return d, p
 
 
-
 def _ks_or_none(samples, cdf):
     if np.asarray(samples).size < 2:
         return None, None
     return ks_statistic(samples, cdf)
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SKETCH_INFER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _replicate_map(fn, m: int):
-    """Run fn(r) for r in range(m), optionally on a thread pool.
-
-    Results land in an index-addressed list, so the output is identical
-    under any scheduling.
-    """
-    out = [None] * m
-    workers = _max_workers()
-    if workers == 1:
-        for r in range(m):
-            out[r] = fn(r)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for r, val in zip(range(m), ex.map(fn, range(m))):
-            out[r] = val
-    return out
 
 
 def _make_dataset(cfg: SimConfig) -> tuple:
@@ -416,7 +390,7 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
                 row[j] = (cfit.beta[j], pfit.beta[j], null_stat, se, part_stat)
             return row
 
-        rows = _replicate_map(one, m)
+        rows = [one(r) for r in range(m)]
 
         for j in cfg.targets:
             bs = np.array([r[j][0] for r in rows])
@@ -516,7 +490,7 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
                 row[j] = (null_stat, se, cfit.beta[j], part_stat)
             return row
 
-        rows = _replicate_map(one, m)
+        rows = [one(r) for r in range(m)]
 
         ssr = np.array([r["ssr_s"] for r in rows])
         s2h = np.array([r["sigma2_hat"] for r in rows])

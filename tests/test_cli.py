@@ -83,6 +83,19 @@ class TestFit:
         err = capsys.readouterr().err
         assert "row 3" in err and "'b'" in err and "oops" in err
 
+    @pytest.mark.parametrize("raw", [b"a,y\n1,2\n3,\xe9\n", b"a,\xe9y\n1,2\n3,4\n"],
+                             ids=["data-row", "header"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        out = tmp_path / "o.json"
+        rc = main(["fit", "--input", str(path), "--response", "y",
+                   "--k", "3", "--seed", "1", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and "0xe9" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_missing_response_column(self, data_csv, tmp_path, capsys):
         rc = main(["fit", "--input", str(data_csv), "--response", "zzz",
                    "--k", "10", "--seed", "1", "--output", str(tmp_path / "o.json")])

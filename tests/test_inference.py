@@ -30,7 +30,6 @@ from sketch_infer.inference import (
     complete_joint_f_test,
     complete_marginal_ci,
     complete_marginal_t_test,
-    complete_sampling_approx_test,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
     partial_marginal_t_test,
@@ -266,7 +265,7 @@ class TestSamplingApproxT:
         sk = _gauss(data, 10, 20)
         fit = fit_complete(sk)
         a = complete_marginal_t_test(fit, sk, 2, 0.1)
-        b = complete_sampling_approx_test(fit, sk, 2, 0.1)
+        b = complete_marginal_t_test(fit, sk, 2, 0.1, target=Target.BETA_0)
         assert a.statistic == b.statistic
         assert b.target is Target.BETA_0 and b.regime is Regime.REPEATED_SAMPLE
 
@@ -281,7 +280,8 @@ class TestSamplingApproxT:
             y = X @ beta0 + rng.standard_normal(n)
             data = DataSet(X=X, y=y)
             sk = _gauss(data, k, derive_seed(401, r))
-            pvals[r] = complete_sampling_approx_test(fit_complete(sk), sk, 1, 0.0).p_value
+            pvals[r] = complete_marginal_t_test(fit_complete(sk), sk, 1, 0.0,
+                                                target=Target.BETA_0).p_value
         rate = float(np.mean(pvals < 0.05))
         assert 0.04 <= rate <= 0.06
         # approximate pivot: null p-values are uniform at the looser tolerance

@@ -231,11 +231,3 @@ class TestEmission:
         assert len(lines) == len(rep.tables) + 1
         assert "KS" in lines[0]
 
-
-class TestThreadedReplication:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = run_repeated_sketching(_small_cfg(Regime.REPEATED_SKETCH, m=30))
-        monkeypatch.setenv("SKETCH_INFER_THREADS", "4")
-        threaded = run_repeated_sketching(_small_cfg(Regime.REPEATED_SKETCH, m=30))
-        for ta, tb in zip(serial.tables, threaded.tables):
-            assert np.array_equal(ta.samples, tb.samples)

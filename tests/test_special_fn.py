@@ -12,26 +12,17 @@ from sketch_infer.errors import DomainError, OverflowSignal
 from sketch_infer.special_fn import (
     Law,
     bessel_k,
-    bessel_k_scaled,
     beta_law,
     chi2,
     dist_cdf,
     dist_quantile,
-    dist_sample,
     f_law,
-    gamma_law,
-    inv_gamma,
     kummer_m,
     kummer_u,
     log_bessel_k,
     log_kummer_u,
-    noncentral_beta,
-    noncentral_chi2,
-    normal,
     student_t,
 )
-
-from conftest import ecdf_callable, ks_distance
 
 
 class TestKummerM:
@@ -127,11 +118,6 @@ class TestBesselK:
                                 0.0, 50.0, limit=200)
         assert abs(bessel_k(nu, x) - ref) / ref < 1e-8
 
-    def test_scaled_consistency(self):
-        for nu, x in [(0.0, 0.5), (3.2, 10.0), (12.0, 2.0)]:
-            assert math.isclose(bessel_k(nu, x), math.exp(-x) * bessel_k_scaled(nu, x),
-                                rel_tol=1e-12)
-
     def test_overflow_signal(self):
         with pytest.raises(OverflowSignal):
             bessel_k(200.0, 1e-6)
@@ -168,8 +154,7 @@ class TestDistributions:
         assert abs(dist_cdf(f_law(3, 10), x) - phat) < 3 * se
 
     def test_quantile_roundtrip(self):
-        laws = [chi2(5), student_t(10), f_law(3, 10), beta_law(2, 3),
-                gamma_law(2.0, 1.5), inv_gamma(3.0, 2.0)]
+        laws = [chi2(5), student_t(10), f_law(3, 10), beta_law(2, 3)]
         for law in laws:
             for x in np.linspace(0.2, 4.0, 12):
                 q = dist_cdf(law, x)
@@ -197,38 +182,10 @@ class TestDistributions:
 
     def test_cdf_monotone_into_unit_interval(self):
         grid = np.linspace(-50.0, 50.0, 1000)
-        for law in [chi2(3), student_t(7), f_law(4, 9), beta_law(2, 5),
-                    gamma_law(1.5, 2.0), inv_gamma(2.5, 1.0), normal(0.0, 4.0)]:
+        for law in [chi2(3), student_t(7), f_law(4, 9), beta_law(2, 5)]:
             vals = np.array([dist_cdf(law, x) for x in grid])
             assert np.all(np.diff(vals) >= -1e-15)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-    def test_noncentral_chi2_zero_noncentrality(self):
-        draws = dist_sample(noncentral_chi2(3, 0.0), seed=5, count=10_000)
-        assert ks_distance(draws, lambda x: dist_cdf(chi2(3), x)) < 0.02
-
-    def test_noncentral_chi2_mean(self):
-        df, lam = 4.0, 7.5
-        draws = dist_sample(noncentral_chi2(df, lam), seed=6, count=200_000)
-        se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - (df + lam)) < 3 * se
-
-    def test_noncentral_beta_matches_ratio_construction(self):
-        df1, df2, lam = 3.0, 8.0, 2.5
-        draws = dist_sample(noncentral_beta(df1, df2, lam), seed=8, count=50_000)
-        rng = np.random.default_rng(99)
-        u = rng.noncentral_chisquare(df1, lam, 50_000)
-        v = rng.chisquare(df2, 50_000)
-        assert ks_distance(draws, ecdf_callable(u / (u + v))) < 0.02
-
-    def test_normal_sample_mean(self):
-        draws = dist_sample(normal(0.0, 1.0), seed=4, count=10_000)
-        assert abs(draws.mean()) < 3.0 / 100.0
-
-    def test_sampler_determinism(self):
-        a = dist_sample(gamma_law(2.0, 3.0), seed=42, count=100)
-        b = dist_sample(gamma_law(2.0, 3.0), seed=42, count=100)
-        assert np.array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
