@@ -274,6 +274,23 @@ def _parse_nulls(spec: str, p: int):
     return np.asarray(vals)
 
 
+_INFER_CSV_HEADER = ["index", "name", "estimate", "statistic", "p_value",
+                     "ci_lower", "ci_upper", "flag"]
+
+
+def _coef_row(j: int, name: str, estimate, null, test=None, ci=None, flag=None) -> dict:
+    """One coefficient of an infer report; a missing test or interval reports None."""
+    return {
+        "index": j, "name": name, "estimate": float(estimate), "null_value": float(null),
+        "statistic": None if test is None else test.statistic,
+        "pivot": None if test is None else str(test.pivot_law),
+        "p_value": None if test is None else test.p_value,
+        "ci_lower": None if ci is None else ci.lower,
+        "ci_upper": None if ci is None else ci.upper,
+        "flag": flag,
+    }
+
+
 def cmd_infer(args) -> int:
     X, y, names = _read_csv(args.input, args.response, args.intercept)
     data = _build_dataset(X, y)
@@ -281,55 +298,34 @@ def cmd_infer(args) -> int:
     fit = _fit(args.mode, data, sk)
     nulls = _parse_nulls(args.null, data.p)
     level = 1.0 - args.alpha
-    n, k, p = data.n, args.k, data.p
+    k, p = args.k, data.p
 
-    coefficients = []
-    if args.mode == "complete":
+    if args.mode == "partial":
+        coefficients = []
         for j in range(p):
-            t = complete_marginal_t_test(fit, sk, j, float(nulls[j]))
-            ci = complete_marginal_ci(fit, sk, j, level)
-            coefficients.append({
-                "index": j, "name": names[j], "estimate": float(fit.beta[j]),
-                "null_value": float(nulls[j]), "statistic": t.statistic,
-                "pivot": str(t.pivot_law), "p_value": t.p_value,
-                "ci_lower": ci.lower, "ci_upper": ci.upper, "flag": None,
-            })
-    elif args.mode == "partial":
-        for j in range(p):
-            entry = {
-                "index": j, "name": names[j], "estimate": float(fit.beta[j]),
-                "null_value": float(nulls[j]), "ci_lower": None, "ci_upper": None,
-                "flag": None,
-            }
+            test, flag = None, None
             if p == 1:
                 try:
-                    t = partial_univariate_chi2_test(fit, float(nulls[j]), k)
-                    entry.update(statistic=t.statistic, pivot=str(t.pivot_law), p_value=t.p_value)
+                    test = partial_univariate_chi2_test(fit, float(nulls[j]), k)
                 except ZeroEstimate:
-                    entry.update(statistic=None, pivot=None, p_value=None,
-                                 flag="partial estimate is exactly zero")
+                    flag = "partial estimate is exactly zero"
+            elif nulls[j] != 0.0:
+                flag = "only the zero null is supported for partial coefficients"
             else:
-                if nulls[j] != 0.0:
-                    entry.update(statistic=None, pivot=None, p_value=None,
-                                 flag="only the zero null is supported for partial coefficients")
-                else:
-                    try:
-                        t = partial_marginal_t_test(fit, sk, j, Regime.REPEATED_SKETCH)
-                        entry.update(statistic=t.statistic, pivot=str(t.pivot_law), p_value=t.p_value)
-                    except NegativeDenominator as exc:
-                        entry.update(statistic=None, pivot=None, p_value=None,
-                                     flag=f"negative denominator: {exc}")
-            coefficients.append(entry)
-    else:  # efficient: classical inference on the whitened system, exact given S
-        e_full = data.y - data.X @ nulls
-        tests = wstar_marginal_t_tests(fit, sk, float(e_full @ e_full), nulls, level)
-        for j, (t, ci) in enumerate(tests):
-            coefficients.append({
-                "index": j, "name": names[j], "estimate": float(fit.beta[j]),
-                "null_value": float(nulls[j]), "statistic": t.statistic,
-                "pivot": f"t({n - p})", "p_value": t.p_value,
-                "ci_lower": ci.lower, "ci_upper": ci.upper, "flag": None,
-            })
+                try:
+                    test = partial_marginal_t_test(fit, sk, j, Regime.REPEATED_SKETCH)
+                except NegativeDenominator as exc:
+                    flag = f"negative denominator: {exc}"
+            coefficients.append(_coef_row(j, names[j], fit.beta[j], nulls[j], test, flag=flag))
+    else:
+        if args.mode == "complete":
+            pairs = [(complete_marginal_t_test(fit, sk, j, float(nulls[j])),
+                      complete_marginal_ci(fit, sk, j, level)) for j in range(p)]
+        else:  # efficient: classical inference on the whitened system, exact given S
+            e_full = data.y - data.X @ nulls
+            pairs = wstar_marginal_t_tests(fit, sk, float(e_full @ e_full), nulls, level)
+        coefficients = [_coef_row(j, names[j], fit.beta[j], nulls[j], t, ci)
+                        for j, (t, ci) in enumerate(pairs)]
 
     report = {
         "schema": SCHEMA,
@@ -337,18 +333,12 @@ def cmd_infer(args) -> int:
         "mode": args.mode,
         "alpha": args.alpha,
         "sketch": {"kind": sk.spec.kind.value, "k": sk.spec.k, "seed": sk.spec.seed},
-        "n": n,
+        "n": data.n,
         "p": p,
         "coefficients": coefficients,
     }
-    rows = [
-        [c["index"], c["name"], c["estimate"], c.get("statistic"), c.get("p_value"),
-         c.get("ci_lower"), c.get("ci_upper"), c.get("flag")]
-        for c in coefficients
-    ]
-    _write_report(report, args.output, args.format, rows,
-                  ["index", "name", "estimate", "statistic", "p_value",
-                   "ci_lower", "ci_upper", "flag"])
+    rows = [[c[h] for h in _INFER_CSV_HEADER] for c in coefficients]
+    _write_report(report, args.output, args.format, rows, _INFER_CSV_HEADER)
     return EXIT_OK
 
 

@@ -41,6 +41,8 @@ class SketchFit:
     whitened estimator: R^T R = Xs^T W*^{-1} Xs).  ``SSR_s`` is the sketched
     residual sum of squares; it is populated for the partial fit as well
     because the repeated-sampling partial test uses it as a variance proxy.
+    ``yty_s`` = ||y_s||^2 is the scale that SSR_s is judged against when a
+    pivot checks it for degeneracy.
     """
 
     beta: np.ndarray
@@ -49,6 +51,7 @@ class SketchFit:
     SSR_s: float | None = None
     SSM_p: float | None = None
     gamma: float | None = None
+    yty_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _complete_solve(sk: SketchedData):
-    """R of the sketch's shared QR, Q^T y_s and the complete residual SSR_s.
+    """R of the sketch's shared QR, Q^T y_s, the complete residual SSR_s and ||y_s||^2.
 
     SSR_s is the squared norm of the projection residual y_s - Q Q^T y_s,
     never the difference of two large near-equal quantities.
@@ -82,7 +85,7 @@ def _complete_solve(sk: SketchedData):
     Q, R = sk.qr
     qty = Q.T @ sk.ys
     resid = sk.ys - Q @ qty
-    return R, qty, float(resid @ resid)
+    return R, qty, float(resid @ resid), float(sk.ys @ sk.ys)
 
 
 def fit_complete(sk: SketchedData) -> SketchFit:
@@ -90,13 +93,14 @@ def fit_complete(sk: SketchedData) -> SketchFit:
     k, p = sk.spec.k, sk.p
     if k <= p:
         raise DomainError(f"complete sketching needs k > p (got k={k}, p={p})")
-    R, qty, ssr = _complete_solve(sk)
+    R, qty, ssr, yty_s = _complete_solve(sk)
     beta = solve_triangular(R, qty, lower=False)
     return SketchFit(
         beta=beta,
         kind=FitKind.COMPLETE,
         gram_s_factor=R,
         SSR_s=ssr,
+        yty_s=yty_s,
     )
 
 
@@ -113,7 +117,7 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
     if k <= p + 1:
         raise GammaNonpositive(f"gamma = (k-p-1)/k requires k > p+1 (got k={k}, p={p})")
     gamma = (k - p - 1) / k
-    R, _, ssr = _complete_solve(sk)
+    R, _, ssr, yty_s = _complete_solve(sk)
     beta = gamma * _solve_gram(R, partial.Xty)
     ssm_p = float(partial.Xty @ beta)
     return SketchFit(
@@ -123,6 +127,7 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
         SSR_s=ssr,
         SSM_p=ssm_p,
         gamma=gamma,
+        yty_s=yty_s,
     )
 
 

@@ -120,9 +120,19 @@ def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
         raise DomainError(f"{op} requires a {kind.value} fit, got {fit.kind.value}")
 
 
-def _require_ssr(fit: SketchFit) -> float:
-    if fit.SSR_s is None or fit.SSR_s <= 0.0:
-        raise DegenerateSSR("pivot needs SSR_s > 0")
+def _require_ssr(fit: SketchFit, k: int) -> float:
+    """SSR_s, checked to exceed its roundoff floor k eps ||y_s||^2.
+
+    The projection residual carries a roundoff error of order k eps ||y_s||
+    (times the conditioning of the sketched design).  At the floor the
+    residual itself is sqrt(k eps) ||y_s||, so a pivot there keeps about
+    half its digits; below it, as when the sketched design fits the
+    response exactly, the residual is roundoff and the pivot meaningless.
+    """
+    floor = k * np.finfo(float).eps * (fit.yty_s or 0.0)
+    if fit.SSR_s is None or fit.SSR_s <= floor:
+        raise DegenerateSSR(f"SSR_s = {fit.SSR_s} is at or below its roundoff floor "
+                            f"k eps ||y_s||^2 = {floor:.3e}")
     return fit.SSR_s
 
 
@@ -133,8 +143,8 @@ def _require_ssr(fit: SketchFit) -> float:
 def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestResult:
     """Joint F pivot: (b_s - h)'(Xs'Xs)(b_s - h)/p / (SSR_s/(k-p)) ~ F_{p, k-p}."""
     _require_kind(fit, FitKind.COMPLETE, "joint F test")
-    ssr = _require_ssr(fit)
     k, p = sk.spec.k, sk.p
+    ssr = _require_ssr(fit, k)
     d = fit.beta - np.asarray(beta_hyp, dtype=float).reshape(-1)
     quad = float(np.sum((fit.gram_s_factor @ d) ** 2))
     stat = (quad / p) / (ssr / (k - p))
@@ -155,8 +165,8 @@ def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float)
     Cheap building block (no reference-law evaluation) used by the test
     functions and by the simulation harness's replicate loop.
     """
-    ssr = _require_ssr(fit)
     k, p = sk.spec.k, sk.p
+    ssr = _require_ssr(fit, k)
     if not 0 <= j < p:
         raise IndexError(f"coefficient index {j} outside [0, {p})")
     e = np.zeros(p)
@@ -316,7 +326,7 @@ def mc_calibrated_sampling_test(
     smoothed upper-tail fraction (1 + #{draws >= observed})/(mc_size + 1).
     """
     _require_kind(fit, FitKind.COMPLETE, "MC-calibrated test")
-    ssr = _require_ssr(fit)
+    ssr = _require_ssr(fit, k)
     if mc_size < 1:
         raise DomainError("mc_size must be >= 1")
     if n <= p or k <= p:
@@ -421,7 +431,7 @@ def partial_linear_combination_test(
     extra = 0.0
     if regime is Regime.REPEATED_SAMPLE:
         if sigma2_proxy is None:
-            sigma2_proxy = sigma2_hat_complete(_require_ssr(fit), sk.n, k, p)
+            sigma2_proxy = sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
         extra = sigma2_proxy
     stat = partial_t_statistic(fit, sk, m_arr, extra_variance=extra)
     df = k - p + 1

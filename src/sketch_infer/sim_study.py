@@ -31,7 +31,13 @@ from .densities import (
     mvt_marginal_cdf,
     sample_partial_sketching_rep,
 )
-from .errors import DomainError, EmptyInput, NegativeDenominator, NonFinite
+from .errors import (
+    DomainError,
+    EmptyInput,
+    NegativeDenominator,
+    NonFinite,
+    SketchInferError,
+)
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
@@ -251,12 +257,6 @@ def ks_statistic(samples, cdf) -> tuple:
     return d, p
 
 
-def _ks_or_none(samples, cdf):
-    if np.asarray(samples).size < 2:
-        return None, None
-    return ks_statistic(samples, cdf)
-
-
 def _make_dataset(cfg: SimConfig) -> tuple:
     """Intercept column plus i.i.d. standard normal covariates."""
     rng = np.random.default_rng(derive_seed(cfg.root_seed, 0))
@@ -329,9 +329,63 @@ def _partial_overlay(ref: np.ndarray, points: int) -> tuple:
     return x, _gaussian_kde_sorted(ref[:: max(1, ref.size // 20_000)], x)
 
 
-def _finish_table(t: ResultTable) -> ResultTable:
-    t.bin_edges, t.counts = _histogram(t.samples)
+def _table(name: str, kind: SketchKind, samples: np.ndarray, cdf=None,
+           overlay=(None, None), **fields) -> ResultTable:
+    """Histogrammed table of ``samples``, with its KS distance to ``cdf`` when given."""
+    t = ResultTable(name, kind.value, samples, overlay_x=overlay[0], overlay_pdf=overlay[1],
+                    **fields)
+    if cdf is not None and samples.size >= 2:
+        t.ks_statistic, t.ks_p = ks_statistic(samples, cdf)
+    t.bin_edges, t.counts = _histogram(samples)
     return t
+
+
+def _frozen_overlay(x: np.ndarray, pdf: np.ndarray) -> tuple:
+    """An overlay shared, read-only, by the tables of every kind."""
+    x.flags.writeable = pdf.flags.writeable = False
+    return x, pdf
+
+
+def _pivot_tables(cfg: SimConfig):
+    """The function that makes one kind's pivot_complete_null[j] and pivot_partial_zero[j].
+
+    The null laws, t_{k-p} for the complete marginal t and t_{k-p+1} for the
+    partial zero-null t, are fixed for a run, so their critical values and
+    overlay grids are computed here once.  The returned function takes the
+    complete pivot at the regime's target, the same pivot against the zero
+    null and the partial zero-null statistic (NaN where its denominator was
+    negative).  It returns both tables and the coverage of the interval that
+    inverts the complete pivot.
+    """
+    df = cfg.k - cfg.p
+    tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
+    tq_ci = dist_quantile(student_t(df), (1.0 + cfg.ci_level) / 2.0)
+    tq_partial = dist_quantile(student_t(df + 1), 1.0 - cfg.alpha / 2.0)
+    overlay_complete = _frozen_overlay(*_t_overlay(df, cfg.overlay_points))
+    overlay_partial = _frozen_overlay(*_t_overlay(df + 1, cfg.overlay_points))
+
+    def build(kind: SketchKind, j: int, null_stat, zero_stat, part_all) -> tuple:
+        part_stat = part_all[~np.isnan(part_all)]
+        n_negden = part_all.size - part_stat.size
+        tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat,
+                       lambda x: stats.t.cdf(x, df), overlay_complete,
+                       rejection_rate=float(np.mean(np.abs(zero_stat) > tq_complete)))
+        tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat,
+                       lambda x: stats.t.cdf(x, df + 1), overlay_partial,
+                       n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
+        if part_stat.size:
+            tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
+        return tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_ci))
+
+    return build
+
+
+def _partial_or_nan(pfit, sk, m_vec, extra_variance: float = 0.0) -> float:
+    """The partial zero-null statistic, or NaN when its denominator is negative."""
+    try:
+        return partial_t_statistic(pfit, sk, m_vec, extra_variance=extra_variance)
+    except NegativeDenominator:
+        return np.nan
 
 
 def run_repeated_sketching(cfg: SimConfig) -> SimReport:
@@ -341,7 +395,8 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     the exact marginal pivot at the realized beta_F (its null law is
     t_{k-p}), the zero-null statistics of both estimators with their
     rejection indicators, and the marginal confidence-interval coverage of
-    beta_F.
+    beta_F.  A replicate that raises a SketchInferError ends the run with
+    the same error type, its message prefixed by the kind and replicate.
     """
     if cfg.regime is not Regime.REPEATED_SKETCH:
         raise DomainError("config regime must be repeated_sketch")
@@ -350,95 +405,53 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     full = fit_full(data)
     gram_inv = np.linalg.inv(data.X.T @ data.X)
     partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
-    n, p, k, m = cfg.n, cfg.p, cfg.k, cfg.m
+    p, k, m = cfg.p, cfg.k, cfg.m
     eq_t = complete_sketching_t_params(full, gram_inv, k, p)
-
-    # the partial-sketch reference law does not depend on the sketch kind:
-    # its sorted draws and overlay are computed once per target
-    rep_ref, rep_overlay = {}, {}
-    for j in cfg.targets:
-        e = np.zeros(p)
-        e[j] = 1.0
-        rep_ref[j] = np.sort(sample_partial_sketching_rep(
-            e, full, gram_inv, k, p, cfg.rep_draws, derive_seed(cfg.root_seed, 2 + j)
-        ))
-        rep_overlay[j] = _partial_overlay(rep_ref[j], cfg.overlay_points)
-        for a in rep_overlay[j]:
-            a.flags.writeable = False  # shared by every kind's beta_p table
-
+    pivot_tables = _pivot_tables(cfg)
     unit = {j: np.eye(p)[j] for j in cfg.targets}
-    tq_complete = dist_quantile(student_t(k - p), 1.0 - cfg.alpha / 2.0)
-    tq_ci = dist_quantile(student_t(k - p), (1.0 + cfg.ci_level) / 2.0)
-    tq_partial = dist_quantile(student_t(k - p + 1), 1.0 - cfg.alpha / 2.0)
+
+    # the reference laws of beta_s and beta_p do not depend on the sketch
+    # kind: their overlays (and the sorted beta_p draws) are computed once
+    # per target
+    q_lo = dist_quantile(student_t(eq_t.df), 0.001)
+    q_hi = dist_quantile(student_t(eq_t.df), 0.999)
+    complete_overlay, rep_ref, rep_overlay = {}, {}, {}
+    for j in cfg.targets:
+        loc, sd = eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])
+        x = np.linspace(loc + sd * q_lo, loc + sd * q_hi, cfg.overlay_points)
+        complete_overlay[j] = _frozen_overlay(x, stats.t.pdf((x - loc) / sd, eq_t.df) / sd)
+        rep_ref[j] = np.sort(sample_partial_sketching_rep(
+            unit[j], full, gram_inv, k, p, cfg.rep_draws, derive_seed(cfg.root_seed, 2 + j)
+        ))
+        rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
 
     tables = []
     for kind_idx, kind in enumerate(cfg.sketch_kinds):
         seed_base = 10_000 + kind_idx * m
+        bs, bp, se, null_stat, part = (np.empty((len(cfg.targets), m)) for _ in range(5))
+        for r in range(m):
+            try:
+                spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + r))
+                sk = apply_sketch(data, spec)
+                cfit = fit_complete(sk)
+                pfit = fit_partial(sk, partial_in)
+                for i, j in enumerate(cfg.targets):
+                    null_stat[i, r], se[i, r] = marginal_t_statistic(cfit, sk, j, full.beta_F[j])
+                    bs[i, r], bp[i, r] = cfit.beta[j], pfit.beta[j]
+                    part[i, r] = _partial_or_nan(pfit, sk, unit[j])
+            except SketchInferError as exc:
+                raise type(exc)(f"{kind.value} replicate {r}: {exc}") from exc
 
-        def one(r, _kind=kind, _base=seed_base):
-            spec = SketchSpec(kind=_kind, k=k, seed=derive_seed(cfg.root_seed, _base + r))
-            sk = apply_sketch(data, spec)
-            cfit = fit_complete(sk)
-            pfit = fit_partial(sk, partial_in)
-            row = {}
-            for j in cfg.targets:
-                null_stat, se = marginal_t_statistic(cfit, sk, j, full.beta_F[j])
-                try:
-                    part_stat = partial_t_statistic(pfit, sk, unit[j])
-                except NegativeDenominator:
-                    part_stat = np.nan
-                row[j] = (cfit.beta[j], pfit.beta[j], null_stat, se, part_stat)
-            return row
-
-        rows = [one(r) for r in range(m)]
-
-        for j in cfg.targets:
-            bs = np.array([r[j][0] for r in rows])
-            bp = np.array([r[j][1] for r in rows])
-            nullstat = np.array([r[j][2] for r in rows])
-            se = np.array([r[j][3] for r in rows])
-            part_all = np.array([r[j][4] for r in rows])
-            part_stat = part_all[~np.isnan(part_all)]
-            n_negden = m - part_stat.size
-            zero_stat = bs / se  # marginal pivot against the zero null
-            cover = np.abs(nullstat) <= tq_ci  # CI inverts the same pivot
-
-            tb = ResultTable(f"beta_s[{j}]", kind.value, bs)
-            tb.ks_statistic, tb.ks_p = _ks_or_none(bs, lambda x: mvt_marginal_cdf(eq_t, j, x))
-            sd = np.sqrt(eq_t.scale_matrix[j, j])
-            tb.coverage = float(np.mean(cover))
-            loc = eq_t.location[j]
-            tb.overlay_x = np.linspace(
-                loc + sd * dist_quantile(student_t(eq_t.df), 0.001),
-                loc + sd * dist_quantile(student_t(eq_t.df), 0.999),
-                cfg.overlay_points,
-            )
-            tb.overlay_pdf = stats.t.pdf((tb.overlay_x - loc) / sd, eq_t.df) / sd
-            tables.append(_finish_table(tb))
-
+        for i, j in enumerate(cfg.targets):
+            tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
             ref = rep_ref[j]
-            tpb = ResultTable(f"beta_p[{j}]", kind.value, bp)
-            tpb.ks_statistic, tpb.ks_p = _ks_or_none(
-                bp, lambda x: np.searchsorted(ref, x, side="right") / ref.size
-            )
-            tpb.overlay_x, tpb.overlay_pdf = rep_overlay[j]
-            tables.append(_finish_table(tpb))
-
-            tnull = ResultTable(f"pivot_complete_null[{j}]", kind.value, nullstat)
-            tnull.ks_statistic, tnull.ks_p = _ks_or_none(nullstat, lambda x: stats.t.cdf(x, k - p))
-            tnull.rejection_rate = float(np.mean(np.abs(zero_stat) > tq_complete))
-            tnull.overlay_x, tnull.overlay_pdf = _t_overlay(k - p, cfg.overlay_points)
-            tables.append(_finish_table(tnull))
-
-            tpart = ResultTable(f"pivot_partial_zero[{j}]", kind.value, part_stat, n_error=n_negden)
-            if part_stat.size:
-                tpart.ks_statistic, tpart.ks_p = _ks_or_none(
-                    part_stat, lambda x: stats.t.cdf(x, k - p + 1)
-                )
-                tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
-            tpart.negative_denominator_rate = n_negden / m
-            tpart.overlay_x, tpart.overlay_pdf = _t_overlay(k - p + 1, cfg.overlay_points)
-            tables.append(_finish_table(tpart))
+            tables += [
+                _table(f"beta_s[{j}]", kind, bs[i], lambda x: mvt_marginal_cdf(eq_t, j, x),
+                       complete_overlay[j], coverage=coverage),
+                _table(f"beta_p[{j}]", kind, bp[i],
+                       lambda x: np.searchsorted(ref, x, side="right") / ref.size, rep_overlay[j]),
+                tnull, tpart,
+            ]
 
     return SimReport(
         config=cfg, tables=tables, beta_F=full.beta_F,
@@ -453,7 +466,8 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     (null law t_{k-p}) and the partial zero-null statistics (t_{k-p+1} when
     the true coordinate is zero), confidence-interval coverage of beta_0,
     plus the sketched residual sum of squares and the derived variance
-    estimate for moment checks.
+    estimate for moment checks.  A failing replicate ends the run as in
+    run_repeated_sketching.
     """
     if cfg.regime is not Regime.REPEATED_SAMPLE:
         raise DomainError("config regime must be repeated_sample")
@@ -462,67 +476,36 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     X = data.X
     mean = response_mean(X, truth)
     n, p, k, m = cfg.n, cfg.p, cfg.k, cfg.m
-
+    pivot_tables = _pivot_tables(cfg)
     unit = {j: np.eye(p)[j] for j in cfg.targets}
-    tq_complete = dist_quantile(student_t(k - p), 1.0 - cfg.alpha / 2.0)
-    tq_ci = dist_quantile(student_t(k - p), (1.0 + cfg.ci_level) / 2.0)
-    tq_partial = dist_quantile(student_t(k - p + 1), 1.0 - cfg.alpha / 2.0)
 
     tables = []
     for kind_idx, kind in enumerate(cfg.sketch_kinds):
         seed_base = 10_000 + kind_idx * 2 * m
+        ssr, s2h = np.empty(m), np.empty(m)
+        bs, se, null_stat, part = (np.empty((len(cfg.targets), m)) for _ in range(4))
+        for r in range(m):
+            try:
+                y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, seed_base + 2 * r))
+                spec = SketchSpec(kind=kind, k=k,
+                                  seed=derive_seed(cfg.root_seed, seed_base + 2 * r + 1))
+                sk = apply_sketch(data.with_response(y), spec)
+                cfit = fit_complete(sk)
+                pfit = fit_partial(sk, PartialInputs(Xty=X.T @ y, yty=float(y @ y)))
+                ssr[r] = cfit.SSR_s
+                s2h[r] = sigma2_hat_complete(cfit.SSR_s, n, k, p)
+                for i, j in enumerate(cfg.targets):
+                    null_stat[i, r], se[i, r] = marginal_t_statistic(cfit, sk, j, truth.beta_0[j])
+                    bs[i, r] = cfit.beta[j]
+                    part[i, r] = _partial_or_nan(pfit, sk, unit[j], s2h[r])
+            except SketchInferError as exc:
+                raise type(exc)(f"{kind.value} replicate {r}: {exc}") from exc
 
-        def one(r, _kind=kind, _base=seed_base):
-            y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, _base + 2 * r))
-            d = data.with_response(y)
-            spec = SketchSpec(kind=_kind, k=k, seed=derive_seed(cfg.root_seed, _base + 2 * r + 1))
-            sk = apply_sketch(d, spec)
-            cfit = fit_complete(sk)
-            pfit = fit_partial(sk, PartialInputs(Xty=X.T @ y, yty=float(y @ y)))
-            s2hat = sigma2_hat_complete(cfit.SSR_s, n, k, p)
-            row = {"ssr_s": cfit.SSR_s, "sigma2_hat": s2hat}
-            for j in cfg.targets:
-                null_stat, se = marginal_t_statistic(cfit, sk, j, truth.beta_0[j])
-                try:
-                    part_stat = partial_t_statistic(pfit, sk, unit[j], extra_variance=s2hat)
-                except NegativeDenominator:
-                    part_stat = np.nan
-                row[j] = (null_stat, se, cfit.beta[j], part_stat)
-            return row
-
-        rows = [one(r) for r in range(m)]
-
-        ssr = np.array([r["ssr_s"] for r in rows])
-        s2h = np.array([r["sigma2_hat"] for r in rows])
-        tables.append(_finish_table(ResultTable("ssr_s", kind.value, ssr)))
-        tables.append(_finish_table(ResultTable("sigma2_hat", kind.value, s2h)))
-
-        for j in cfg.targets:
-            nullstat = np.array([r[j][0] for r in rows])
-            se = np.array([r[j][1] for r in rows])
-            bs = np.array([r[j][2] for r in rows])
-            part_all = np.array([r[j][3] for r in rows])
-            part_stat = part_all[~np.isnan(part_all)]
-            n_negden = m - part_stat.size
-            zero_stat = bs / se
-            cover = np.abs(nullstat) <= tq_ci
-
-            tnull = ResultTable(f"pivot_complete_null[{j}]", kind.value, nullstat)
-            tnull.ks_statistic, tnull.ks_p = _ks_or_none(nullstat, lambda x: stats.t.cdf(x, k - p))
-            tnull.rejection_rate = float(np.mean(np.abs(zero_stat) > tq_complete))
-            tnull.coverage = float(np.mean(cover))
-            tnull.overlay_x, tnull.overlay_pdf = _t_overlay(k - p, cfg.overlay_points)
-            tables.append(_finish_table(tnull))
-
-            tpart = ResultTable(f"pivot_partial_zero[{j}]", kind.value, part_stat, n_error=n_negden)
-            if part_stat.size:
-                tpart.ks_statistic, tpart.ks_p = _ks_or_none(
-                    part_stat, lambda x: stats.t.cdf(x, k - p + 1)
-                )
-                tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
-            tpart.negative_denominator_rate = n_negden / m
-            tpart.overlay_x, tpart.overlay_pdf = _t_overlay(k - p + 1, cfg.overlay_points)
-            tables.append(_finish_table(tpart))
+        tables += [_table("ssr_s", kind, ssr), _table("sigma2_hat", kind, s2h)]
+        for i, j in enumerate(cfg.targets):
+            tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
+            tnull.coverage = coverage
+            tables += [tnull, tpart]
 
     return SimReport(
         config=cfg, tables=tables, beta_F=None,

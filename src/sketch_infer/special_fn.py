@@ -219,7 +219,9 @@ class Law:
     params: tuple
 
     def __str__(self):
-        inner = ", ".join(f"{p:g}" for p in self.params)
+        # integral parameters print exactly: :g would round t(1234567) to t(1.23457e+06)
+        inner = ", ".join(str(int(p)) if float(p).is_integer() else f"{p:g}"
+                          for p in self.params)
         return f"{self.name}({inner})"
 
 

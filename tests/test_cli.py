@@ -13,6 +13,10 @@ from sketch_infer import cli
 from sketch_infer.cli import EXIT_INPUT, _CliError, main
 
 
+INFER_ROW_KEYS = {"index", "name", "estimate", "null_value", "statistic", "pivot",
+                  "p_value", "ci_lower", "ci_upper", "flag"}
+
+
 def _write_csv(path, X, y, names=None):
     p = X.shape[1]
     names = names or [f"x{i}" for i in range(p)]
@@ -198,18 +202,52 @@ class TestInfer:
         assert all(c["pivot"] == "t(77)" for c in rep["coefficients"])
 
 
-    def test_efficient_noiseless_exit_2(self, tmp_path, capsys):
-        # y = X (1, 2) exactly: the centered SSR* at the true null is zero
+    @pytest.mark.parametrize("mode,residual", [("complete", "SSR_s"), ("efficient", "SSR*")],
+                             ids=["complete", "efficient"])
+    def test_noiseless_exit_2(self, tmp_path, capsys, mode, residual):
+        # y = X (1, 2) exactly: SSR_s, and the centered SSR* at the true null,
+        # are roundoff
         X = np.column_stack([np.arange(60) % 7 - 3.0, (5 * np.arange(60)) % 11 - 5.0])
         path = tmp_path / "noiseless.csv"
         _write_csv(path, X, X @ np.array([1.0, 2.0]))
         out = tmp_path / "o.json"
-        rc = main(["infer", "--input", str(path), "--response", "y", "--mode", "efficient",
+        rc = main(["infer", "--input", str(path), "--response", "y", "--mode", mode,
                    "--k", "10", "--null", "1,2", "--output", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "SSR*" in err and "Traceback" not in err
+        assert err.startswith("error: ") and residual in err and "Traceback" not in err
         assert not out.exists()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), n=st.integers(8, 40),
+           k_extra=st.integers(1, 12), noise=st.sampled_from([0.0, 1.0]),
+           null=st.sampled_from(["zero", "true", "broadcast", "each"]))
+    def test_coefficient_rows(self, tmp_path, seed, p, n, k_extra, noise, null):
+        """Rows of every mode share one key set, p-values lie in [0, 1], exits are documented."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        beta = rng.integers(-3, 4, p).astype(float)
+        path = tmp_path / "prop.csv"
+        _write_csv(path, X, X @ beta + noise * rng.standard_normal(n))
+        # "--null=" form: argparse takes a bare "-1.0,2.0" for an option
+        nulls = {"zero": [], "true": ["--null=" + ",".join(map(repr, beta.tolist()))],
+                 "broadcast": ["--null=0.5"],
+                 "each": ["--null=" + ",".join(map(repr, rng.normal(size=p).tolist()))]}[null]
+        out = tmp_path / "prop.json"
+        for mode in ("complete", "partial", "efficient"):
+            out.unlink(missing_ok=True)
+            rc = main(["infer", "--input", str(path), "--response", "y", "--mode", mode,
+                       "--k", str(p + k_extra), "--seed", str(seed % 1000),
+                       "--output", str(out)] + nulls)
+            assert rc in (0, 2, 3, 4)
+            if rc != 0:
+                continue
+            rows = json.loads(out.read_text())["coefficients"]
+            assert len(rows) == p
+            for row in rows:
+                assert set(row) == INFER_ROW_KEYS
+                assert row["p_value"] is None or 0.0 <= row["p_value"] <= 1.0
 
 
 class TestSimulate:
@@ -230,6 +268,20 @@ class TestSimulate:
         assert report["config"]["m"] == 25
         assert any(p.suffix == ".csv" for p in out_dir.iterdir())
         assert "KS" in capsys.readouterr().out
+
+    def test_failing_replicate_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": 5, "beta0": [2.0, -1.0, 0.0, 1.0],
+            "sigma2": 0.0, "sketch_kinds": ["gaussian"], "targets": [0],
+            "root_seed": 5, "rep_draws": 2000,
+        }))
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gaussian replicate 0: ") and "Traceback" not in err
+        assert not (out_dir / "report.json").exists()
 
     def test_invalid_sketch_name_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Simulation harness: determinism, bookkeeping, emission formats."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from scipy import stats
 from sketch_infer import sim_study
 from sketch_infer.core_model import fit_full
 from sketch_infer.densities import sample_partial_sketching_rep
-from sketch_infer.errors import DomainError, EmptyInput, NonFinite
+from sketch_infer.errors import DegenerateSSR, DomainError, EmptyInput, NonFinite
 from sketch_infer.inference import Regime
 from sketch_infer.sim_study import (
     SimConfig,
@@ -196,6 +197,22 @@ class TestRepeatedSampling:
         assert s2.samples.size == 200
         se = s2.samples.std() / math.sqrt(200)
         assert abs(s2.samples.mean() - 1.0) < 4 * se
+
+
+class TestFailingReplicate:
+    @pytest.mark.parametrize("regime,run", [
+        (Regime.REPEATED_SKETCH, run_repeated_sketching),
+        (Regime.REPEATED_SAMPLE, run_repeated_sampling),
+    ], ids=["sketching", "sampling"])
+    def test_error_names_kind_and_replicate(self, regime, run):
+        # noiseless response: every replicate's SSR_s is roundoff
+        cfg = dataclasses.replace(
+            _small_cfg(regime, m=5, kinds=(SketchKind.HADAMARD, SketchKind.GAUSSIAN)),
+            sigma2=0.0)
+        with pytest.raises(DegenerateSSR, match=r"^hadamard replicate 0: ") as info:
+            run(cfg)
+        assert isinstance(info.value.__cause__, DegenerateSSR)
+        assert str(info.value) == f"hadamard replicate 0: {info.value.__cause__}"
 
 
 class TestEmission:

@@ -172,6 +172,10 @@ class TestDistributions:
         from sketch_infer.special_fn import _frozen
 
         assert _frozen(student_t(10)) is _frozen(student_t(10.0))
+        # labels print integral parameters exactly, others as :g
+        assert str(student_t(10)) == str(student_t(10.0)) == "t(10)"
+        assert str(student_t(1_234_567)) == "t(1234567)"
+        assert str(f_law(3, 9)) == "f(3, 9)" and str(beta_law(2.5, 3)) == "beta(2.5, 3)"
         for _ in range(2):
             assert dist_quantile(student_t(10), 0.975) == float(stats.t(10.0).ppf(0.975))
             assert dist_cdf(f_law(3, 10), 1.7) == stats.f(3.0, 10.0).cdf(1.7)
