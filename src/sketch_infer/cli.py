@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -441,8 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_negative_nulls(argv: list) -> list:
+    """Glue a null list that starts with a minus sign to its ``--null``.
+
+    argparse takes "-1,2" for an option string (it is not a plain negative
+    number), so ``--null -1,2`` becomes ``--null=-1,2``, its one reading.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--null" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--null={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_nulls(argv))
     try:
         return args.func(args)
     except _CliError as exc:

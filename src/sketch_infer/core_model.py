@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError, NonFinite, RankDeficient
 
@@ -37,6 +39,29 @@ def _qr_full_rank(X: np.ndarray):
     return Q, R
 
 
+def _solve_triangular(T: np.ndarray, b: np.ndarray, *, lower: bool = False,
+                      trans: bool = False) -> np.ndarray:
+    """Solve T x = b (T' x = b with ``trans``) for triangular T by LAPACK dtrtrs.
+
+    Dispatches exactly as ``scipy.linalg.solve_triangular`` does, so the
+    result is bit-identical to it, without that wrapper's input validation
+    and array-API dispatch, which cost several times the LAPACK call on the
+    p x p systems of a fit.  dtrtrs expects Fortran order, so a C-ordered T
+    is passed transposed with ``lower`` and ``trans`` flipped.
+    """
+    if not (np.isfinite(T).all() and np.isfinite(b).all()):
+        raise NonFinite("triangular system contains NaN or infinite entries")
+    if T.flags.f_contiguous:
+        x, info = dtrtrs(T, b, lower=lower, trans=trans)
+    else:
+        x, info = dtrtrs(T.T, b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise RankDeficient(f"triangular factor is singular at diagonal {info - 1}")
+    if info < 0:
+        raise DomainError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
 @dataclass(frozen=True)
 class DataSet:
     """Full design matrix X (n x p, full column rank) and response y (n)."""
@@ -61,18 +86,40 @@ class DataSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
 
+    @cached_property
+    def yX(self) -> np.ndarray:
+        """The read-only n x (p+1) stack [y | X] that every sketch operator
+        applies its projection to, built once per dataset.
+
+        A copy made by ``with_response`` builds it from its parent's stack:
+        one contiguous copy with y written over the first column costs about
+        half of stacking y and X afresh.
+        """
+        parent = self.__dict__.pop("_parent_yX", None)
+        if parent is None:
+            A = np.column_stack([self.y, self.X])
+        else:
+            A = parent.copy()
+            A[:, 0] = self.y
+        A.flags.writeable = False
+        return A
+
     def with_response(self, y) -> DataSet:
         """A copy with response ``y`` that shares this instance's validated X.
 
         Only y is checked (finite, length n); X is neither copied nor
         re-factored, so repeated-sampling replicates skip the rank-check QR.
+        This instance's ``yX`` holds the old y, so it is not carried over; the
+        copy builds its own from it when first sketched.
         """
         y = np.asarray(y, dtype=float).reshape(-1)
         _check_finite(y)
         if y.shape[0] != self.n:
             raise DomainError(f"y has length {y.shape[0]}, expected {self.n}")
+        parent_yX = self.yX
         new = object.__new__(type(self))
-        new.__dict__.update(vars(self), y=y)
+        new.__dict__.update(vars(self), y=y, _parent_yX=parent_yX)
+        del new.__dict__["yX"]
         return new
 
 

@@ -282,17 +282,13 @@ def ratio_law_pdf(r: float, phi: float, params: HLawParams) -> float:
     return math.exp(ratio_law_logpdf(r, phi, params))
 
 
-def ratio_beta_law_pdf_mc(
-    r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams,
-    mc_size: int = 100_000, seed=0,
-):
+def ratio_beta_law_pdf_mc(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams):
     """Density of R = Q/(V U) on a grid, Q ~ Gamma(phi, 2), V ~ Beta(kappa, beta), U ~ H.
 
     Evaluated by integrating the chi-square-over-H ratio density against the
-    beta weight, f(r) = int_0^1 v f_{Q/U}(r v) Beta(v) dv; if the quadrature
-    fails anywhere a kernel-density estimate of ``mc_size`` simulated draws
-    is used instead.  Returns ``(values, method)`` with method one of
-    "quadrature" or "monte-carlo".
+    beta weight, f(r) = int_0^1 v f_{Q/U}(r v) Beta(v) dv.  Returns
+    ``(values, "quadrature")``; raises ConvergenceError when the quadrature
+    fails or yields a non-finite or negative value.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0):
@@ -313,21 +309,11 @@ def ratio_beta_law_pdf_mc(
             integrate.quad(integrand, 0.0, 1.0, args=(r,), limit=200, epsabs=1e-12, epsrel=1e-9)[0]
             for r in r_grid
         ])
-        if np.all(np.isfinite(vals)) and np.all(vals >= 0):
-            return vals, "quadrature"
-    except (ConvergenceError, integrate.IntegrationWarning, FloatingPointError):
-        pass
-    # Monte-Carlo fallback
-    rng = np.random.default_rng(seed)
-    q = rng.gamma(phi, 2.0, mc_size)
-    v = rng.beta(kappa, beta_param, mc_size)
-    u = h_law_sample(params, rng.integers(2**63), mc_size)
-    draws = q / (v * u)
-    kde = stats.gaussian_kde(np.log(draws))
-    vals = kde(np.log(r_grid)) / r_grid  # back-transform of the log-space KDE
-    if not np.all(np.isfinite(vals)):
-        raise ConvergenceError("both quadrature and Monte-Carlo evaluation failed")
-    return vals, "monte-carlo"
+    except (integrate.IntegrationWarning, FloatingPointError) as exc:
+        raise ConvergenceError(f"ratio-beta density quadrature failed: {exc}") from exc
+    if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):
+        raise ConvergenceError("ratio-beta density quadrature gave a non-finite or negative value")
+    return vals, "quadrature"
 
 
 # ---------------------------------------------------------------------------

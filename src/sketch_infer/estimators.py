@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .core_model import _qr_full_rank
+from .core_model import _qr_full_rank, _solve_triangular
 from .errors import (
     DomainError,
     GammaNonpositive,
@@ -73,7 +72,7 @@ class PartialInputs:
 
 def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(R^T R)^{-1} rhs via two triangular solves."""
-    return solve_triangular(R, solve_triangular(R, rhs, trans="T", lower=False), lower=False)
+    return _solve_triangular(R, _solve_triangular(R, rhs, trans=True))
 
 
 def _complete_solve(sk: SketchedData):
@@ -94,7 +93,7 @@ def fit_complete(sk: SketchedData) -> SketchFit:
     if k <= p:
         raise DomainError(f"complete sketching needs k > p (got k={k}, p={p})")
     R, qty, ssr, yty_s = _complete_solve(sk)
-    beta = solve_triangular(R, qty, lower=False)
+    beta = _solve_triangular(R, qty)
     return SketchFit(
         beta=beta,
         kind=FitKind.COMPLETE,
@@ -138,8 +137,8 @@ def _whiten(sk: SketchedData):
         L = np.linalg.cholesky(sk.W_star)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("W* is not positive definite") from exc
-    Xt = solve_triangular(L, sk.Xs, lower=True)
-    yt = solve_triangular(L, sk.ys, lower=True)
+    Xt = _solve_triangular(L, sk.Xs, lower=True)
+    yt = _solve_triangular(L, sk.ys, lower=True)
     return Xt, yt
 
 
@@ -152,7 +151,7 @@ def fit_efficient_star(sk: SketchedData) -> SketchFit:
     Xt, yt = _whiten(sk)
     Q, R = _qr_full_rank(Xt)
     qty = Q.T @ yt
-    beta = solve_triangular(R, qty, lower=False)
+    beta = _solve_triangular(R, qty)
     return SketchFit(beta=beta, kind=FitKind.EFFICIENT_STAR, gram_s_factor=R)
 
 

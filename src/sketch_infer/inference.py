@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .core_model import _solve_triangular
 from .densities import _check_direction, h_law_sample, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
@@ -111,7 +111,7 @@ def _two_sided_t(stat: float, df: float) -> float:
 
 def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
     """v' (R'R)^{-1} v via one triangular solve."""
-    w = solve_triangular(R, v, trans="T", lower=False)
+    w = _solve_triangular(R, v, trans=True)
     return float(w @ w)
 
 
@@ -120,16 +120,23 @@ def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
         raise DomainError(f"{op} requires a {kind.value} fit, got {fit.kind.value}")
 
 
-def _require_ssr(fit: SketchFit, k: int) -> float:
-    """SSR_s, checked to exceed its roundoff floor k eps ||y_s||^2.
+def _roundoff_floor(k: int, total: float) -> float:
+    """k eps ``total``: the smallest residual sum of squares worth a pivot.
 
-    The projection residual carries a roundoff error of order k eps ||y_s||
-    (times the conditioning of the sketched design).  At the floor the
-    residual itself is sqrt(k eps) ||y_s||, so a pivot there keeps about
-    half its digits; below it, as when the sketched design fits the
-    response exactly, the residual is roundoff and the pivot meaningless.
+    A residual sum of squares taken out of a total sum of squares ``total``
+    over k-dimensional sketched data carries a roundoff error of order
+    k eps ``total`` (times the conditioning of the sketched design).  At the
+    floor the residual norm is sqrt(k eps) times the total's, so a pivot
+    there keeps about half its digits; below it, as when the sketched design
+    fits the response exactly, the residual is roundoff and the pivot
+    meaningless.
     """
-    floor = k * np.finfo(float).eps * (fit.yty_s or 0.0)
+    return k * np.finfo(float).eps * total
+
+
+def _require_ssr(fit: SketchFit, k: int) -> float:
+    """SSR_s, checked to exceed its roundoff floor k eps ||y_s||^2."""
+    floor = _roundoff_floor(k, fit.yty_s or 0.0)
     if fit.SSR_s is None or fit.SSR_s <= floor:
         raise DegenerateSSR(f"SSR_s = {fit.SSR_s} is at or below its roundoff floor "
                             f"k eps ||y_s||^2 = {floor:.3e}")
@@ -218,13 +225,19 @@ def complete_marginal_ci(fit: SketchFit, sk: SketchedData, j: int, level: float)
 # ---------------------------------------------------------------------------
 
 def _centered_ssr_star(fit: SketchFit, sk: SketchedData, yty: float, hyp) -> float:
-    """Null-centered whitened residual ||y - X h||^2 - ||proj of whitened (y_s - Xs h)||^2."""
+    """Null-centered whitened residual ||y - X h||^2 - ||proj of whitened (y_s - Xs h)||^2.
+
+    A difference of two near-equal sums when the null fits, so it is checked
+    against its roundoff floor k eps ``yty``.
+    """
     Xt, yt = _whiten(sk)
     et = yt - Xt @ hyp
-    w = solve_triangular(fit.gram_s_factor, Xt.T @ et, trans="T", lower=False)
+    w = _solve_triangular(fit.gram_s_factor, Xt.T @ et, trans=True)
     ssr_star = float(yty - w @ w)
-    if ssr_star <= 0.0:
-        raise DegenerateSSR(f"centered SSR* evaluated {ssr_star:.3e} <= 0")
+    floor = _roundoff_floor(sk.spec.k, yty)
+    if ssr_star <= floor:
+        raise DegenerateSSR(f"centered SSR* = {ssr_star:.3e} is at or below its roundoff "
+                            f"floor k eps y'y = {floor:.3e}")
     return ssr_star
 
 

@@ -1,11 +1,13 @@
 """Random projection operators: Gaussian, subsampled Hadamard, Clarkson-Woodruff.
 
-Each operator is applied to the column-concatenation [y | X] in a single
-pass, so the sketched response and design share one realization of the
-projection.  The dense k x n matrix is never materialized: the Gaussian
-and Hadamard sketches stream over column blocks of S (for the Hadamard
-sketch, only the k sampled rows of the Walsh-Hadamard matrix are built),
-and the Clarkson-Woodruff sketch scatters rows into hash buckets.
+Each operator is applied to the column-concatenation [y | X] (``DataSet.yX``,
+built once per dataset) in a single pass, so the sketched response and
+design share one realization of the projection.  The dense k x n matrix is
+never materialized: the Gaussian and Hadamard sketches stream over column
+blocks of S (for the Hadamard sketch, only the k sampled rows of the
+Walsh-Hadamard matrix, factored into one k x block base and a k x n_blocks
+table of row signs), and the Clarkson-Woodruff sketch scatters rows into
+hash buckets.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .errors import DimensionMismatch, DomainError
 # realization is bit-identical whether or not W* is requested
 _GAUSS_CHUNK = 1 << 16
 # column block of the sampled Hadamard rows: bounds the k x block buffer and,
-# being fixed, keeps the summation order (the realization's last bits) fixed
+# being fixed, keeps the summation order (the realization's last bits) fixed;
+# a power of two, so that the sampled rows factor over the blocks
 _HADAMARD_BLOCK = 1 << 10
 
 
@@ -95,10 +98,6 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _concat(data: DataSet) -> np.ndarray:
-    return np.column_stack([data.y, data.X])
-
-
 def _split(B: np.ndarray):
     return np.ascontiguousarray(B[:, 1:]), np.ascontiguousarray(B[:, 0])
 
@@ -122,7 +121,7 @@ def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     if spec.kind is not SketchKind.GAUSSIAN:
         raise DomainError(f"spec.kind is {spec.kind}, expected gaussian")
     _check_feasible(data, spec, want_w_star)
-    A = _concat(data)
+    A = data.yX
     n, m = A.shape
     k = spec.k
     rng = np.random.default_rng(spec.seed)
@@ -158,11 +157,17 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     identity.  Only the k sampled rows of the transform are computed, block by
     block over the n real columns, so the padding costs nothing: O(k n (p+1))
     time and O(k * block) extra memory.
+
+    As block is a power of two, column c = b * block + l of the sampled rows
+    factors as H[i, c] = H[i mod block, l] * H[i div block, b]: one k x block
+    base and one k x n_blocks table of row signs stand for all the rows.
+    Every product is an exact +-1 times a data value, so this equals the
+    block-by-block product with the sampled rows bit for bit.
     """
     if spec.kind is not SketchKind.HADAMARD:
         raise DomainError(f"spec.kind is {spec.kind}, expected hadamard")
     _check_feasible(data, spec, want_w_star)
-    A = _concat(data)
+    A = data.yX
     n, m = A.shape
     k = spec.k
     n_pad = 1 << int(np.ceil(np.log2(n)))
@@ -171,12 +176,16 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     rng = np.random.default_rng(spec.seed)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     idx = rng.choice(n_pad, size=k, replace=False)
+    block = _HADAMARD_BLOCK
+    base = _walsh_rows(idx, np.arange(min(block, n)))  # columns < block see only i mod block
+    row_signs = _walsh_rows(idx // block, np.arange(-(-n // block)))
+    SA = A * signs[:, None]
     B = np.zeros((k, m))
-    for start in range(0, n, _HADAMARD_BLOCK):
-        stop = min(start + _HADAMARD_BLOCK, n)
-        Hb = _walsh_rows(idx, np.arange(start, stop))
-        Hb *= signs[start:stop]
-        B += Hb @ A[start:stop]
+    for j, start in enumerate(range(0, n, block)):
+        stop = min(start + block, n)
+        C = base[:, :stop - start] @ SA[start:stop]
+        C *= row_signs[:, j, None]
+        B += C
     # combined scaling: (1/sqrt(n')) for the transform, sqrt(n'/k) overall
     B *= 1.0 / np.sqrt(k)
     Xs, ys = _split(B)
@@ -204,16 +213,17 @@ def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool =
     if spec.kind is not SketchKind.CLARKSON_WOODRUFF:
         raise DomainError(f"spec.kind is {spec.kind}, expected clarkson_woodruff")
     _check_feasible(data, spec, want_w_star)
-    A = _concat(data)
+    A = data.yX
     n, m = A.shape
     k = spec.k
     rng = np.random.default_rng(spec.seed)
     buckets = rng.integers(0, k, n)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
-    signed = A * signs[:, None]
+    # one contiguous row per column of [y | X], so each bincount reads it in place
+    signed = np.multiply(A.T, signs, order="C")
     B = np.empty((k, m))
     for j in range(m):
-        B[:, j] = np.bincount(buckets, weights=signed[:, j], minlength=k)
+        B[:, j] = np.bincount(buckets, weights=signed[j], minlength=k)
     Xs, ys = _split(B)
     W = None
     if want_w_star:

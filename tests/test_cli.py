@@ -218,6 +218,27 @@ class TestInfer:
         assert err.startswith("error: ") and residual in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1,2,0.5", "-.5", "-1e-3,2.5,-4"])
+    def test_negative_null_space_separated(self, tmp_path, data_csv, value):
+        # a null list starting with a minus sign reads the same after a space
+        # as after "="
+        base = ["infer", "--input", str(data_csv), "--response", "y", "--k", "20",
+                "--mode", "complete", "--seed", "3"]
+        spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+        assert main(base + ["--null", value, "--output", str(spaced)]) == 0
+        assert main(base + [f"--null={value}", "--output", str(glued)]) == 0
+        assert spaced.read_bytes() == glued.read_bytes()
+        nulls = [c["null_value"] for c in json.loads(spaced.read_text())["coefficients"]]
+        parsed = [float(v) for v in value.split(",")]
+        assert nulls == (parsed if len(parsed) == 3 else parsed * 3)
+
+    def test_null_without_value_is_usage_error(self, tmp_path, data_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--input", str(data_csv), "--response", "y", "--k", "20",
+                  "--null", "--output", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), n=st.integers(8, 40),
@@ -230,10 +251,9 @@ class TestInfer:
         beta = rng.integers(-3, 4, p).astype(float)
         path = tmp_path / "prop.csv"
         _write_csv(path, X, X @ beta + noise * rng.standard_normal(n))
-        # "--null=" form: argparse takes a bare "-1.0,2.0" for an option
-        nulls = {"zero": [], "true": ["--null=" + ",".join(map(repr, beta.tolist()))],
-                 "broadcast": ["--null=0.5"],
-                 "each": ["--null=" + ",".join(map(repr, rng.normal(size=p).tolist()))]}[null]
+        nulls = {"zero": [], "true": ["--null", ",".join(map(repr, beta.tolist()))],
+                 "broadcast": ["--null", "0.5"],
+                 "each": ["--null", ",".join(map(repr, rng.normal(size=p).tolist()))]}[null]
         out = tmp_path / "prop.json"
         for mode in ("complete", "partial", "efficient"):
             out.unlink(missing_ok=True)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from sketch_infer.core_model import (
     DataSet,
     ModelTruth,
+    _solve_triangular,
     draw_response,
     fit_full,
     response_mean,
@@ -65,6 +69,59 @@ class TestWithResponse:
     def test_rejects_wrong_length(self):
         with pytest.raises(DomainError):
             self._data().with_response(np.zeros(11))
+
+
+class TestStackedData:
+    def test_stack_is_read_only_y_then_x(self):
+        data = make_dataset(20, 3, np.ones(3), seed=2)
+        np.testing.assert_array_equal(data.yX, np.column_stack([data.y, data.X]))
+        assert data.yX is data.yX and not data.yX.flags.writeable
+
+    def test_swapped_response_rebuilds_stack(self):
+        data = make_dataset(20, 3, np.ones(3), seed=2)
+        data.yX  # fill the parent's cache
+        y2, y3 = np.arange(20.0), -np.arange(20.0)
+        swapped = data.with_response(y2)
+        np.testing.assert_array_equal(swapped.with_response(y3).yX,
+                                      np.column_stack([y3, data.X]))
+        np.testing.assert_array_equal(swapped.yX, np.column_stack([y2, data.X]))
+        np.testing.assert_array_equal(data.yX, np.column_stack([data.y, data.X]))
+        assert not swapped.yX.flags.writeable
+
+
+class TestSolveTriangular:
+    """The dtrtrs helper against scipy.linalg.solve_triangular, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 12), nrhs=st.sampled_from([None, 1, 3]),
+           lower=st.booleans(), trans=st.booleans(), fortran=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, size, nrhs, lower, trans, fortran, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.standard_normal((size, size)) + 4.0 * np.eye(size)
+        T = np.tril(T) if lower else np.triu(T)
+        T = np.asfortranarray(T) if fortran else np.ascontiguousarray(T)
+        b = rng.standard_normal(size if nrhs is None else (size, nrhs))
+        x = _solve_triangular(T, b, lower=lower, trans=trans)
+        ref = solve_triangular(T, b, lower=lower, trans="T" if trans else "N")
+        assert x.shape == b.shape and np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_nan_raises_nonfinite(self, where):
+        T = np.triu(np.ones((3, 3)))
+        b = np.ones(3)
+        if where == "matrix":
+            T[0, 2] = np.nan
+        else:
+            b[1] = np.nan
+        with pytest.raises(NonFinite):
+            _solve_triangular(T, b)
+
+    def test_singular_raises_rank_deficient(self):
+        T = np.triu(np.ones((3, 3)))
+        T[2, 2] = 0.0
+        with pytest.raises(RankDeficient):
+            _solve_triangular(T, np.ones(3))
 
 
 class TestFitFull:

@@ -25,7 +25,7 @@ from sketch_infer.densities import (
     ssr_s_law_pdf,
     ssr_s_law_sample,
 )
-from sketch_infer.errors import AssumptionViolated, DomainError
+from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainError
 from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
 from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
 
@@ -265,6 +265,20 @@ class TestRatioBetaLaw:
         assert np.all(vals >= 0)
         total = np.trapezoid(vals, grid)
         assert abs(total - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("outcome", ["warning", "nan", "negative"])
+    def test_failed_quadrature_raises(self, monkeypatch, outcome):
+        # no fallback: a quadrature that fails, or returns a non-finite or
+        # negative value, is a ConvergenceError
+        def quad(*args, **kwargs):
+            if outcome == "warning":
+                raise integrate.IntegrationWarning("roundoff error detected")
+            return (np.nan if outcome == "nan" else -1e-3), 0.0
+
+        monkeypatch.setattr(integrate, "quad", quad)
+        with pytest.raises(ConvergenceError):
+            ratio_beta_law_pdf_mc(np.array([0.5, 1.0]), 1.5, 3.0, 2.0,
+                                  HLawParams(alpha=4.0, lam=6.0))
 
 
 class TestPartialSketchingRep:

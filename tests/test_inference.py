@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer.core_model import DataSet, fit_full
+from sketch_infer.core_model import DataSet, _solve_triangular, fit_full
 from sketch_infer.errors import (
     AssumptionViolated,
     DegenerateSSR,
@@ -20,6 +20,7 @@ from sketch_infer.estimators import (
     FitKind,
     PartialInputs,
     SketchFit,
+    _whiten,
     fit_complete,
     fit_efficient_star,
     fit_partial,
@@ -248,6 +249,26 @@ class TestWStarMarginalT:
         sk = _gauss(data, 10, 21, want_w_star=True)
         with pytest.raises(DegenerateSSR):
             wstar_marginal_t_tests(fit_efficient_star(sk), sk, 0.0, [1.0, 2.0], 0.95)
+
+    @pytest.mark.parametrize("excess,degenerate", [(0.5, True), (2.0, False)])
+    def test_centered_ssr_star_roundoff_floor(self, excess, degenerate):
+        # SSR* = y'y - ||w||^2 set to `excess` times its floor k eps y'y: a
+        # positive value under the floor is roundoff and rejected
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        k = 10
+        sk = _gauss(data, k, 17, want_w_star=True)
+        fit = fit_efficient_star(sk)
+        hyp = np.zeros(3)
+        Xt, yt = _whiten(sk)
+        w = _solve_triangular(fit.gram_s_factor, Xt.T @ (yt - Xt @ hyp), trans=True)
+        ww = float(w @ w)
+        yty = ww * (1.0 + excess * k * np.finfo(float).eps)
+        assert yty - ww > 0.0
+        if degenerate:
+            with pytest.raises(DegenerateSSR, match="roundoff floor"):
+                wstar_marginal_t_tests(fit, sk, yty, hyp, 0.95)
+        else:
+            assert len(wstar_marginal_t_tests(fit, sk, yty, hyp, 0.95)) == 3
 
     def test_requires_star_fit_and_level(self):
         data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import hadamard as dense_hadamard
 
@@ -9,8 +11,11 @@ from sketch_infer import sketch_ops
 from sketch_infer.core_model import DataSet
 from sketch_infer.errors import DomainError
 from sketch_infer.sketch_ops import (
+    SketchedData,
     SketchKind,
     SketchSpec,
+    _check_feasible,
+    _split,
     apply_clarkson_woodruff,
     apply_gaussian,
     apply_hadamard,
@@ -115,11 +120,10 @@ class TestHadamard:
         sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, 3, 0))
         assert sk.Xs.shape == (3, 2) and sk.ys.shape == (3,)
 
-    def test_matches_dense_transform(self, monkeypatch):
-        # reproduce the operator explicitly on a small power-of-two case; a
-        # 3-column block makes the accumulation cross uneven block boundaries
-        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", 3)
-        n, k, seed = 8, 3, 21
+    @staticmethod
+    def _check_dense_transform(monkeypatch, block, n, k, seed):
+        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", block)
+        n_pad = 1 << (n - 1).bit_length()
         rng = np.random.default_rng(1)
         X = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
@@ -127,12 +131,26 @@ class TestHadamard:
         sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, k, seed), want_w_star=True)
         gen = np.random.default_rng(seed)
         signs = gen.integers(0, 2, n) * 2.0 - 1.0
-        idx = gen.choice(n, size=k, replace=False)
-        H = dense_hadamard(n).astype(float)
-        S = (H[idx] * signs[None, :]) / np.sqrt(k)
+        idx = gen.choice(n_pad, size=k, replace=False)
+        H = dense_hadamard(n_pad).astype(float)
+        S = (H[idx][:, :n] * signs[None, :]) / np.sqrt(k)
         np.testing.assert_allclose(sk.Xs, S @ X, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sk.ys, S @ y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sk.W_star, S @ S.T, rtol=1e-12, atol=1e-12)
+        return idx
+
+    def test_matches_dense_transform(self, monkeypatch):
+        # reproduce the operator explicitly on a small power-of-two case; a
+        # 2-column block makes the accumulation cross four block boundaries,
+        # with row signs from two high bits of the sampled rows
+        self._check_dense_transform(monkeypatch, block=2, n=8, k=3, seed=21)
+
+    def test_matches_dense_transform_partial_block(self, monkeypatch):
+        # n = 10 pads to 16: 4-column blocks end in a partial one, and the
+        # three blocks take their row signs from two high bits
+        idx = self._check_dense_transform(monkeypatch, block=4, n=10, k=5, seed=8)
+        # the seed gives blocks 1 and 2 distinct, non-trivial row-sign patterns
+        assert len({tuple((idx >> 2) & b) for b in range(3)}) == 3
 
     def test_wstar_with_padding(self, monkeypatch):
         # n = 6 pads to 8; W* must equal S S^T over the 6 real columns, and
@@ -208,3 +226,127 @@ class TestSharedProperties:
         seeds = {derive_seed(5, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert derive_seed(5, 17) == derive_seed(5, 17)
+
+
+# ---------------------------------------------------------------------------
+# Reference operators: the block-by-block sampled-row Hadamard product and the
+# strided-column CountSketch scatter, kept verbatim (the block size is read
+# from sketch_ops so that tests can shrink it).  The factored operators must
+# match them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _concat(data: DataSet) -> np.ndarray:
+    return np.column_stack([data.y, data.X])
+
+
+def _walsh_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries H[rows, cols] of the unnormalized Hadamard matrix (natural order)."""
+    bits = np.bitwise_count(rows[:, None].astype(np.uint64) & cols[None, :].astype(np.uint64))
+    return (1 - 2 * (bits & 1).view(np.int8)).astype(float)
+
+
+def _apply_hadamard_reference(data: DataSet, spec: SketchSpec, want_w_star: bool = False):
+    _check_feasible(data, spec, want_w_star)
+    A = _concat(data)
+    n, m = A.shape
+    k = spec.k
+    n_pad = 1 << int(np.ceil(np.log2(n)))
+    if k > n_pad:
+        raise DomainError(f"hadamard sketch needs k <= padded size (k={k}, n'={n_pad})")
+    rng = np.random.default_rng(spec.seed)
+    signs = rng.integers(0, 2, n) * 2.0 - 1.0
+    idx = rng.choice(n_pad, size=k, replace=False)
+    B = np.zeros((k, m))
+    for start in range(0, n, sketch_ops._HADAMARD_BLOCK):
+        stop = min(start + sketch_ops._HADAMARD_BLOCK, n)
+        Hb = _walsh_rows(idx, np.arange(start, stop))
+        Hb *= signs[start:stop]
+        B += Hb @ A[start:stop]
+    B *= 1.0 / np.sqrt(k)
+    Xs, ys = _split(B)
+    W = None
+    if want_w_star:
+        W = (n_pad / k) * np.eye(k)
+        if n_pad > n:
+            pad_cols = np.arange(n, n_pad)
+            Hp = _walsh_rows(idx, pad_cols) / np.sqrt(k)
+            W -= Hp @ Hp.T
+    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
+
+
+def _apply_clarkson_woodruff_reference(data: DataSet, spec: SketchSpec,
+                                       want_w_star: bool = False):
+    _check_feasible(data, spec, want_w_star)
+    A = _concat(data)
+    n, m = A.shape
+    k = spec.k
+    rng = np.random.default_rng(spec.seed)
+    buckets = rng.integers(0, k, n)
+    signs = rng.integers(0, 2, n) * 2.0 - 1.0
+    signed = A * signs[:, None]
+    B = np.empty((k, m))
+    for j in range(m):
+        B[:, j] = np.bincount(buckets, weights=signed[:, j], minlength=k)
+    Xs, ys = _split(B)
+    W = None
+    if want_w_star:
+        W = np.diag(np.bincount(buckets, minlength=k).astype(float))
+    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
+
+
+_REFERENCES = {
+    SketchKind.HADAMARD: _apply_hadamard_reference,
+    SketchKind.CLARKSON_WOODRUFF: _apply_clarkson_woodruff_reference,
+}
+
+
+def _assert_same_sketch(a: SketchedData, b: SketchedData) -> None:
+    assert np.array_equal(a.Xs, b.Xs) and np.array_equal(a.ys, b.ys)
+    assert (a.W_star is None) == (b.W_star is None)
+    assert a.W_star is None or np.array_equal(a.W_star, b.W_star)
+
+
+@st.composite
+def _designs(draw):
+    """(block, n, p, k, seed, want_w_star) with n below, at, above or off a block multiple."""
+    block = draw(st.sampled_from([2, 4, 16, 1024]))
+    n = draw(st.one_of(
+        st.builds(lambda mult, off: max(mult * block + off, 2),
+                  st.integers(1, 2048 // block + 1), st.sampled_from([-1, 0, 1])),
+        st.integers(2, 2100),
+    ))
+    p = draw(st.integers(1, min(6, n - 1)))
+    n_pad = 1 << (n - 1).bit_length()
+    k = draw(st.integers(p + 1, min(n_pad, p + 40)))
+    return block, n, p, k, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()) and k <= n
+
+
+class TestMatchesReferenceOperators:
+    @settings(max_examples=150, deadline=None)
+    @given(design=_designs(), kind=st.sampled_from(list(_REFERENCES)))
+    @example(design=(1024, 1023, 4, 9, 1, True), kind=SketchKind.HADAMARD)
+    @example(design=(1024, 1024, 4, 9, 2, True), kind=SketchKind.HADAMARD)
+    @example(design=(1024, 1025, 4, 9, 3, True), kind=SketchKind.HADAMARD)
+    @example(design=(1024, 10_000, 11, 21, 4, True), kind=SketchKind.HADAMARD)
+    @example(design=(1024, 10_000, 11, 21, 5, True), kind=SketchKind.CLARKSON_WOODRUFF)
+    def test_bit_identical(self, design, kind):
+        block, n, p, k, seed, want_w_star = design
+        rng = np.random.default_rng(seed)
+        data = DataSet(X=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+        spec = _spec(kind, k, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sketch_ops, "_HADAMARD_BLOCK", block)
+            _assert_same_sketch(apply_sketch(data, spec, want_w_star),
+                                _REFERENCES[kind](data, spec, want_w_star))
+
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_response_swap_does_not_reuse_stale_stack(self, kind):
+        # the parent's cached [y | X] holds the old y: a swapped response must
+        # sketch exactly as a freshly built dataset does
+        rng = np.random.default_rng(6)
+        data = make_dataset(300, 3, np.ones(3), seed=7)
+        spec = _spec(kind, 12, 8)
+        apply_sketch(data, spec)
+        y2 = rng.standard_normal(data.n)
+        _assert_same_sketch(apply_sketch(data.with_response(y2), spec),
+                            apply_sketch(DataSet(X=data.X, y=y2), spec))
