@@ -32,8 +32,9 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NegativeVariance,
+    NonFinite,
 )
-from .special_fn import kummer_m, log_bessel_k, log_kummer_u
+from .special_fn import _log_laplace_integral, kummer_m, log_bessel_k, log_kummer_u
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -110,32 +111,32 @@ def complete_sketching_t_params(fullfit: FullFit, gram_inv: np.ndarray, k: int, 
 def _log_m_neg(a: float, c: float, x: float) -> float:
     """log M(a, a + c, -x) for a, c > 0 and x >= 0.
 
-    The Kummer function here is the moment generating function of a
-    Beta(a, c) variable at -x; for large x the series route overflows, so
-    we integrate the beta average directly with the peak shifted out.
+    ``scipy.special.hyp1f1`` below x = 600; beyond it the series route
+    overflows and ``_log_m_neg_laplace`` takes over.
     """
     if x < 0:
         raise DomainError("x must be nonnegative")
     if x < 600.0:
         return math.log(kummer_m(a, a + c, -x))
-    lnB = special.betaln(a, c)
+    return _log_m_neg_laplace(a, c, x)
 
-    def g(t):
-        return -x * t + (a - 1.0) * math.log(t) + (c - 1.0) * math.log1p(-t) - lnB
 
-    # stationary point of g: x t^2 - (x + a + c - 2) t + (a - 1) = 0
-    s = x + a + c - 2.0
-    disc = s * s - 4.0 * x * (a - 1.0)
-    t0 = (s - math.sqrt(max(disc, 0.0))) / (2.0 * x) if a > 1.0 else 1e-12
-    t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
-    g0 = g(t0)
-    val, _ = integrate.quad(
-        lambda t: math.exp(g(t) - g0), 0.0, 1.0, points=[t0], limit=200,
-        epsabs=1e-12, epsrel=1e-11,
-    )
-    if val <= 0.0:
-        raise ConvergenceError("beta-average quadrature failed")
-    return g0 + math.log(val)
+def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
+    """log M(a, a + c, -x) as the beta average E[e^{-x T}], T ~ Beta(a, c).
+
+    In u = logit t the integrand exp(-x t + a log t + c log(1-t)) has one
+    peak, so the Laplace-centred trapezoid rule of ``special_fn`` applies.
+    """
+    # peak t: x t^2 - (x + a + c) t + a = 0, the smaller root, in the form
+    # that does not cancel; the discriminant (x+a+c)^2 - 4 x a expanded
+    root = math.hypot(x - a, math.sqrt(c * (2.0 * (x + a) + c)))
+    t = 2.0 * a / (x + a + c + root)
+    sigma = 1.0 / math.sqrt(root * t * (1.0 - t))  # -h''(logit t) = root t (1-t)
+
+    def h(u):
+        return -x * special.expit(u) - a * np.logaddexp(0.0, -u) - c * np.logaddexp(0.0, u)
+
+    return _log_laplace_integral(h, math.log(t) - math.log1p(-t), sigma) - special.betaln(a, c)
 
 
 def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
@@ -146,6 +147,8 @@ def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int)
     gram = np.asarray(gram, dtype=float)
     d = np.asarray(b, dtype=float).reshape(-1) - truth.beta_0
     q = float(d @ gram @ d) / truth.sigma2
+    if not math.isfinite(q):  # a NaN or infinite b, or one whose q overflows
+        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
     sign, logdet = np.linalg.slogdet(gram / truth.sigma2)
@@ -200,6 +203,8 @@ class HLawParams:
 
 
 def h_law_logpdf(u: float, params: HLawParams) -> float:
+    if not math.isfinite(u):
+        raise NonFinite(f"density evaluation point is not finite: {u}")
     if u <= 0:
         raise DomainError("the H law is supported on (0, inf)")
     a, lam = params.alpha, params.lam
@@ -256,6 +261,8 @@ def ssr_s_law_sample(n: int, k: int, p: int, seed, count: int) -> np.ndarray:
 
 
 def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
+    if not math.isfinite(r):
+        raise NonFinite(f"density evaluation point is not finite: {r}")
     if r <= 0:
         raise DomainError("the ratio law is supported on (0, inf)")
     if phi <= 0:
@@ -427,6 +434,8 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
         raise DomainError("gram matrix must be positive definite")
     bGb0 = float(b @ gram @ truth.beta_0)
     bGb = float(b @ gram @ b)
+    if not math.isfinite(bGb):  # a NaN or infinite b, or one whose b'X'Xb overflows
+        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     b0Gb0 = float(truth.beta_0 @ gram @ truth.beta_0)
     s = bGb0 * bGb0 / truth.sigma2**2 + k * gamma * b0Gb0 / truth.sigma2
     nu = (k + 2 - p) / 2.0  # |(p - k - 2)/2|

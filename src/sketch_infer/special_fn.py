@@ -8,7 +8,9 @@ referred to.
 
 All density work elsewhere in the package happens in log space; U and K
 therefore come in log-space forms (``log_kummer_u``, ``log_bessel_k``)
-alongside the plain ones.
+alongside the plain ones.  One Laplace-centred trapezoid rule,
+``_log_laplace_integral``, evaluates U and, in ``densities``, M at large
+negative argument.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special, stats
 
-from .errors import ConvergenceError, DomainError, OverflowSignal
+from .errors import ConvergenceError, DomainError, NonFinite, OverflowSignal
 
 __all__ = [
     "kummer_m",
@@ -38,12 +40,6 @@ __all__ = [
 ]
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)  # ~709.78
-
-# tolerances of the adaptive quadrature behind the U-function
-_U_ABS_TOL = 1e-10
-_U_REL_TOL = 1e-8
-_U_MAX_SUBDIVISIONS = 200
-
 
 # ---------------------------------------------------------------------------
 # Kummer M (confluent hypergeometric function of the first kind)
@@ -71,67 +67,109 @@ def kummer_m(a: float, b: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Kummer U (confluent hypergeometric function of the second kind)
+# Laplace-centred trapezoid rule
 # ---------------------------------------------------------------------------
 
-def _u_integrand_peak(a: float, b: float, z: float) -> float:
-    """Stationary point of -z t + (a-1) log t + (b-a-1) log(1+t) on (0, inf)."""
-    # z t^2 - (b - 2 - z) t - (a - 1) = 0, positive root
-    B = b - 2.0 - z
-    disc = B * B + 4.0 * z * (a - 1.0)
-    if disc < 0.0:
-        return 1.0
-    root = (B + math.sqrt(disc)) / (2.0 * z)
-    return root if root > 0.0 else 1.0
+def _node_table(half_width: float, count: int) -> tuple:
+    """(sinh s_i, cosh s_i * ds) for ``count`` equispaced nodes s_i on [-w, w]."""
+    s = np.linspace(-half_width, half_width, count)
+    return np.sinh(s), np.cosh(s) * (s[1] - s[0])
 
+
+# trapezoid rule in s on u = mode + sigma sinh(s), step 1/32 on [-7, 7]:
+# exponentially convergent for the smooth single-peaked log-space integrands
+# below (Trefethen and Weideman, SIAM Rev. 2014).  The step is set by
+# U(a, ~1, z) at small a and z, whose integrand is flat across log(1/z)
+# before its e^{-z e^u} edge: a step of 1/12 was 5e-8 off in log
+# U(0.5, 0.8, 1e-3).  The range is set by small a with a narrow peak, whose
+# t^a tail reaches far below the peak: on [-6, 6] an end term of
+# U(0.5, 6000, 5684) was 3e-14 of the sum.
+_NODES = _node_table(7.0, 449)
+# an end term above this share of the sum means the rule's range cut off mass
+_END_SHARE = 1e-15
+# largest relative gap allowed between the rule and its every-other-node
+# half, which estimates the half rule's error; the full rule's is far smaller
+_HALF_RULE_GAP = 1e-7
+
+
+def _log_laplace_integral(h, mode: float, sigma: float) -> float:
+    """log of the integral of exp(h(u)) over the real line, h single-peaked.
+
+    ``mode`` is the maximiser of h and ``sigma = (-h''(mode))^{-1/2}`` its
+    Laplace width; ``h`` maps an array of u to an array.  Never returns an
+    unconverged value: raises ConvergenceError when the sum is not finite
+    and positive, when an end term exceeds ``_END_SHARE`` of it (range too
+    narrow) or when the half rule is more than ``_HALF_RULE_GAP`` away (step
+    too coarse).
+    """
+    shift, weight = _NODES
+    hv = h(mode + sigma * shift)
+    top = hv.max()
+    terms = np.exp(hv - top) * weight
+    total = terms.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        raise ConvergenceError(f"trapezoid sum is {total} at mode {mode}, width {sigma}")
+    end = max(terms[0], terms[-1]) / total
+    if end > _END_SHARE:
+        raise ConvergenceError(f"trapezoid range too narrow at mode {mode}, width {sigma}: "
+                               f"an end term is {end:.1e} of the sum")
+    gap = abs(2.0 * terms[::2].sum() / total - 1.0)
+    if gap > _HALF_RULE_GAP:
+        raise ConvergenceError(f"trapezoid step too coarse at mode {mode}, width {sigma}: "
+                               f"the half rule is {gap:.1e} away")
+    return float(top) + math.log(sigma * total)
+
+
+# ---------------------------------------------------------------------------
+# Kummer U (confluent hypergeometric function of the second kind)
+# ---------------------------------------------------------------------------
 
 def log_kummer_u(a: float, b: float, z: float) -> float:
     """log U(a, b, z) for a > 0, z > 0.
 
-    Uses the Laplace-type integral representation
+    Uses the integral representation
 
-        U(a, b, z) = 1/Gamma(a) * int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt,
+        U(a, b, z) = 1/Gamma(a) * int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt
 
-    mapped onto (0, 1) by t = u/(1-u) and shifted by the integrand peak, so
-    the quadrature sees an O(1) integrand regardless of parameter size.
+    in u = log t, where the integrand exp(a u + (b-a-1) log(1+e^u) - z e^u)
+    has one peak, by the Laplace-centred trapezoid rule
+    ``_log_laplace_integral``.  Against an independent adaptive quadrature
+    over 205 parameter sets (the benchmark's ratio-law designs, a < 1,
+    a ~ 5000) the error in log U was at most 7.3e-12, the rounding of
+    log U itself at |log U| ~ 5e4, and at most 1.5e-14 where |log U| < 100.
+    Over a in [0.5, 6000], b in [-5, 6000], z in [1e-3, 1e4] the recurrence
+    DLMF 13.3.10 held to 3e-11 in log space.  Below a ~ 0.5 the t^a tail can
+    outrun the rule, which then raises ConvergenceError.
     """
     a, b, z = float(a), float(b), float(z)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise NonFinite(f"log_kummer_u needs finite arguments, got a={a}, b={b}, z={z}")
     if a <= 0.0 or z <= 0.0:
         raise DomainError(f"log_kummer_u requires a > 0 and z > 0, got a={a}, z={z}")
+    # peak t of the integrand: z t^2 - 2 m t - a = 0, the positive root in
+    # whichever form does not cancel (m is halved so nothing overflows)
+    m = 0.5 * (b - 1.0 - z)
+    root = math.hypot(m, math.sqrt(z) * math.sqrt(a))
+    t = a / (root - m) if m <= 0.0 else (m + root) / z
+    # -h''(log t) = (z t^2 + a) / (1 + t), divided through by t when t > 1
+    curv = (z * t * t + a) / (1.0 + t) if t < 1.0 else (z * t + a / t) / (1.0 + 1.0 / t)
+    sigma = 1.0 / math.sqrt(curv)
+    c = b - a - 1.0
 
-    def g(t):
-        if t <= 0.0:
-            return -math.inf
-        return -z * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t)
+    def h(u):
+        with np.errstate(over="ignore"):  # e^u -> inf is a zero term
+            return a * u + c * np.logaddexp(0.0, u) - z * np.exp(u)
 
-    # natural scale: interior stationary point when one exists, otherwise
-    # the t ~ a/z scale where the gamma-like mass sits; the substitution
-    # t = t0 v/(1-v) centers the peak at v = 1/2 for every parameter size
-    t0 = _u_integrand_peak(a, b, z) if a > 1.0 else a / z
-    g0 = g(t0)
-
-    def integrand(v):
-        if v <= 0.0 or v >= 1.0:
-            return 0.0
-        one_m = 1.0 - v
-        t = t0 * v / one_m
-        return math.exp(g(t) - g0) * t0 / (one_m * one_m)
-
-    val, _ = integrate.quad(
-        integrand, 0.0, 1.0, points=[0.25, 0.5, 0.75],
-        epsabs=_U_ABS_TOL, epsrel=_U_REL_TOL, limit=_U_MAX_SUBDIVISIONS,
-    )
-    if val <= 0.0 or not math.isfinite(val):
-        raise ConvergenceError("U-function quadrature failed")
-    return g0 + math.log(val) - special.gammaln(a)
+    return _log_laplace_integral(h, math.log(t), sigma) - special.gammaln(a)
 
 
 def kummer_u(a: float, b: float, z: float) -> float:
     """Tricomi's confluent hypergeometric function U(a, b, z), a > 0, z > 0.
 
-    Computed by adaptive quadrature of the integral representation divided
-    by Gamma(a); relative accuracy better than 1e-8 across the parameter
-    ranges used by the ratio densities.
+    ``exp(log_kummer_u(a, b, z))``: the Laplace-centred trapezoid rule on
+    the integral representation, relative error at most ~1e-11 where the
+    value is representable (see ``log_kummer_u``).  Raises
+    ``OverflowSignal`` beyond double precision; use ``log_kummer_u`` there.
     """
     lv = log_kummer_u(a, b, z)
     if lv > _LOG_DBL_MAX:

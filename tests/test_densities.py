@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from sketch_infer import special_fn
 from sketch_infer.core_model import DataSet, ModelTruth, fit_full
 from sketch_infer.densities import (
     HLawParams,
     MultivariateTParams,
+    _log_m_neg_laplace,
     complete_sampling_approx_t,
     complete_sampling_pdf,
     complete_sketching_t_params,
@@ -22,10 +24,11 @@ from sketch_infer.densities import (
     ratio_law_pdf,
     sample_partial_sampling_rep,
     sample_partial_sketching_rep,
+    ssr_s_law_params,
     ssr_s_law_pdf,
     ssr_s_law_sample,
 )
-from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainError
+from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainError, NonFinite
 from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
 from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
 
@@ -148,6 +151,26 @@ class TestCompleteSamplingDensity:
         assert abs(exact - approx) / exact < 0.01
 
 
+# (a, c) = ((k+1)/2, (n-p)/2) of the benchmark's three laws-grid designs
+# (p = 11) and of the tests' (n, k, p) = (200, 12, 1) and (10^4, 21, 1)
+_KUMMER_M_DESIGNS = [(11.0, 4994.5), (25.5, 994.5), (11.0, 94.5), (6.5, 99.5), (11.0, 4999.5)]
+
+
+class TestKummerMLargeArgumentRoute:
+    @pytest.mark.parametrize("a, c", _KUMMER_M_DESIGNS)
+    def test_meets_the_series_below_the_switch(self, a, c):
+        # _log_m_neg switches from hyp1f1 to the trapezoid rule at x = 600;
+        # the two agree across [50, 600], so the switch has no jump
+        for x in np.linspace(50.0, 600.0, 23):
+            series = math.log(special_fn.kummer_m(a, a + c, -x))
+            assert abs(_log_m_neg_laplace(a, c, x) - series) < 1e-10
+
+    def test_short_node_table_raises(self, monkeypatch):
+        monkeypatch.setattr(special_fn, "_NODES", special_fn._node_table(1.0, 33))
+        with pytest.raises(ConvergenceError):
+            _log_m_neg_laplace(11.0, 4994.5, 700.0)
+
+
 class TestHLaw:
     def test_normalizes(self):
         params = HLawParams(alpha=5.0, lam=9.5)
@@ -229,6 +252,38 @@ class TestRatioLaw:
         params = HLawParams(alpha=(k - p) / 2.0, lam=(n - p) / 2.0)
         val, _ = integrate.quad(lambda r: ratio_law_pdf(r, p / 2.0, params), 0, np.inf, limit=500)
         assert abs(val - 1.0) < 1e-5
+
+
+def _law_at(law, point):
+    """Evaluate one of the four laws-grid density laws (n, k, p) = (200, 21, 11) at a point."""
+    n, k, p = 200, 21, 11
+    truth = ModelTruth(beta_0=np.arange(-5.0, 6.0), sigma2=1.0)
+    gram = n * np.eye(p)
+    b = truth.beta_0.copy()
+    b[0] = point
+    if law == "complete_sampling_pdf":
+        return complete_sampling_pdf(b, truth, gram, n, k, p)
+    if law == "partial_approx_pdf":
+        return partial_approx_pdf(b, truth, gram, k, p)
+    if law == "ssr_s_law_pdf":
+        return ssr_s_law_pdf(point, n, k, p)
+    return ratio_law_pdf(point, p / 2.0, ssr_s_law_params(n, k, p))
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf])
+@pytest.mark.parametrize("law", ["complete_sampling_pdf", "partial_approx_pdf",
+                                 "ssr_s_law_pdf", "ratio_law_pdf"])
+def test_non_finite_point_raises(law, point):
+    assert math.isfinite(_law_at(law, 1.0))
+    with pytest.raises(NonFinite):
+        _law_at(law, point)
+
+
+@pytest.mark.parametrize("law", ["complete_sampling_pdf", "partial_approx_pdf"])
+def test_overflowing_quadratic_form_raises(law):
+    # a finite b whose quadratic form overflows cannot be evaluated either
+    with pytest.raises(NonFinite):
+        _law_at(law, 1e200)
 
 
 class TestRatioBetaLaw:

@@ -5,10 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy import special as sp
 
-from sketch_infer.errors import DomainError, OverflowSignal
+from sketch_infer import special_fn
+from sketch_infer.errors import ConvergenceError, DomainError, NonFinite, OverflowSignal
 from sketch_infer.special_fn import (
     Law,
     bessel_k,
@@ -100,6 +103,66 @@ class TestKummerU:
         with mpmath.workdps(40):
             ref = float(mpmath.log(mpmath.hyperu(2505.5, 3.0, 0.04)))
         assert abs(got - ref) < 1e-7 * abs(ref)
+
+    @pytest.mark.parametrize("a, b, z", [(0.5, 0.3, 0.2), (0.3, 2.0, 5.0)])
+    def test_singular_endpoint_oracle(self, a, b, z):
+        # a < 1: the integrand t^(a-1) ... is singular at t = 0
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.hyperu(a, b, z)))
+        assert abs(log_kummer_u(a, b, z) - ref) < 1e-10
+
+    def test_non_finite_arguments(self):
+        for args in [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf)]:
+            with pytest.raises(NonFinite):
+                log_kummer_u(*args)
+
+    def test_short_node_table_raises(self, monkeypatch):
+        # a rule whose range ends inside the integrand's mass must not return
+        monkeypatch.setattr(special_fn, "_NODES", special_fn._node_table(1.0, 25))
+        with pytest.raises(ConvergenceError, match="range too narrow"):
+            log_kummer_u(3.0, -1.5, 0.7)
+
+    def test_coarse_node_table_raises(self, monkeypatch):
+        # nor one whose step is too coarse for the integrand
+        monkeypatch.setattr(special_fn, "_NODES", special_fn._node_table(7.0, 57))
+        with pytest.raises(ConvergenceError, match="step too coarse"):
+            log_kummer_u(0.5, 0.8, 1e-3)
+
+
+def _u_recurrence_gap(a, b, z):
+    """|log U(a,b,z) - log(a U(a+1,b,z) + U(a,b-1,z))|, DLMF 13.3.10.
+
+    Both terms on the right are positive, so the log-space sum does not cancel.
+    """
+    rhs = np.logaddexp(math.log(a) + log_kummer_u(a + 1.0, b, z), log_kummer_u(a, b - 1.0, z))
+    return abs(log_kummer_u(a, b, z) - rhs)
+
+
+_log10_z = st.floats(-3.0, 4.0)
+
+
+class TestKummerURecurrence:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.5, 6000.0), b=st.floats(-5.0, 6000.0), log10_z=_log10_z)
+    @example(a=0.5, b=-5.0, log10_z=-3.0)
+    @example(a=6000.0, b=6000.0, log10_z=4.0)
+    @example(a=0.5, b=6000.0, log10_z=-3.0)
+    @example(a=0.5, b=0.8, log10_z=-3.0)  # flat integrand: a step of 1/12 was 5e-8 off here
+    def test_holds_on_the_working_box(self, a, b, log10_z):
+        assert _u_recurrence_gap(a, b, 10.0 ** log10_z) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.05, 6000.0), b=st.floats(-5.0, 6000.0), log10_z=_log10_z)
+    @example(a=0.05, b=0.3, log10_z=-0.7)
+    @example(a=0.2, b=-5.0, log10_z=4.0)
+    def test_holds_or_raises_on_a_wider_box(self, a, b, log10_z):
+        # below a ~ 0.5 the t^a tail can outrun the rule: a raise is allowed,
+        # a wrong value is not
+        try:
+            gap = _u_recurrence_gap(a, b, 10.0 ** log10_z)
+        except ConvergenceError:
+            return
+        assert gap < 1e-10
 
 
 class TestBesselK:
