@@ -11,7 +11,7 @@ from .densities import (
     h_law_sample,
     mvt_pdf,
     partial_approx_pdf,
-    ratio_beta_law_pdf_mc,
+    ratio_beta_law_pdf,
     ratio_law_pdf,
     sample_partial_sampling_rep,
     sample_partial_sketching_rep,
@@ -27,7 +27,6 @@ from .estimators import (
     fit_partial,
     partial_residual_ss_expectation,
     sigma2_hat_complete,
-    ssr_star,
 )
 from .inference import (
     ConfidenceInterval,

@@ -125,16 +125,11 @@ class DataSet:
 
 @dataclass(frozen=True)
 class FullFit:
-    """Least-squares solution on the full data with its sum-of-squares split.
-
-    ``gram_factor`` is the triangular R from the economy QR of X, so that
-    R^T R = X^T X; inference code reuses it instead of refactoring.
-    """
+    """Least-squares solution on the full data with its sum-of-squares split."""
 
     beta_F: np.ndarray
     SSR_F: float
     SSM_F: float
-    gram_factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ def fit_full(data: DataSet) -> FullFit:
     resid = data.y - Q @ qty
     ssr = float(resid @ resid)
     ssm = float(qty @ qty)
-    return FullFit(beta_F=beta, SSR_F=ssr, SSM_F=ssm, gram_factor=R)
+    return FullFit(beta_F=beta, SSR_F=ssr, SSM_F=ssm)
 
 
 def response_mean(X, truth: ModelTruth) -> np.ndarray:

@@ -146,8 +146,11 @@ def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int)
         raise DomainError(f"requires n > p and k > p - 1 (got n={n}, k={k}, p={p})")
     gram = np.asarray(gram, dtype=float)
     d = np.asarray(b, dtype=float).reshape(-1) - truth.beta_0
-    q = float(d @ gram @ d) / truth.sigma2
-    if not math.isfinite(q):  # a NaN or infinite b, or one whose q overflows
+    # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
+    # numpy's warning for it is silenced so NonFinite alone reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(d @ gram @ d) / truth.sigma2
+    if not math.isfinite(q):
         raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
@@ -255,11 +258,6 @@ def ssr_s_law_pdf(u: float, n: int, k: int, p: int) -> float:
     return math.exp(ssr_s_law_logpdf(u, n, k, p))
 
 
-def ssr_s_law_sample(n: int, k: int, p: int, seed, count: int) -> np.ndarray:
-    """Draw U = k SSR_s / sigma^2 via the chi-square composition."""
-    return h_law_sample(ssr_s_law_params(n, k, p), seed, count)
-
-
 def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
     if not math.isfinite(r):
         raise NonFinite(f"density evaluation point is not finite: {r}")
@@ -289,13 +287,13 @@ def ratio_law_pdf(r: float, phi: float, params: HLawParams) -> float:
     return math.exp(ratio_law_logpdf(r, phi, params))
 
 
-def ratio_beta_law_pdf_mc(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams):
+def ratio_beta_law_pdf(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams):
     """Density of R = Q/(V U) on a grid, Q ~ Gamma(phi, 2), V ~ Beta(kappa, beta), U ~ H.
 
     Evaluated by integrating the chi-square-over-H ratio density against the
-    beta weight, f(r) = int_0^1 v f_{Q/U}(r v) Beta(v) dv.  Returns
-    ``(values, "quadrature")``; raises ConvergenceError when the quadrature
-    fails or yields a non-finite or negative value.
+    beta weight, f(r) = int_0^1 v f_{Q/U}(r v) Beta(v) dv.  Raises
+    ConvergenceError when the quadrature fails or yields a non-finite or
+    negative value.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0):
@@ -320,7 +318,7 @@ def ratio_beta_law_pdf_mc(r_grid, phi: float, kappa: float, beta_param: float, p
         raise ConvergenceError(f"ratio-beta density quadrature failed: {exc}") from exc
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):
         raise ConvergenceError("ratio-beta density quadrature gave a non-finite or negative value")
-    return vals, "quadrature"
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +430,10 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
     sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0:
         raise DomainError("gram matrix must be positive definite")
-    bGb0 = float(b @ gram @ truth.beta_0)
-    bGb = float(b @ gram @ b)
-    if not math.isfinite(bGb):  # a NaN or infinite b, or one whose b'X'Xb overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
+        bGb0 = float(b @ gram @ truth.beta_0)
+        bGb = float(b @ gram @ b)
+    if not math.isfinite(bGb):
         raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     b0Gb0 = float(truth.beta_0 @ gram @ truth.beta_0)
     s = bGb0 * bGb0 / truth.sigma2**2 + k * gamma * b0Gb0 / truth.sigma2
@@ -491,10 +490,9 @@ __all__ = [
     "ssr_s_law_params",
     "ssr_s_law_pdf",
     "ssr_s_law_logpdf",
-    "ssr_s_law_sample",
     "ratio_law_pdf",
     "ratio_law_logpdf",
-    "ratio_beta_law_pdf_mc",
+    "ratio_beta_law_pdf",
     "sample_partial_sketching_rep",
     "sample_partial_sampling_rep",
     "partial_approx_pdf",

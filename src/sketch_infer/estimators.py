@@ -10,7 +10,6 @@ mean correction gamma = (k - p - 1)/k that makes it unbiased.  The whitened
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,51 +129,22 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
     )
 
 
-def _whiten(sk: SketchedData):
+def fit_efficient_star(sk: SketchedData) -> SketchFit:
+    """Whitened estimator (Xs^T W*^{-1} Xs)^{-1} Xs^T W*^{-1} y_s.
+
+    Solved as ordinary least squares on the Cholesky-whitened system
+    L^{-1} Xs = QR, L L^T = W*, so no inverse of W* is ever formed.
+    """
     if sk.W_star is None:
         raise MissingWStar("operation requires the W* = S S^T byproduct; re-sketch with want_w_star=True")
     try:
         L = np.linalg.cholesky(sk.W_star)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("W* is not positive definite") from exc
-    Xt = _solve_triangular(L, sk.Xs, lower=True)
-    yt = _solve_triangular(L, sk.ys, lower=True)
-    return Xt, yt
-
-
-def fit_efficient_star(sk: SketchedData) -> SketchFit:
-    """Whitened estimator (Xs^T W*^{-1} Xs)^{-1} Xs^T W*^{-1} y_s.
-
-    Solved as ordinary least squares on the Cholesky-whitened system, so no
-    inverse of W* is ever formed.
-    """
-    Xt, yt = _whiten(sk)
-    Q, R = _qr_full_rank(Xt)
-    qty = Q.T @ yt
+    Q, R = _qr_full_rank(_solve_triangular(L, sk.Xs, lower=True))
+    qty = Q.T @ _solve_triangular(L, sk.ys, lower=True)
     beta = _solve_triangular(R, qty)
     return SketchFit(beta=beta, kind=FitKind.EFFICIENT_STAR, gram_s_factor=R)
-
-
-def ssr_star(sk: SketchedData, yty: float) -> float:
-    """Whitened residual sum of squares y^T y - ||proj of whitened y_s||^2.
-
-    Equals SSR_F exactly when S is square and invertible.  Its chi-square
-    sampling law holds when the response mean lies in the hypothesized null
-    (e.g. testing the true coefficient vector after centering, or pure-noise
-    data); otherwise part of the signal leaks into the statistic because the
-    projection only spans the sketched row space.
-    """
-    Xt, yt = _whiten(sk)
-    Q, _ = _qr_full_rank(Xt)
-    proj = Q.T @ yt
-    val = float(yty - proj @ proj)
-    if val < 0.0:
-        if val < -1e-8 * max(yty, 1.0):
-            warnings.warn(
-                f"ssr_star evaluated {val:.3e} < 0; clamping to 0", RuntimeWarning, stacklevel=2
-            )
-        val = 0.0
-    return val
 
 
 def sigma2_hat_complete(SSR_s: float, n: int, k: int, p: int) -> float:

@@ -26,10 +26,11 @@ from .densities import _check_direction, h_law_sample, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
+    MissingWStar,
     NegativeDenominator,
     ZeroEstimate,
 )
-from .estimators import FitKind, SketchFit, _whiten, sigma2_hat_complete
+from .estimators import FitKind, SketchFit, sigma2_hat_complete
 from .sketch_ops import SketchedData
 from .special_fn import Law, chi2, dist_cdf, dist_quantile, f_law, student_t
 
@@ -224,21 +225,27 @@ def complete_marginal_ci(fit: SketchFit, sk: SketchedData, j: int, level: float)
 # exact W*-based inference on beta_0 (repeated samples)
 # ---------------------------------------------------------------------------
 
-def _centered_ssr_star(fit: SketchFit, sk: SketchedData, yty: float, hyp) -> float:
-    """Null-centered whitened residual ||y - X h||^2 - ||proj of whitened (y_s - Xs h)||^2.
+def _wstar_ssr(fit: SketchFit, sk: SketchedData, yty: float, hyp: np.ndarray):
+    """F numerator ||R(b* - h)||^2 and null-centered whitened residual SSR*(h).
 
+    With the whitened design L^{-1} Xs = QR (L L^T = W*) the star fit is
+    b* = R^{-1} Q^T L^{-1} y_s, so the projection of the whitened null
+    residual L^{-1}(y_s - Xs h) is R(b* - h) and
+    SSR*(h) = ||y - X h||^2 - ||R(b* - h)||^2, with ``yty`` = ||y - X h||^2.
     A difference of two near-equal sums when the null fits, so it is checked
     against its roundoff floor k eps ``yty``.
     """
-    Xt, yt = _whiten(sk)
-    et = yt - Xt @ hyp
-    w = _solve_triangular(fit.gram_s_factor, Xt.T @ et, trans=True)
-    ssr_star = float(yty - w @ w)
+    if sk.W_star is None:
+        raise MissingWStar("operation requires the W* = S S^T byproduct; re-sketch with want_w_star=True")
+    if hyp.shape != fit.beta.shape:
+        raise DomainError(f"beta_hyp has length {hyp.size}, expected {fit.beta.size}")
+    num = float(np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2))
+    ssr_star = float(yty - num)
     floor = _roundoff_floor(sk.spec.k, yty)
     if ssr_star <= floor:
         raise DegenerateSSR(f"centered SSR* = {ssr_star:.3e} is at or below its roundoff "
                             f"floor k eps y'y = {floor:.3e}")
-    return ssr_star
+    return num, ssr_star
 
 
 def wstar_exact_tests(
@@ -256,10 +263,7 @@ def wstar_exact_tests(
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* exact tests")
     n, p = sk.n, sk.p
     hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    ssr_star = _centered_ssr_star(fit, sk, yty, hyp)
-    d = fit.beta - hyp
-    num = float(np.sum((fit.gram_s_factor @ d) ** 2))
-
+    num, ssr_star = _wstar_ssr(fit, sk, yty, hyp)
     f_stat = (num / p) / (ssr_star / (n - p))
     flaw = f_law(p, n - p)
     f_res = TestResult(
@@ -302,8 +306,9 @@ def wstar_marginal_t_tests(
         raise DomainError("level must be in (0, 1)")
     n, p = sk.n, sk.p
     hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    sigma2_hat = _centered_ssr_star(fit, sk, yty, hyp) / (n - p)
+    sigma2_hat = _wstar_ssr(fit, sk, yty, hyp)[1] / (n - p)
     law = student_t(n - p)
+    tq = dist_quantile(law, (1.0 + level) / 2.0)
     results = []
     for j in range(p):
         e = np.zeros(p)
@@ -311,7 +316,6 @@ def wstar_marginal_t_tests(
         se = math.sqrt(sigma2_hat * _gram_inv_quad(fit.gram_s_factor, e))
         b_j = float(fit.beta[j])
         stat = (b_j - float(hyp[j])) / se
-        tq = dist_quantile(law, (1.0 + level) / 2.0)
         test = TestResult(
             statistic=stat,
             pivot_law=law,

@@ -20,13 +20,12 @@ from sketch_infer.densities import (
     mvt_marginal_cdf,
     mvt_pdf,
     partial_approx_pdf,
-    ratio_beta_law_pdf_mc,
+    ratio_beta_law_pdf,
     ratio_law_pdf,
     sample_partial_sampling_rep,
     sample_partial_sketching_rep,
     ssr_s_law_params,
     ssr_s_law_pdf,
-    ssr_s_law_sample,
 )
 from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainError, NonFinite
 from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
@@ -223,7 +222,7 @@ class TestSsrSLaw:
         assert ks_distance(draws, cdf) < 0.02
 
     def test_sampler_agrees(self):
-        draws = ssr_s_law_sample(200, 15, 3, seed=5, count=50_000)
+        draws = h_law_sample(ssr_s_law_params(200, 15, 3), seed=5, count=50_000)
         assert abs(draws.mean() - 12 * 197) / (12 * 197) < 0.02
 
 
@@ -270,6 +269,7 @@ def _law_at(law, point):
     return ratio_law_pdf(point, p / 2.0, ssr_s_law_params(n, k, p))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("point", [math.nan, math.inf])
 @pytest.mark.parametrize("law", ["complete_sampling_pdf", "partial_approx_pdf",
                                  "ssr_s_law_pdf", "ratio_law_pdf"])
@@ -279,6 +279,7 @@ def test_non_finite_point_raises(law, point):
         _law_at(law, point)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("law", ["complete_sampling_pdf", "partial_approx_pdf"])
 def test_overflowing_quadratic_form_raises(law):
     # a finite b whose quadratic form overflows cannot be evaluated either
@@ -290,9 +291,8 @@ class TestRatioBetaLaw:
     def test_concentrated_beta_degenerates(self):
         params = HLawParams(alpha=4.0, lam=6.0)
         grid = np.geomspace(0.05, 5.0, 25)
-        vals, method = ratio_beta_law_pdf_mc(grid, 1.5, 5000.0, 1.0, params)
+        vals = ratio_beta_law_pdf(grid, 1.5, 5000.0, 1.0, params)
         ref = np.array([ratio_law_pdf(r, 1.5, params) for r in grid])
-        assert method == "quadrature"
         assert np.all(np.abs(vals - ref) <= 0.02 * np.maximum(ref, ref.max() * 1e-3))
 
     def test_matches_mc_draws(self):
@@ -305,10 +305,10 @@ class TestRatioBetaLaw:
         u = h_law_sample(params, seed=18, count=m)
         draws = q / (v * u)
         grid = np.geomspace(np.quantile(draws, 0.0005), np.quantile(draws, 0.9995), 400)
-        vals, _ = ratio_beta_law_pdf_mc(grid, phi, kappa, bparam, params)
+        vals = ratio_beta_law_pdf(grid, phi, kappa, bparam, params)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (vals[1:] + vals[:-1]))])
         lo_mass = integrate.quad(
-            lambda r: ratio_beta_law_pdf_mc(np.array([r]), phi, kappa, bparam, params)[0][0],
+            lambda r: ratio_beta_law_pdf(np.array([r]), phi, kappa, bparam, params)[0],
             0, grid[0], limit=100)[0]
         cdf_vals = np.clip(lo_mass + cum, 0.0, 1.0)
         assert ks_distance(draws, lambda x: np.interp(x, grid, cdf_vals)) < 0.03
@@ -316,7 +316,7 @@ class TestRatioBetaLaw:
     def test_nonnegative_and_normalized_on_grid(self):
         params = HLawParams(alpha=4.0, lam=6.0)
         grid = np.geomspace(1e-4, 400.0, 1000)
-        vals, _ = ratio_beta_law_pdf_mc(grid, 2.5, 3.0, 2.0, params)
+        vals = ratio_beta_law_pdf(grid, 2.5, 3.0, 2.0, params)
         assert np.all(vals >= 0)
         total = np.trapezoid(vals, grid)
         assert abs(total - 1.0) < 1e-3
@@ -332,8 +332,8 @@ class TestRatioBetaLaw:
 
         monkeypatch.setattr(integrate, "quad", quad)
         with pytest.raises(ConvergenceError):
-            ratio_beta_law_pdf_mc(np.array([0.5, 1.0]), 1.5, 3.0, 2.0,
-                                  HLawParams(alpha=4.0, lam=6.0))
+            ratio_beta_law_pdf(np.array([0.5, 1.0]), 1.5, 3.0, 2.0,
+                               HLawParams(alpha=4.0, lam=6.0))
 
 
 class TestPartialSketchingRep:

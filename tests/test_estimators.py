@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 
 from sketch_infer.core_model import DataSet, fit_full
 from sketch_infer import sketch_ops
-from sketch_infer.errors import DomainError, GammaNonpositive, MissingWStar, RankDeficient
+from sketch_infer.errors import (
+    DegenerateSSR,
+    DomainError,
+    GammaNonpositive,
+    MissingWStar,
+    RankDeficient,
+)
 from sketch_infer.estimators import (
     PartialInputs,
     fit_complete,
@@ -15,13 +23,14 @@ from sketch_infer.estimators import (
     fit_partial,
     partial_residual_ss_expectation,
     sigma2_hat_complete,
-    ssr_star,
 )
+from sketch_infer.inference import _wstar_ssr
 from sketch_infer.sketch_ops import (
     SketchKind,
     SketchSpec,
     SketchedData,
     apply_gaussian,
+    apply_sketch,
     derive_seed,
 )
 
@@ -31,6 +40,11 @@ from conftest import ks_distance, make_dataset
 def _gauss(data, k, seed, want_w_star=False):
     return apply_gaussian(data, SketchSpec(kind=SketchKind.GAUSSIAN, k=k, seed=seed),
                           want_w_star=want_w_star)
+
+
+def _ssr_star(sk, yty):
+    """SSR* of the star fit on ``sk`` at the zero null, y'y = ``yty``."""
+    return _wstar_ssr(fit_efficient_star(sk), sk, yty, np.zeros(sk.p))[1]
 
 
 def _partial_inputs(data):
@@ -229,20 +243,21 @@ class TestSsrStar:
         beta = np.array([1.0, 2.0, -1.0])
         data = DataSet(X=X, y=X @ beta)
         sk = _gauss(data, 20, 3, want_w_star=True)
-        assert ssr_star(sk, float(data.y @ data.y)) == pytest.approx(0.0, abs=1e-6)
+        with pytest.raises(DegenerateSSR, match="roundoff floor"):
+            _ssr_star(sk, float(data.y @ data.y))
 
     def test_square_sketch_equals_full_ssr(self):
         data = make_dataset(30, 3, [1.0, -1.0, 2.0], seed=44)
         full = fit_full(data)
         sk = _gauss(data, 30, 5, want_w_star=True)
-        assert ssr_star(sk, float(data.y @ data.y)) == pytest.approx(full.SSR_F, rel=1e-8)
+        assert _ssr_star(sk, float(data.y @ data.y)) == pytest.approx(full.SSR_F, rel=1e-8)
 
     def test_bounded_by_total(self):
         data = make_dataset(80, 3, [1.0, -1.0, 2.0], seed=45)
         yty = float(data.y @ data.y)
         for r in range(50):
             sk = _gauss(data, 10, derive_seed(7, r), want_w_star=True)
-            assert 0.0 <= ssr_star(sk, yty) <= yty
+            assert 0.0 <= _ssr_star(sk, yty) <= yty
 
     def test_chi2_law_null_centered(self):
         # exact chi2_{n-p} when the response mean is in the hypothesized null:
@@ -255,7 +270,7 @@ class TestSsrStar:
         for r in range(reps):
             y = rng.standard_normal(n)
             sk = _gauss(DataSet(X=X, y=y), k, derive_seed(3, r), want_w_star=True)
-            draws[r] = ssr_star(sk, float(y @ y))
+            draws[r] = _ssr_star(sk, float(y @ y))
         assert ks_distance(draws, lambda x: stats.chi2.cdf(x, n - p)) < 0.02
 
     def test_signal_leak_documented(self):
@@ -263,9 +278,62 @@ class TestSsrStar:
         n, p, k = 200, 3, 10
         data = make_dataset(n, p, [3.0, -2.0, 1.0], seed=51)
         yty = float(data.y @ data.y)
-        vals = [ssr_star(_gauss(data, k, derive_seed(9, r), want_w_star=True), yty)
+        vals = [_ssr_star(_gauss(data, k, derive_seed(9, r), want_w_star=True), yty)
                 for r in range(300)]
         assert np.mean(vals) > 2.0 * (n - p)  # far above the central chi2 mean
+
+
+@st.composite
+def _affine_maps(draw):
+    """A design shape, a sketch, and the map y -> a y + X c with a null h."""
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(p + 2, 12))
+    n = draw(st.integers(64, 128))
+    a = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    coef = st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)
+    c, h = np.array(draw(coef)), np.array(draw(coef))
+    spec = SketchSpec(kind=draw(st.sampled_from(list(SketchKind))), k=k,
+                      seed=draw(st.integers(0, 2**32 - 1)))
+    return n, p, a, c, h, spec
+
+
+class TestFitEquivariance:
+    """On one sketch, y -> a y + X c moves the fits as least squares dictates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_affine_maps())
+    def test_affine_response_map(self, case):
+        n, p, a, c, h, spec = case
+        data = make_dataset(n, p, np.linspace(-1.0, 1.0, p), seed=spec.seed, intercept=False)
+        X, y = data.X, data.y
+        try:
+            sk = apply_sketch(data, spec, want_w_star=True)
+            complete, star = fit_complete(sk), fit_efficient_star(sk)
+        except RankDeficient:
+            assume(False)  # an empty CountSketch bucket or rank-deficient sketch
+        moved = apply_sketch(DataSet(X=X, y=a * y + X @ c), spec, want_w_star=True)
+        scaled = apply_sketch(DataSet(X=X, y=a * y), spec, want_w_star=True)
+        tol = 1e-9 * (abs(a) * np.linalg.norm(star.beta) + np.linalg.norm(c) + 1.0)
+
+        moved_complete = fit_complete(moved)
+        np.testing.assert_allclose(moved_complete.beta, a * complete.beta + c, rtol=0, atol=tol)
+        assert moved_complete.SSR_s == pytest.approx(a * a * complete.SSR_s,
+                                                     abs=1e-9 * moved_complete.yty_s)
+        moved_star = fit_efficient_star(moved)
+        np.testing.assert_allclose(moved_star.beta, a * star.beta + c, rtol=0, atol=tol)
+
+        partial = fit_partial(sk, _partial_inputs(data))
+        scaled_partial = fit_partial(scaled, PartialInputs(Xty=X.T @ (a * y), yty=a * a * (y @ y)))
+        np.testing.assert_allclose(scaled_partial.beta, a * partial.beta, rtol=0,
+                                   atol=1e-9 * abs(a) * (np.linalg.norm(partial.beta) + 1.0))
+
+        e = y - X @ h
+        moved_h = a * h + c
+        e_moved = a * y + X @ c - X @ moved_h
+        yty, yty_moved = float(e @ e), float(e_moved @ e_moved)
+        _, ssr = _wstar_ssr(star, sk, yty, h)
+        _, ssr_moved = _wstar_ssr(moved_star, moved, yty_moved, moved_h)
+        assert ssr_moved == pytest.approx(a * a * ssr, abs=1e-9 * yty_moved)
 
 
 class TestSigma2Hat:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer.core_model import DataSet, _solve_triangular, fit_full
+from sketch_infer.core_model import DataSet, fit_full
 from sketch_infer.errors import (
     AssumptionViolated,
     DegenerateSSR,
@@ -20,7 +20,6 @@ from sketch_infer.estimators import (
     FitKind,
     PartialInputs,
     SketchFit,
-    _whiten,
     fit_complete,
     fit_efficient_star,
     fit_partial,
@@ -252,16 +251,14 @@ class TestWStarMarginalT:
 
     @pytest.mark.parametrize("excess,degenerate", [(0.5, True), (2.0, False)])
     def test_centered_ssr_star_roundoff_floor(self, excess, degenerate):
-        # SSR* = y'y - ||w||^2 set to `excess` times its floor k eps y'y: a
-        # positive value under the floor is roundoff and rejected
+        # SSR* = y'y - ||R(b* - h)||^2 set to `excess` times its floor
+        # k eps y'y: a positive value under the floor is roundoff and rejected
         data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
         k = 10
         sk = _gauss(data, k, 17, want_w_star=True)
         fit = fit_efficient_star(sk)
         hyp = np.zeros(3)
-        Xt, yt = _whiten(sk)
-        w = _solve_triangular(fit.gram_s_factor, Xt.T @ (yt - Xt @ hyp), trans=True)
-        ww = float(w @ w)
+        ww = float(np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2))
         yty = ww * (1.0 + excess * k * np.finfo(float).eps)
         assert yty - ww > 0.0
         if degenerate:
@@ -278,6 +275,16 @@ class TestWStarMarginalT:
             wstar_marginal_t_tests(fit_complete(sk), sk, yty, np.zeros(3), 0.95)
         with pytest.raises(DomainError):
             wstar_marginal_t_tests(fit_efficient_star(sk), sk, yty, np.zeros(3), 1.0)
+
+    def test_null_length_must_match(self):
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        sk = _gauss(data, 10, 17, want_w_star=True)
+        fit = fit_efficient_star(sk)
+        yty = float(data.y @ data.y)
+        with pytest.raises(DomainError, match="beta_hyp has length 1"):
+            wstar_exact_tests(fit, sk, yty, [0.0])
+        with pytest.raises(DomainError, match="beta_hyp has length 4"):
+            wstar_marginal_t_tests(fit, sk, yty, np.zeros(4), 0.95)
 
 
 class TestSamplingApproxT:
