@@ -387,7 +387,8 @@ def cmd_simulate(args) -> int:
     report.write_csvs(args.output_dir)
     for line in report.summary_lines():
         print(line)
-    print(f"runtime: {report.runtime_seconds:.1f} s; outputs in {args.output_dir}")
+    workers = f"{report.workers} worker{'s' if report.workers > 1 else ''}"
+    print(f"runtime: {report.runtime_seconds:.1f} s on {workers}; outputs in {args.output_dir}")
     return EXIT_OK
 
 

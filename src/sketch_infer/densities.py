@@ -436,7 +436,10 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
     if not math.isfinite(bGb):
         raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     b0Gb0 = float(truth.beta_0 @ gram @ truth.beta_0)
-    s = bGb0 * bGb0 / truth.sigma2**2 + k * gamma * b0Gb0 / truth.sigma2
+    q = bGb0 / truth.sigma2  # squared after the division: sigma2**2 can overflow
+    s = q * q + k * gamma * b0Gb0 / truth.sigma2
+    if not math.isfinite(s):
+        raise NonFinite(f"Bessel argument overflows at sigma2={truth.sigma2} (b'X'X beta_0={bGb0})")
     nu = (k + 2 - p) / 2.0  # |(p - k - 2)/2|
     log_const = (
         (p - k) / 2.0 * math.log(2.0)

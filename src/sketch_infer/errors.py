@@ -68,3 +68,8 @@ class NegativeDenominator(SketchInferError):
 
 class EmptyInput(SketchInferError):
     """An operation that needs at least one sample received none."""
+
+
+class WorkerFailed(SketchInferError):
+    """A worker process running a range of simulation replicates exited
+    without returning its results (killed, or died of an unexpected error)."""

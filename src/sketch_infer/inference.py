@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     MissingWStar,
     NegativeDenominator,
+    NonFinite,
     ZeroEstimate,
 )
 from .estimators import FitKind, SketchFit, sigma2_hat_complete
@@ -116,6 +117,17 @@ def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
     return float(w @ w)
 
 
+def _standard_error(sigma2_hat: float, R: np.ndarray, j: int) -> float:
+    """sqrt(sigma2_hat [(R'R)^{-1}]_jj); NonFinite where it underflows to 0,
+    as the t statistic that divides by it would not be finite."""
+    e = np.zeros(R.shape[0])
+    e[j] = 1.0
+    se = math.sqrt(sigma2_hat * _gram_inv_quad(R, e))
+    if se == 0.0:
+        raise NonFinite(f"the standard error of coefficient {j} underflows to 0")
+    return se
+
+
 def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
     if fit.kind is not kind:
         raise DomainError(f"{op} requires a {kind.value} fit, got {fit.kind.value}")
@@ -177,9 +189,7 @@ def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float)
     ssr = _require_ssr(fit, k)
     if not 0 <= j < p:
         raise IndexError(f"coefficient index {j} outside [0, {p})")
-    e = np.zeros(p)
-    e[j] = 1.0
-    se = math.sqrt(ssr / (k - p) * _gram_inv_quad(fit.gram_s_factor, e))
+    se = _standard_error(ssr / (k - p), fit.gram_s_factor, j)
     return (fit.beta[j] - hyp_j) / se, se
 
 
@@ -311,9 +321,7 @@ def wstar_marginal_t_tests(
     tq = dist_quantile(law, (1.0 + level) / 2.0)
     results = []
     for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        se = math.sqrt(sigma2_hat * _gram_inv_quad(fit.gram_s_factor, e))
+        se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
         b_j = float(fit.beta[j])
         stat = (b_j - float(hyp[j])) / se
         test = TestResult(

@@ -5,13 +5,19 @@ estimator histograms are compared to their exact sketching laws) and
 repeated sampling (fixed covariates, fresh response and projection per
 replicate; pivot histograms are compared to their approximate null laws).
 Replicates are independent tasks with per-replicate derived seeds, so a run
-is bit-reproducible from its root seed regardless of scheduling.
+is bit-reproducible from its root seed regardless of scheduling: each sketch
+kind's replicates are split into contiguous index ranges, one per usable CPU,
+run in forked workers and joined in index order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
 import os
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +43,7 @@ from .errors import (
     NegativeDenominator,
     NonFinite,
     SketchInferError,
+    WorkerFailed,
 )
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
@@ -166,10 +173,15 @@ class ResultTable:
 
 @dataclass
 class SimReport:
+    """The tables of one run.  ``workers`` (the processes that ran the
+    replicates) is reported beside ``runtime_seconds`` but kept out of the
+    JSON report, which does not depend on it."""
+
     config: SimConfig
     tables: list
     beta_F: np.ndarray | None
     runtime_seconds: float
+    workers: int = 1
 
     def table(self, name: str, sketch) -> ResultTable:
         key = sketch.value if isinstance(sketch, SketchKind) else str(sketch)
@@ -388,6 +400,110 @@ def _partial_or_nan(pfit, sk, m_vec, extra_variance: float = 0.0) -> float:
         return np.nan
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where replicates cannot be forked.
+
+    That is where fork or the affinity mask is unavailable, and inside a
+    daemonic process, which multiprocessing does not let have children.
+    """
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _replicate_range(one, width: int, lo: int, hi: int) -> tuple:
+    """Replicates lo..hi-1: a (width, hi - lo) array whose column r - lo holds
+    ``one(r)``, and the first failure as (r, SketchInferError), else None.
+    The loop stops at the first failure."""
+    out = np.empty((width, hi - lo))
+    for r in range(lo, hi):
+        try:
+            out[:, r - lo] = one(r)
+        except SketchInferError as exc:
+            return out, (r, exc)
+    return out, None
+
+
+def _worker(send, ones, width: int, lo: int, hi: int) -> None:
+    # Ctrl-C reaches the whole process group: the parent alone handles it,
+    # and ends its workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for one in ones:
+        result = _replicate_range(one, width, lo, hi)
+        send.send(result)
+        if result[1] is not None:
+            break
+    send.close()
+
+
+def _columns(kind: SketchKind, result: tuple) -> np.ndarray:
+    """The columns of one replicate range; its failure is raised as the run's error."""
+    cols, failure = result
+    if failure is not None:
+        r, exc = failure
+        raise type(exc)(f"{kind.value} replicate {r}: {exc}") from exc
+    return cols
+
+
+def _receive(kind: SketchKind, proc, recv, lo: int, hi: int) -> tuple:
+    """A worker's next replicate range result, or WorkerFailed if it exited first."""
+    try:
+        return recv.recv()
+    except EOFError:
+        proc.join()
+        raise WorkerFailed(f"{kind.value} replicates {lo}-{hi - 1}: worker exited with code "
+                           f"{proc.exitcode} before sending its results") from None
+
+
+def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) -> list:
+    """Replicates 0..m-1 of each kind: one (width, m) array per kind, whose
+    column r is ``ones[i](r)`` for kind ``kinds[i]``.
+
+    [0, m) is split into ``workers`` contiguous ranges, forked once per run.
+    Range 0 runs here; every other range runs in a forked child, which sends
+    its columns back over a pipe kind by kind.  The columns are joined in
+    index order, so the arrays do not depend on ``workers``, and with one
+    worker nothing is forked.  A SketchInferError ends the run where a loop
+    over the kinds and then the replicates would stop: at the first failing
+    kind's lowest failing replicate r, as the same error type with the
+    message prefixed by the kind and r and the original error as its cause.
+    A child that exits without sending raises WorkerFailed.  No child
+    outlives the call.
+    """
+    bounds = [m * w // workers for w in range(workers + 1)]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    children = []
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context("fork")
+            # a child flushes the standard streams when it exits: empty
+            # them first, so that it cannot repeat what the parent wrote
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for lo, hi in ranges[1:]:
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_worker, args=(send, ones, width, lo, hi), daemon=True)
+                proc.start()
+                send.close()
+                children.append((proc, recv, lo, hi))
+        per_kind = []
+        for kind, one in zip(kinds, ones):
+            # in index order, so the first failure raised is the lowest
+            parts = [_columns(kind, _replicate_range(one, width, *ranges[0]))]
+            for child in children:
+                parts.append(_columns(kind, _receive(kind, *child)))
+            per_kind.append(parts[0] if workers == 1 else np.concatenate(parts, axis=1))
+        return per_kind
+    finally:
+        for proc, recv, _, _ in children:
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
+            recv.close()
+
+
 def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     """One dataset, cfg.m independent sketches per sketch kind.
 
@@ -425,23 +541,25 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
         ))
         rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
 
-    tables = []
-    for kind_idx, kind in enumerate(cfg.sketch_kinds):
-        seed_base = 10_000 + kind_idx * m
-        bs, bp, se, null_stat, part = (np.empty((len(cfg.targets), m)) for _ in range(5))
-        for r in range(m):
-            try:
-                spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + r))
-                sk = apply_sketch(data, spec)
-                cfit = fit_complete(sk)
-                pfit = fit_partial(sk, partial_in)
-                for i, j in enumerate(cfg.targets):
-                    null_stat[i, r], se[i, r] = marginal_t_statistic(cfit, sk, j, full.beta_F[j])
-                    bs[i, r], bp[i, r] = cfit.beta[j], pfit.beta[j]
-                    part[i, r] = _partial_or_nan(pfit, sk, unit[j])
-            except SketchInferError as exc:
-                raise type(exc)(f"{kind.value} replicate {r}: {exc}") from exc
+    def one(kind, seed_base, r):
+        spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + r))
+        sk = apply_sketch(data, spec)
+        cfit = fit_complete(sk)
+        pfit = fit_partial(sk, partial_in)
+        values = []
+        for j in cfg.targets:
+            values += marginal_t_statistic(cfit, sk, j, full.beta_F[j])
+            values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, unit[j])
+        return values
 
+    workers = min(_usable_cpus(), m)
+    ones = [functools.partial(one, kind, 10_000 + kind_idx * m)
+            for kind_idx, kind in enumerate(cfg.sketch_kinds)]
+    per_kind = _run_replicates(cfg.sketch_kinds, m, workers, 5 * len(cfg.targets), ones)
+    tables = []
+    for kind, cols in zip(cfg.sketch_kinds, per_kind):
+        # row 5 i + q holds series q of target i
+        null_stat, se, bs, bp, part = (cols[q::5] for q in range(5))
         for i, j in enumerate(cfg.targets):
             tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
             ref = rep_ref[j]
@@ -455,7 +573,7 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
 
     return SimReport(
         config=cfg, tables=tables, beta_F=full.beta_F,
-        runtime_seconds=time.perf_counter() - t_start,
+        runtime_seconds=time.perf_counter() - t_start, workers=workers,
     )
 
 
@@ -479,28 +597,28 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     pivot_tables = _pivot_tables(cfg)
     unit = {j: np.eye(p)[j] for j in cfg.targets}
 
-    tables = []
-    for kind_idx, kind in enumerate(cfg.sketch_kinds):
-        seed_base = 10_000 + kind_idx * 2 * m
-        ssr, s2h = np.empty(m), np.empty(m)
-        bs, se, null_stat, part = (np.empty((len(cfg.targets), m)) for _ in range(4))
-        for r in range(m):
-            try:
-                y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, seed_base + 2 * r))
-                spec = SketchSpec(kind=kind, k=k,
-                                  seed=derive_seed(cfg.root_seed, seed_base + 2 * r + 1))
-                sk = apply_sketch(data.with_response(y), spec)
-                cfit = fit_complete(sk)
-                pfit = fit_partial(sk, PartialInputs(Xty=X.T @ y, yty=float(y @ y)))
-                ssr[r] = cfit.SSR_s
-                s2h[r] = sigma2_hat_complete(cfit.SSR_s, n, k, p)
-                for i, j in enumerate(cfg.targets):
-                    null_stat[i, r], se[i, r] = marginal_t_statistic(cfit, sk, j, truth.beta_0[j])
-                    bs[i, r] = cfit.beta[j]
-                    part[i, r] = _partial_or_nan(pfit, sk, unit[j], s2h[r])
-            except SketchInferError as exc:
-                raise type(exc)(f"{kind.value} replicate {r}: {exc}") from exc
+    def one(kind, seed_base, r):
+        y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, seed_base + 2 * r))
+        spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + 2 * r + 1))
+        sk = apply_sketch(data.with_response(y), spec)
+        cfit = fit_complete(sk)
+        pfit = fit_partial(sk, PartialInputs(Xty=X.T @ y, yty=float(y @ y)))
+        s2h = sigma2_hat_complete(cfit.SSR_s, n, k, p)
+        values = [cfit.SSR_s, s2h]
+        for j in cfg.targets:
+            values += marginal_t_statistic(cfit, sk, j, truth.beta_0[j])
+            values += cfit.beta[j], _partial_or_nan(pfit, sk, unit[j], s2h)
+        return values
 
+    workers = min(_usable_cpus(), m)
+    ones = [functools.partial(one, kind, 10_000 + kind_idx * 2 * m)
+            for kind_idx, kind in enumerate(cfg.sketch_kinds)]
+    per_kind = _run_replicates(cfg.sketch_kinds, m, workers, 2 + 4 * len(cfg.targets), ones)
+    tables = []
+    for kind, cols in zip(cfg.sketch_kinds, per_kind):
+        # rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 4 i + q series q of target i
+        ssr, s2h = cols[0], cols[1]
+        null_stat, se, bs, part = (cols[2 + q::4] for q in range(4))
         tables += [_table("ssr_s", kind, ssr), _table("sigma2_hat", kind, s2h)]
         for i, j in enumerate(cfg.targets):
             tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
@@ -509,5 +627,5 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
 
     return SimReport(
         config=cfg, tables=tables, beta_F=None,
-        runtime_seconds=time.perf_counter() - t_start,
+        runtime_seconds=time.perf_counter() - t_start, workers=workers,
     )

@@ -21,13 +21,16 @@ import numpy as np
 from .core_model import DataSet, _qr_full_rank
 from .errors import DimensionMismatch, DomainError
 
-# column block for the streaming Gaussian application; fixed so that the
-# realization is bit-identical whether or not W* is requested
+# columns of a Gaussian sketch drawn at once; fixed so that the draws (and
+# so the realization) are bit-identical whether or not W* is requested
 _GAUSS_CHUNK = 1 << 16
-# column block of the sampled Hadamard rows: bounds the k x block buffer and,
-# being fixed, keeps the summation order (the realization's last bits) fixed;
-# a power of two, so that the sampled rows factor over the blocks
-_HADAMARD_BLOCK = 1 << 10
+# column block of every streamed matrix product (the drawn Gaussian columns,
+# the sampled Hadamard rows): fixed, so the summation order (the
+# realization's last bits) is fixed; small, so a k x block x (p + 1) product
+# wakes no BLAS threads to compete with forked harness workers (one
+# 21 x 10^4 x 12 product does); a power of two, so the sampled Hadamard rows
+# factor over the blocks and the blocks tile each drawn Gaussian chunk
+_BLOCK = 1 << 10
 
 
 class SketchKind(str, enum.Enum):
@@ -114,9 +117,9 @@ def _check_feasible(data: DataSet, spec: SketchSpec, want_w_star: bool) -> None:
 def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
     """Apply a Gaussian sketch with i.i.d. N(0, 1/k) entries.
 
-    The projection is generated in fixed column blocks and applied
-    immediately, so memory stays O(k * block) and the realization depends
-    only on (n, k, seed).
+    The projection is drawn in fixed column chunks and applied immediately,
+    in products over fixed column blocks of each chunk, so memory stays
+    O(k * chunk) and the realization depends only on (n, k, seed).
     """
     if spec.kind is not SketchKind.GAUSSIAN:
         raise DomainError(f"spec.kind is {spec.kind}, expected gaussian")
@@ -132,7 +135,9 @@ def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
         stop = min(start + _GAUSS_CHUNK, n)
         Sc = rng.standard_normal((k, stop - start))
         Sc *= scale
-        B += Sc @ A[start:stop]
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            B += Sc[:, lo - start:hi - start] @ A[lo:hi]
         if W is not None:
             W += Sc @ Sc.T
     Xs, ys = _split(B)
@@ -176,7 +181,7 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     rng = np.random.default_rng(spec.seed)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     idx = rng.choice(n_pad, size=k, replace=False)
-    block = _HADAMARD_BLOCK
+    block = _BLOCK
     base = _walsh_rows(idx, np.arange(min(block, n)))  # columns < block see only i mod block
     row_signs = _walsh_rows(idx // block, np.arange(-(-n // block)))
     SA = A * signs[:, None]

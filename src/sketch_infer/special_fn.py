@@ -205,10 +205,13 @@ def log_bessel_k(nu: float, x: float) -> float:
     Delegates to the exponentially scaled routine where the value is
     representable; falls back to the small-argument form K_nu(x) ~
     Gamma(nu)/2 (2/x)^nu and to the uniform large-order asymptotic
-    expansion where it is not.
+    expansion where it is not.  A non-finite order or argument raises
+    ``NonFinite``.
     """
     nu = abs(float(nu))
     x = float(x)
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise NonFinite(f"log K_nu needs a finite order and argument, got nu={nu}, x={x}")
     if x <= 0.0:
         raise DomainError(f"K_nu requires x > 0, got x={x}")
     # small-argument regime: x^2 negligible against the order

@@ -303,6 +303,22 @@ class TestSimulate:
         assert err.startswith("error: gaussian replicate 0: ") and "Traceback" not in err
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("cpus,m,named", [(1, 5, "on 1 worker;"), (3, 2, "on 2 workers;")])
+    def test_runtime_line_names_workers(self, tmp_path, capsys, monkeypatch, cpus, m, named):
+        from sketch_infer import sim_study
+
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: cpus)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": m, "beta0": [2.0, -1.0, 0.0, 1.0],
+            "sigma2": 1.0, "sketch_kinds": ["hadamard"], "targets": [0],
+            "root_seed": 5, "rep_draws": 2000,
+        }))
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+        assert rc == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("runtime: ") and named in last
+
     def test_invalid_sketch_name_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -490,6 +506,32 @@ class TestCsvParser:
         path.write_bytes(text.encode("utf-8"))
         assert _parse_outcome(cli._read_csv, path, response, intercept) == \
             _parse_outcome(_read_csv_reference, path, response, intercept)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts(), response=st.sampled_from(["y", "0"]), intercept=st.booleans(),
+           mode=st.sampled_from(["complete", "partial", "efficient"]),
+           kind=st.sampled_from(["gaussian", "hadamard", "clarkson_woodruff"]),
+           k=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 3))
+    @example(text="x0,y\n1,2\n2,3.5\n3,3\n4,6\n5,4\n", response="y", intercept=True,
+             mode="complete", kind="gaussian", k=3, seed=0)
+    @example(text='x0,y\n0.0,1.0\n"6.362424904190393e+161","0.0"\n\n\n\n', response="y",
+             intercept=False, mode="efficient", kind="gaussian", k=2, seed=0)
+    def test_infer_exits_with_a_documented_code(self, tmp_path, capsys, text, response,
+                                                intercept, mode, kind, k, seed):
+        # every outcome of `infer` on any text is a documented exit code
+        # with, at most, a one-line diagnostic: never a traceback
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(text.encode("utf-8"))
+        argv = ["infer", "--input", str(path), "--response", response, "--sketch", kind,
+                "--k", str(k), "--mode", mode, "--seed", str(seed),
+                "--output", str(tmp_path / "fuzz.json")]
+        capsys.readouterr()
+        code = main(argv + (["--intercept"] if intercept else []))
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in out + err
+        assert code == 0 or err.startswith("error: ")
 
     def test_well_formed_csv_skips_cell_by_cell_parse(self, tmp_path, data_csv, monkeypatch):
         def per_cell(*args):

@@ -478,6 +478,19 @@ class TestPartialApproxDensity:
             for b2 in np.linspace(-4, 4, 5):
                 assert partial_approx_pdf(np.array([b1, b2]), truth, X.T @ X, k, p) >= 0.0
 
+    def test_huge_error_variance_is_the_zero_signal_law(self):
+        # sigma2^2 overflows a float; beta_0 is then negligible next to the
+        # noise and the density is its beta_0 = 0 limit
+        b, gram, k, p = np.ones(2), np.eye(2), 10, 2
+        got = partial_approx_pdf(b, ModelTruth(np.ones(2), 1e160), gram, k, p)
+        ref = partial_approx_pdf(b, ModelTruth(np.zeros(2), 1e160), gram, k, p)
+        assert 0.0 < got and got == pytest.approx(ref, rel=1e-10)
+
+    def test_tiny_error_variance_raises_non_finite(self):
+        # the Bessel argument b'X'X beta_0 / sigma2 squared overflows
+        with pytest.raises(NonFinite):
+            partial_approx_pdf(np.ones(2), ModelTruth(np.ones(2), 1e-160), np.eye(2), 10, 2)
+
 
 class TestSketchingLawHelper:
     def test_marginal_matches_construction(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sketch_infer.core_model import DataSet, fit_full
@@ -13,6 +15,8 @@ from sketch_infer.errors import (
     DomainError,
     MissingWStar,
     NegativeDenominator,
+    NonFinite,
+    RankDeficient,
     SketchInferError,
     ZeroEstimate,
 )
@@ -37,7 +41,13 @@ from sketch_infer.inference import (
     wstar_exact_tests,
     wstar_marginal_t_tests,
 )
-from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
+from sketch_infer.sketch_ops import (
+    SketchKind,
+    SketchSpec,
+    apply_gaussian,
+    apply_sketch,
+    derive_seed,
+)
 
 from conftest import ks_distance, make_dataset
 
@@ -490,3 +500,66 @@ class TestInvariance:
         p1 = partial_linear_combination_test(fit_partial(sk1, _partial_inputs(data)), sk1, m)
         p2 = partial_linear_combination_test(fit_partial(sk2, _partial_inputs(data2)), sk2, A.T @ m)
         assert p1.p_value == pytest.approx(p2.p_value, rel=1e-8)
+
+
+@st.composite
+def _small_designs(draw):
+    """A small regression (p <= 4, k <= 16, n <= 80), a sketch and a null.
+
+    Noise, signal and null each span several orders of magnitude, so the
+    statistics reach both tails of their laws.
+    """
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(p + 2, 16))
+    n = draw(st.integers(k, 80))
+    spec = SketchSpec(kind=draw(st.sampled_from(list(SketchKind))), k=k,
+                      seed=draw(st.integers(0, 2**32 - 1)))
+    scale = st.floats(1e-3, 1e3)
+    beta = draw(scale) * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    hyp = draw(scale) * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    data = make_dataset(n, p, beta, sigma2=draw(scale) ** 2, seed=spec.seed,
+                        intercept=draw(st.booleans()))
+    return data, spec, hyp
+
+
+# what a pivot that cannot be formed on a valid design raises; a DomainError
+# (TestResult's own check of its p-value among them) is a failure here
+_UNFORMED_PIVOT = (AssumptionViolated, DegenerateSSR, NegativeDenominator, NonFinite)
+
+
+class TestPValuesInUnitInterval:
+    """Every test the package returns has a p-value in [0, 1]; a pivot that
+    cannot be formed raises a typed error instead of returning one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_small_designs())
+    def test_every_p_value(self, case):
+        data, spec, hyp = case
+        try:
+            sk = apply_sketch(data, spec, want_w_star=True)
+            complete, star = fit_complete(sk), fit_efficient_star(sk)
+            partial = fit_partial(sk, _partial_inputs(data))
+        except RankDeficient:
+            assume(False)  # an empty CountSketch bucket or rank-deficient sketch
+        p = data.p
+        e_hyp = data.y - data.X @ hyp
+        calls = [lambda: [complete_joint_f_test(complete, sk, hyp)],
+                 lambda: list(wstar_exact_tests(star, sk, float(e_hyp @ e_hyp), hyp, 1.0))]
+        for j in range(p):
+            unit = np.eye(p)[j]
+            calls += [
+                lambda j=j: [complete_marginal_t_test(complete, sk, j, hyp[j])],
+                lambda u=unit: [partial_linear_combination_test(partial, sk, u)],
+                lambda u=unit: [partial_linear_combination_test(partial, sk, u,
+                                                                Regime.REPEATED_SAMPLE)],
+            ]
+        returned = 0
+        for call in calls:
+            try:
+                results = call()
+            except _UNFORMED_PIVOT:
+                continue
+            for res in results:
+                assert 0.0 <= res.p_value <= 1.0, res
+                returned += 1
+        assert returned > 0

@@ -1,8 +1,12 @@
 """Simulation harness: determinism, bookkeeping, emission formats."""
 
+import contextlib
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,7 +15,14 @@ from scipy import stats
 from sketch_infer import sim_study
 from sketch_infer.core_model import fit_full
 from sketch_infer.densities import sample_partial_sketching_rep
-from sketch_infer.errors import DegenerateSSR, DomainError, EmptyInput, NonFinite
+from sketch_infer.errors import (
+    DegenerateSSR,
+    DomainError,
+    EmptyInput,
+    NonFinite,
+    RankDeficient,
+    WorkerFailed,
+)
 from sketch_infer.inference import Regime
 from sketch_infer.sim_study import (
     SimConfig,
@@ -248,3 +259,132 @@ class TestEmission:
         assert len(lines) == len(rep.tables) + 1
         assert "KS" in lines[0]
 
+
+def _report_bytes(rep) -> tuple:
+    """The JSON report bar runtime_seconds, and every table's samples in replicate order."""
+    doc = rep.to_jsonable()
+    doc.pop("runtime_seconds")
+    return json_text(doc), tuple(t.samples.tobytes() for t in rep.tables)
+
+
+_RUNNERS = [(Regime.REPEATED_SKETCH, run_repeated_sketching),
+            (Regime.REPEATED_SAMPLE, run_repeated_sampling)]
+
+
+def _sketch_seed(cfg, kind_idx, r):
+    """The sketch seed of replicate r of kind ``cfg.sketch_kinds[kind_idx]``."""
+    if cfg.regime is Regime.REPEATED_SKETCH:
+        return derive_seed(cfg.root_seed, 10_000 + kind_idx * cfg.m + r)
+    return derive_seed(cfg.root_seed, 10_000 + kind_idx * 2 * cfg.m + 2 * r + 1)
+
+
+def _failing_at(monkeypatch, cfg, fail):
+    """Make apply_sketch raise RankDeficient at each (kind index, replicate) in ``fail``."""
+    real = sim_study.apply_sketch
+    seeds = {_sketch_seed(cfg, i, r): r for i, r in fail}
+
+    def apply(data, spec, *args):
+        if spec.seed in seeds:
+            raise RankDeficient(f"injected at {seeds[spec.seed]} in pid {os.getpid()}")
+        return real(data, spec, *args)
+
+    monkeypatch.setattr(sim_study, "apply_sketch", apply)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the body takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerCounts:
+    """Replicates split over 1, 2 or 3 forked workers give the serial run's results."""
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    def test_reports_byte_identical(self, monkeypatch, regime, run):
+        for m in (1, 2, 5, 60):
+            cfg = _small_cfg(regime, m=m, kinds=tuple(SketchKind))
+            texts = set()
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sim_study, "_usable_cpus", lambda cpus=cpus: cpus)
+                rep = run(cfg)
+                assert rep.workers == min(cpus, m)
+                texts.add(_report_bytes(rep))
+            assert len(texts) == 1, f"m={m}: reports differ across worker counts"
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    @pytest.mark.parametrize("fail", [((0, 45),), ((0, 25), (0, 45)), ((0, 59),), ((0, 0), (0, 50)),
+                                      ((1, 5), (0, 45)), ((1, 45), (1, 5))])
+    def test_failure_in_any_range_matches_serial(self, monkeypatch, regime, run, fail):
+        # with 3 workers, [0, 60) splits into [0, 20) here and [20, 40), [40, 60)
+        # in two children: the error is where a serial loop over the kinds and
+        # then the replicates stops, wherever that replicate ran
+        kinds = (SketchKind.CLARKSON_WOODRUFF, SketchKind.GAUSSIAN)
+        cfg = _small_cfg(regime, m=60, kinds=kinds)
+        _failing_at(monkeypatch, cfg, fail)
+        errors = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sim_study, "_usable_cpus", lambda cpus=cpus: cpus)
+            with _deadline(60), pytest.raises(RankDeficient) as info:
+                run(cfg)
+            errors.append(info.value)
+            assert not multiprocessing.active_children()
+        kind_idx, r = min(fail)
+        for exc in errors:
+            assert type(exc) is RankDeficient and type(exc.__cause__) is RankDeficient
+            assert str(exc) == f"{kinds[kind_idx].value} replicate {r}: {exc.__cause__}"
+            assert str(exc.__cause__).startswith(f"injected at {r} in pid ")
+        # the serial run failed in this process, the forked ones in a child
+        # (pid aside, the messages agree)
+        assert str(errors[0].__cause__) == f"injected at {r} in pid {os.getpid()}"
+        assert (r >= 20) == (str(errors[2].__cause__) != str(errors[0].__cause__))
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    @pytest.mark.parametrize("kinds", [(SketchKind.HADAMARD,),
+                                       (SketchKind.CLARKSON_WOODRUFF, SketchKind.HADAMARD)],
+                             ids=["first-kind", "second-kind"])
+    def test_dead_worker_raises_and_leaves_no_child(self, monkeypatch, regime, run, kinds):
+        cfg = _small_cfg(regime, m=60, kinds=kinds)
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 3)
+        parent, real = os.getpid(), sim_study.apply_sketch
+        dying = _sketch_seed(cfg, len(kinds) - 1, 50)
+
+        def apply(data, spec, *args):
+            if spec.seed == dying and os.getpid() != parent:
+                os._exit(7)
+            return real(data, spec, *args)
+
+        monkeypatch.setattr(sim_study, "apply_sketch", apply)
+        with _deadline(30), pytest.raises(WorkerFailed,
+                                          match=r"^hadamard replicates 40-59: .*code 7"):
+            run(cfg)
+        assert not multiprocessing.active_children()
+
+    def test_serial_where_fork_is_unavailable(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert sim_study._usable_cpus() == 1
+        rep = run_repeated_sampling(_small_cfg(Regime.REPEATED_SAMPLE, m=5))
+        assert rep.workers == 1
+
+    def test_one_worker_inside_a_daemonic_process(self):
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=lambda: send.send(sim_study._usable_cpus()), daemon=True)
+        proc.start()
+        assert recv.poll(30) and recv.recv() == 1
+        proc.join(30)
+        assert not proc.is_alive()
+        assert sim_study._usable_cpus() == len(os.sched_getaffinity(0))

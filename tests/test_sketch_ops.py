@@ -68,6 +68,25 @@ class TestGaussian:
         b = apply_gaussian(data, _spec(SketchKind.GAUSSIAN, 8, 77))
         assert np.array_equal(a.Xs, b.Xs) and np.array_equal(a.ys, b.ys)
 
+    @pytest.mark.parametrize("chunk,block,n", [(1 << 16, 1 << 10, 2500), (16, 4, 50), (16, 4, 47)])
+    def test_block_products_of_the_drawn_chunks(self, monkeypatch, chunk, block, n):
+        # the normals are drawn chunk by chunk and each chunk is applied in
+        # column blocks: the sketch is the block products summed in order
+        monkeypatch.setattr(sketch_ops, "_GAUSS_CHUNK", chunk)
+        monkeypatch.setattr(sketch_ops, "_BLOCK", block)
+        k = 9
+        data = make_dataset(n, 3, np.ones(3), seed=4)
+        sk = apply_gaussian(data, _spec(SketchKind.GAUSSIAN, k, 12))
+        gen = np.random.default_rng(12)
+        S = np.hstack([gen.standard_normal((k, min(chunk, n - s))) for s in range(0, n, chunk)])
+        S *= 1.0 / np.sqrt(k)
+        A = np.column_stack([data.y, data.X])
+        B = np.zeros((k, 4))
+        for s in range(0, n, block):
+            B += S[:, s:s + block] @ A[s:s + block]
+        assert np.array_equal(sk.ys, B[:, 0]) and np.array_equal(sk.Xs, B[:, 1:])
+        np.testing.assert_allclose(B, S @ A, rtol=1e-12, atol=1e-12)
+
     def test_wstar_identical_realization(self):
         # requesting W* must not change the realized sketch
         data = make_dataset(40, 3, np.ones(3), seed=1)
@@ -122,7 +141,7 @@ class TestHadamard:
 
     @staticmethod
     def _check_dense_transform(monkeypatch, block, n, k, seed):
-        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", block)
+        monkeypatch.setattr(sketch_ops, "_BLOCK", block)
         n_pad = 1 << (n - 1).bit_length()
         rng = np.random.default_rng(1)
         X = rng.standard_normal((n, 2))
@@ -155,7 +174,7 @@ class TestHadamard:
     def test_wstar_with_padding(self, monkeypatch):
         # n = 6 pads to 8; W* must equal S S^T over the 6 real columns, and
         # the sketch S [y | X] is accumulated over 4-column blocks
-        monkeypatch.setattr(sketch_ops, "_HADAMARD_BLOCK", 4)
+        monkeypatch.setattr(sketch_ops, "_BLOCK", 4)
         n, k, seed = 6, 4, 33
         rng = np.random.default_rng(2)
         X = rng.standard_normal((n, 2))
@@ -257,8 +276,8 @@ def _apply_hadamard_reference(data: DataSet, spec: SketchSpec, want_w_star: bool
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     idx = rng.choice(n_pad, size=k, replace=False)
     B = np.zeros((k, m))
-    for start in range(0, n, sketch_ops._HADAMARD_BLOCK):
-        stop = min(start + sketch_ops._HADAMARD_BLOCK, n)
+    for start in range(0, n, sketch_ops._BLOCK):
+        stop = min(start + sketch_ops._BLOCK, n)
         Hb = _walsh_rows(idx, np.arange(start, stop))
         Hb *= signs[start:stop]
         B += Hb @ A[start:stop]
@@ -335,7 +354,7 @@ class TestMatchesReferenceOperators:
         data = DataSet(X=rng.standard_normal((n, p)), y=rng.standard_normal(n))
         spec = _spec(kind, k, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sketch_ops, "_HADAMARD_BLOCK", block)
+            mp.setattr(sketch_ops, "_BLOCK", block)
             _assert_same_sketch(apply_sketch(data, spec, want_w_star),
                                 _REFERENCES[kind](data, spec, want_w_star))
 

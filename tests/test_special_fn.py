@@ -193,6 +193,12 @@ class TestBesselK:
                 ref = float(mpmath.log(mpmath.besselk(nu, mpmath.mpf(x))))
             assert abs(got - ref) < 1e-8 * abs(ref)
 
+    @pytest.mark.parametrize("nu,x", [(5.0, math.nan), (5.0, math.inf), (math.nan, 1.0),
+                                      (-math.inf, 1.0)])
+    def test_non_finite_arguments(self, nu, x):
+        with pytest.raises(NonFinite):
+            log_bessel_k(nu, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_k(1.0, 0.0)
