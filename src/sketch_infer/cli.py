@@ -210,7 +210,10 @@ def _fit(mode: str, data: DataSet, sk):
         if mode == "complete":
             return fit_complete(sk)
         if mode == "partial":
-            return fit_partial(sk, PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y)))
+            # an overflow here is reported by PartialInputs as NonFinite
+            with np.errstate(over="ignore", invalid="ignore"):
+                xty, yty = data.X.T @ data.y, float(data.y @ data.y)
+            return fit_partial(sk, PartialInputs(Xty=xty, yty=yty))
         if mode == "efficient":
             return fit_efficient_star(sk)
     except MissingWStar as exc:

@@ -31,10 +31,13 @@ def _qr_full_rank(X: np.ndarray):
     """Economy QR with a scale-invariant rank check on the R diagonal."""
     Q, R = np.linalg.qr(X)
     d = np.abs(np.diag(R))
-    if d.size == 0 or d.min() <= RANK_TOL * d.max():
+    # written so that a NaN diagonal fails the test too
+    if d.size == 0 or not d.min() > RANK_TOL * d.max():
+        if not np.isfinite(d).all():
+            raise NonFinite("the QR factorization overflowed: the matrix's entries are too large")
         raise RankDeficient(
             f"matrix is numerically rank deficient (min/max |R_ii| = "
-            f"{0.0 if d.size == 0 else d.min() / d.max():.3e})"
+            f"{d.min() / d.max() if d.size and d.max() > 0.0 else 0.0:.3e})"
         )
     return Q, R
 

@@ -19,14 +19,14 @@ suite against end-to-end simulation):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special, stats
-from scipy.linalg import cho_factor, cho_solve
 
-from .core_model import FullFit, ModelTruth
+from .core_model import FullFit, ModelTruth, _solve_triangular
 from .errors import (
     AssumptionViolated,
     ConvergenceError,
@@ -34,9 +34,48 @@ from .errors import (
     NegativeVariance,
     NonFinite,
 )
-from .special_fn import _log_laplace_integral, kummer_m, log_bessel_k, log_kummer_u
+from .special_fn import (
+    _log_laplace_integral,
+    _softplus,
+    kummer_m,
+    log_bessel_k,
+    log_kummer_u,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# symmetric positive definite matrices
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=4)
+def _cholesky(content: bytes, shape: tuple) -> tuple:
+    A = np.frombuffer(content).reshape(shape)
+    if not np.isfinite(A).all():
+        raise NonFinite("matrix contains NaN or infinite entries")
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("matrix must be positive definite") from exc
+    L.flags.writeable = False
+    return L, 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _spd_factor(matrix) -> tuple:
+    """(L, log det) of a symmetric positive definite matrix, L lower Cholesky.
+
+    The per-point density kernels see the same Gram or scale matrix at every
+    point, so the factorization is memoized on the matrix's content (a
+    C-ordered float64 copy of it, never its identity: a matrix changed in
+    place is factored afresh), a few matrices at a time.  L is read-only,
+    as every caller shares it.  Raises DomainError unless the matrix is
+    square and positive definite, NonFinite on a NaN or infinite entry.
+    """
+    A = np.ascontiguousarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {A.shape}")
+    return _cholesky(A.tobytes(), A.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +109,9 @@ def mvt_logpdf(params: MultivariateTParams, b) -> float:
     p = params.dim
     nu = params.df
     d = np.asarray(b, dtype=float).reshape(-1) - params.location
-    c, low = cho_factor(params.scale_matrix, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(c)))
-    q = float(d @ cho_solve((c, low), d))
+    L, logdet = _spd_factor(params.scale_matrix)
+    w = _solve_triangular(L, d, lower=True)
+    q = float(w @ w)
     return (
         special.gammaln((nu + p) / 2.0)
         - special.gammaln(nu / 2.0)
@@ -134,7 +173,8 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
     sigma = 1.0 / math.sqrt(root * t * (1.0 - t))  # -h''(logit t) = root t (1-t)
 
     def h(u):
-        return -x * special.expit(u) - a * np.logaddexp(0.0, -u) - c * np.logaddexp(0.0, u)
+        plus, minus = _softplus(u, mirrored=True)
+        return -x * special.expit(u) - a * minus - c * plus
 
     return _log_laplace_integral(h, math.log(t) - math.log1p(-t), sigma) - special.betaln(a, c)
 
@@ -154,9 +194,7 @@ def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int)
         raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
-    sign, logdet = np.linalg.slogdet(gram / truth.sigma2)
-    if sign <= 0:
-        raise DomainError("gram matrix must be positive definite")
+    logdet = _spd_factor(gram)[1] - p * math.log(truth.sigma2)  # of gram / sigma2
     log_const = (
         -(p / 2.0) * _LOG_2PI
         + 0.5 * logdet
@@ -397,8 +435,8 @@ def sample_partial_sampling_rep(
     if truth.sigma2 <= 0:
         raise DomainError("requires sigma2 > 0")
     _check_direction(m_vec, truth.beta_0, "beta_0")
-    c, low = cho_factor(gram, lower=True)
-    tau = float(m_vec @ cho_solve((c, low), m_vec))
+    w = _solve_triangular(_spd_factor(gram)[0], m_vec, lower=True)
+    tau = float(w @ w)
     mb0 = float(m_vec @ truth.beta_0)
     ncp = (float(truth.beta_0 @ gram @ truth.beta_0) - mb0 * mb0 / tau) / truth.sigma2
     ncp = max(ncp, 0.0)
@@ -427,9 +465,7 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
         raise DomainError("b and X'X must match p")
     gamma = (k - p - 1) / k
     eta = gamma * truth.sigma2
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise DomainError("gram matrix must be positive definite")
+    logdet = _spd_factor(gram)[1]
     with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
         bGb0 = float(b @ gram @ truth.beta_0)
         bGb = float(b @ gram @ b)

@@ -120,6 +120,23 @@ def _log_laplace_integral(h, mode: float, sigma: float) -> float:
     return float(top) + math.log(sigma * total)
 
 
+def _softplus(u: np.ndarray, mirrored: bool = False):
+    """log(1 + e^u) elementwise; with ``mirrored``, the pair (log(1 + e^u), log(1 + e^-u)).
+
+    softplus(+-u) = s + max(+-u, 0) with s = log1p(e^{-|u|}) computed once:
+    the formula ``np.logaddexp(0, +-u)`` evaluates element by element, here
+    in vectorized ufuncs, and it never overflows.  On the rule's 449 nodes
+    one sign costs ~70% of one ``logaddexp``, both signs under half of two.
+    softplus(-u) is not formed as softplus(u) - u, which cancels at large u.
+    The U integrand needs one sign, the M integrand (in ``densities``) both.
+    """
+    s = np.log1p(np.exp(-np.abs(u)))
+    plus = s + np.maximum(u, 0.0)
+    if not mirrored:
+        return plus
+    return plus, s + np.maximum(-u, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Kummer U (confluent hypergeometric function of the second kind)
 # ---------------------------------------------------------------------------
@@ -158,7 +175,7 @@ def log_kummer_u(a: float, b: float, z: float) -> float:
 
     def h(u):
         with np.errstate(over="ignore"):  # e^u -> inf is a zero term
-            return a * u + c * np.logaddexp(0.0, u) - z * np.exp(u)
+            return a * u + c * _softplus(u) - z * np.exp(u)
 
     return _log_laplace_integral(h, math.log(t), sigma) - special.gammaln(a)
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,23 @@ class TestNonFiniteReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
         assert not (out_dir / "report.json").exists()
+
+    def test_partial_inputs_overflow(self, tmp_path, capsys):
+        # X'y and y'y overflow, the QR and the sketch do not: PartialInputs
+        # reports NonFinite, with no numpy warning ahead of it
+        x = np.array([6.0, -2.0, 1.0, 4.0, 5.0, -1.0, 3.0]) * 1e161
+        y = np.array([6.0, 5.0, -3.0, 2.0, 1.0, -4.0, 6.0]) * 1e161
+        path = tmp_path / "huge.csv"
+        _write_csv(path, x[:, None], y)
+        out = tmp_path / "infer.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["infer", "--input", str(path), "--response", "y", "--mode", "partial",
+                       "--k", "3", "--seed", "0", "--output", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: partial inputs contain NaN or infinite entries")
+        assert not out.exists()
 
 
 def _read_csv_reference(path: str, response: str, intercept: bool):

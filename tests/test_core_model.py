@@ -1,5 +1,7 @@
 """Full-data fit and response simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,21 @@ class TestDataSet:
         X[3, 1] = np.nan
         with pytest.raises(NonFinite):
             DataSet(X=X, y=y)
+
+    def test_overflowing_qr_raises_non_finite_without_warnings(self):
+        # finite entries whose column norms overflow leave an infinite R
+        # diagonal: a typed NonFinite, not a rank message with a NaN ratio
+        X = np.column_stack([np.full(20, 1e308), np.arange(20) * 5e306])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite, match="overflowed"):
+                DataSet(X=X, y=np.arange(20.0))
+
+    def test_zero_design_is_rank_deficient_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficient, match="= 0.000e"):
+                DataSet(X=np.zeros((10, 2)), y=np.arange(10.0))
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,9 @@ from sketch_infer.core_model import DataSet, ModelTruth, fit_full
 from sketch_infer.densities import (
     HLawParams,
     MultivariateTParams,
+    _cholesky,
     _log_m_neg_laplace,
+    _spd_factor,
     complete_sampling_approx_t,
     complete_sampling_pdf,
     complete_sketching_t_params,
@@ -490,6 +492,85 @@ class TestPartialApproxDensity:
         # the Bessel argument b'X'X beta_0 / sigma2 squared overflows
         with pytest.raises(NonFinite):
             partial_approx_pdf(np.ones(2), ModelTruth(np.ones(2), 1e-160), np.eye(2), 10, 2)
+
+
+# an indefinite Gram or scale matrix with one or two negative eigenvalues
+_INDEFINITE = [np.diag([-100.0] + [100.0] * 10), np.diag([-100.0, -100.0] + [100.0] * 9)]
+
+
+class TestPositiveDefinite:
+    """Every kernel that factors a matrix rejects one that is not positive definite."""
+
+    beta0 = np.arange(1.0, 12.0)
+    truth = ModelTruth(beta_0=beta0, sigma2=1.0)
+    point = beta0 + np.eye(11)[-1]  # a positive-curvature direction of every matrix
+
+    @pytest.mark.parametrize("gram", _INDEFINITE)
+    def test_complete_sampling_pdf(self, gram):
+        with pytest.raises(DomainError, match="positive definite"):
+            complete_sampling_pdf(self.point, self.truth, gram, 2000, 21, 11)
+
+    @pytest.mark.parametrize("gram", _INDEFINITE)
+    def test_partial_approx_pdf(self, gram):
+        with pytest.raises(DomainError, match="positive definite"):
+            partial_approx_pdf(self.point, self.truth, gram, 21, 11)
+
+    @pytest.mark.parametrize("scale", _INDEFINITE)
+    def test_mvt_pdf(self, scale):
+        params = MultivariateTParams(df=5.0, location=self.beta0, scale_matrix=scale)
+        with pytest.raises(DomainError, match="positive definite"):
+            mvt_pdf(params, self.point)
+
+    @pytest.mark.parametrize("gram", _INDEFINITE)
+    def test_sample_partial_sampling_rep(self, gram):
+        with pytest.raises(DomainError, match="positive definite"):
+            sample_partial_sampling_rep(np.eye(11)[0], self.truth, gram, 21, 11, 10, seed=0)
+
+    def test_non_finite_or_non_square_matrix(self):
+        with pytest.raises(NonFinite):
+            _spd_factor(np.diag([1.0, np.inf]))
+        with pytest.raises(DomainError, match="square"):
+            _spd_factor(np.ones((2, 3)))
+
+
+class TestSpdFactorCache:
+    def setup_method(self):
+        rng = np.random.default_rng(71)
+        self.X = rng.standard_normal((200, 3))
+        self.truth = ModelTruth(beta_0=np.array([1.0, -0.5, 0.25]), sigma2=1.0)
+        self.b = self.truth.beta_0 + 0.05
+
+    def _pdf(self, gram):
+        return complete_sampling_pdf(self.b, self.truth, gram, 200, 12, 3)
+
+    def test_in_place_change_is_seen(self):
+        gram = self.X.T @ self.X
+        _cholesky.cache_clear()
+        want = self._pdf(2.0 * gram)
+        _cholesky.cache_clear()
+        first = self._pdf(gram)
+        gram *= 2.0
+        assert self._pdf(gram) == want != first
+
+    def test_layout_and_dtype_share_one_factor(self):
+        gram = np.round(self.X.T @ self.X)  # integral, so an integer copy is exact
+        copies = [gram, np.asfortranarray(gram), gram.astype(np.int64)]
+        factors = [_spd_factor(g) for g in copies]
+        assert all(f[0] is factors[0][0] and f[1] == factors[0][1] for f in factors)
+        vals = [self._pdf(g) for g in copies]
+        assert vals[1] == vals[0] and vals[2] == vals[0]
+
+    def test_factor_is_read_only(self):
+        L, _ = _spd_factor(self.X.T @ self.X)
+        with pytest.raises(ValueError):
+            L[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        bound = _cholesky.cache_info().maxsize
+        assert bound == 4
+        for i in range(3 * bound):
+            _spd_factor((i + 1.0) * np.eye(3))
+            assert _cholesky.cache_info().currsize <= bound
 
 
 class TestSketchingLawHelper:

@@ -1,6 +1,7 @@
 """Special functions against independent oracles, plus the distribution interface."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -127,6 +128,19 @@ class TestKummerU:
         monkeypatch.setattr(special_fn, "_NODES", special_fn._node_table(7.0, 57))
         with pytest.raises(ConvergenceError, match="step too coarse"):
             log_kummer_u(0.5, 0.8, 1e-3)
+
+
+class TestSoftplus:
+    def test_matches_logaddexp_to_one_ulp_without_warnings(self):
+        # past |u| = 709.8 e^|u| overflows and e^-|u| underflows
+        u = np.concatenate([np.linspace(-800.0, 800.0, 20001), [-745.2, -709.8, 709.8, 745.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plus, minus = special_fn._softplus(u, mirrored=True)
+            alone = special_fn._softplus(u)
+        np.testing.assert_array_max_ulp(plus, np.logaddexp(0.0, u), maxulp=1)
+        np.testing.assert_array_max_ulp(minus, np.logaddexp(0.0, -u), maxulp=1)
+        np.testing.assert_array_equal(alone, plus)
 
 
 def _u_recurrence_gap(a, b, z):
