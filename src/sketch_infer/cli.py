@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -326,8 +327,11 @@ def cmd_infer(args) -> int:
             pairs = [(complete_marginal_t_test(fit, sk, j, float(nulls[j])),
                       complete_marginal_ci(fit, sk, j, level)) for j in range(p)]
         else:  # efficient: classical inference on the whitened system, exact given S
-            e_full = data.y - data.X @ nulls
-            pairs = wstar_marginal_t_tests(fit, sk, float(e_full @ e_full), nulls, level)
+            # an overflow here is reported by the W* tests as NonFinite
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_full = data.y - data.X @ nulls
+                yty = float(e_full @ e_full)
+            pairs = wstar_marginal_t_tests(fit, sk, yty, nulls, level)
         coefficients = [_coef_row(j, names[j], fit.beta[j], nulls[j], t, ci)
                         for j, (t, ci) in enumerate(pairs)]
 
@@ -350,18 +354,8 @@ def _load_sim_config(args) -> SimConfig:
     regime = Regime.REPEATED_SKETCH if args.regime == "sketching" else Regime.REPEATED_SAMPLE
     if args.preset is not None:
         maker = paper_config if args.preset == "paper" else desk_config
-        cfg = maker(regime)
-        overrides = {}
-        if args.m is not None:
-            overrides["m"] = args.m
-        if args.seed is not None:
-            overrides["root_seed"] = args.seed
-        if overrides:
-            d = cfg.to_jsonable()
-            d.update(overrides)
-            d["regime"] = regime
-            cfg = SimConfig(**d)
-        return cfg
+        overrides = (("m", args.m), ("root_seed", args.seed))
+        return dataclasses.replace(maker(regime), **{f: v for f, v in overrides if v is not None})
     if args.config is None:
         raise _CliError(EXIT_INPUT, "simulate needs --config or --preset")
     try:

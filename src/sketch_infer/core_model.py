@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError, NonFinite, RankDeficient
 
-# Relative size of the smallest |R_ii| that still counts as full rank.
+# Smallest |R_jj| / ||X_j|| that still counts as full rank.
 RANK_TOL = 1e-10
 
 
@@ -28,17 +28,25 @@ def _check_finite(*arrays) -> None:
 
 
 def _qr_full_rank(X: np.ndarray):
-    """Economy QR with a scale-invariant rank check on the R diagonal."""
+    """Economy QR with a scale-invariant rank check.
+
+    |R_jj| is the norm of column j's part orthogonal to the columns before
+    it, and ||R[:j+1, j]|| = ||X_j|| its whole norm, so their ratio is the
+    sine of the angle between X_j and the earlier columns' span.  It does
+    not change when a column is rescaled; each must exceed RANK_TOL.
+    """
     Q, R = np.linalg.qr(X)
     d = np.abs(np.diag(R))
-    # written so that a NaN diagonal fails the test too
-    if d.size == 0 or not d.min() > RANK_TOL * d.max():
-        if not np.isfinite(d).all():
+    # hypot overflows only where the norm itself does, not where its square does
+    with np.errstate(over="ignore"):
+        norms = np.hypot.reduce(R[:, :d.size], axis=0)
+    # written so that a NaN fails the test too, as does a non-finite norm
+    if d.size == 0 or not (d > RANK_TOL * norms).all():
+        if not np.isfinite(norms).all():
             raise NonFinite("the QR factorization overflowed: the matrix's entries are too large")
-        raise RankDeficient(
-            f"matrix is numerically rank deficient (min/max |R_ii| = "
-            f"{d.min() / d.max() if d.size and d.max() > 0.0 else 0.0:.3e})"
-        )
+        sines = np.divide(d, norms, out=np.zeros_like(d), where=norms > 0.0)
+        raise RankDeficient(f"matrix is numerically rank deficient (min_j |R_jj| / ||X_j|| = "
+                            f"{sines.min() if d.size else 0.0:.3e})")
     return Q, R
 
 

@@ -10,6 +10,7 @@ mean correction gamma = (k - p - 1)/k that makes it unbiased.  The whitened
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,18 @@ def _complete_solve(sk: SketchedData):
     """R of the sketch's shared QR, Q^T y_s, the complete residual SSR_s and ||y_s||^2.
 
     SSR_s is the squared norm of the projection residual y_s - Q Q^T y_s,
-    never the difference of two large near-equal quantities.
+    never the difference of two large near-equal quantities.  A sum that
+    overflows raises NonFinite.
     """
     Q, R = sk.qr
     qty = Q.T @ sk.ys
     resid = sk.ys - Q @ qty
-    return R, qty, float(resid @ resid), float(sk.ys @ sk.ys)
+    with np.errstate(over="ignore"):
+        ssr, yty_s = float(resid @ resid), float(sk.ys @ sk.ys)
+    if not (math.isfinite(ssr) and math.isfinite(yty_s)):
+        raise NonFinite(f"the sketched sums of squares overflow (SSR_s = {ssr}, "
+                        f"||y_s||^2 = {yty_s})")
+    return R, qty, ssr, yty_s
 
 
 def fit_complete(sk: SketchedData) -> SketchFit:

@@ -243,13 +243,19 @@ def _wstar_ssr(fit: SketchFit, sk: SketchedData, yty: float, hyp: np.ndarray):
     residual L^{-1}(y_s - Xs h) is R(b* - h) and
     SSR*(h) = ||y - X h||^2 - ||R(b* - h)||^2, with ``yty`` = ||y - X h||^2.
     A difference of two near-equal sums when the null fits, so it is checked
-    against its roundoff floor k eps ``yty``.
+    against its roundoff floor k eps ``yty``.  A sum that overflows raises
+    NonFinite.
     """
     if sk.W_star is None:
         raise MissingWStar("operation requires the W* = S S^T byproduct; re-sketch with want_w_star=True")
     if hyp.shape != fit.beta.shape:
         raise DomainError(f"beta_hyp has length {hyp.size}, expected {fit.beta.size}")
-    num = float(np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2))
+    if not math.isfinite(yty):
+        raise NonFinite(f"the null-centered sum of squares ||y - X h||^2 = {yty} overflows")
+    with np.errstate(over="ignore"):
+        num = float(np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2))
+    if not math.isfinite(num):
+        raise NonFinite("the F numerator ||R(b* - h)||^2 overflows")
     ssr_star = float(yty - num)
     floor = _roundoff_floor(sk.spec.k, yty)
     if ssr_star <= floor:

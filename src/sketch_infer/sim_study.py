@@ -4,10 +4,12 @@ Two experiment designs: repeated sketching (one dataset, many projections;
 estimator histograms are compared to their exact sketching laws) and
 repeated sampling (fixed covariates, fresh response and projection per
 replicate; pivot histograms are compared to their approximate null laws).
-Replicates are independent tasks with per-replicate derived seeds, so a run
-is bit-reproducible from its root seed regardless of scheduling: each sketch
-kind's replicates are split into contiguous index ranges, one per usable CPU,
-run in forked workers and joined in index order.
+Both run on one skeleton with one replicate function, which takes its
+regime through its arguments.  Replicates are independent tasks with
+per-replicate derived seeds, so a run is bit-reproducible from its root
+seed regardless of scheduling: each sketch kind's replicates are split into
+contiguous index ranges, one per usable CPU, run in forked workers and
+joined in index order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special, stats
@@ -125,11 +127,7 @@ def paper_config(regime: Regime, sketch_kinds=tuple(SketchKind), m: int = 10_000
 def desk_config(regime: Regime, sketch_kinds=(SketchKind.GAUSSIAN,), m: int = 2_000,
                 root_seed: int = 20240817) -> SimConfig:
     """Smaller default (n = 2000) for quick runs; same p, k and coefficients."""
-    return SimConfig(
-        n=2_000, p=11, k=21, m=m, beta0=PAPER_BETA.copy(), sigma2=1.0,
-        sketch_kinds=tuple(sketch_kinds), regime=regime, targets=(0, 5),
-        root_seed=root_seed,
-    )
+    return replace(paper_config(regime, sketch_kinds, m, root_seed), n=2_000)
 
 
 @dataclass
@@ -288,11 +286,12 @@ def _histogram(samples: np.ndarray):
     return edges, counts
 
 
-def _t_overlay(df: int, points: int):
+def _t_overlay(df: int, points: int, loc: float = 0.0, scale: float = 1.0):
+    """Grid from the 0.001 to the 0.999 quantile of loc + scale t_df, and its density."""
     lo = dist_quantile(student_t(df), 0.001)
     hi = dist_quantile(student_t(df), 0.999)
-    x = np.linspace(lo, hi, points)
-    return x, stats.t.pdf(x, df)
+    x = np.linspace(loc + scale * lo, loc + scale * hi, points)
+    return x, stats.t.pdf((x - loc) / scale, df) / scale
 
 
 # Gaussian kernel terms beyond this many bandwidths are below e^-72 of the
@@ -363,11 +362,9 @@ def _pivot_tables(cfg: SimConfig):
 
     The null laws, t_{k-p} for the complete marginal t and t_{k-p+1} for the
     partial zero-null t, are fixed for a run, so their critical values and
-    overlay grids are computed here once.  The returned function takes the
-    complete pivot at the regime's target, the same pivot against the zero
-    null and the partial zero-null statistic (NaN where its denominator was
-    negative).  It returns both tables and the coverage of the interval that
-    inverts the complete pivot.
+    overlay grids are computed here once.  The returned function takes a
+    target's five replicate series (see _replicate) and returns both tables
+    and the coverage of the interval that inverts the complete pivot.
     """
     df = cfg.k - cfg.p
     tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
@@ -376,12 +373,12 @@ def _pivot_tables(cfg: SimConfig):
     overlay_complete = _frozen_overlay(*_t_overlay(df, cfg.overlay_points))
     overlay_partial = _frozen_overlay(*_t_overlay(df + 1, cfg.overlay_points))
 
-    def build(kind: SketchKind, j: int, null_stat, zero_stat, part_all) -> tuple:
+    def build(kind: SketchKind, j: int, null_stat, se, beta_s, beta_p, part_all) -> tuple:
         part_stat = part_all[~np.isnan(part_all)]
         n_negden = part_all.size - part_stat.size
         tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat,
                        lambda x: stats.t.cdf(x, df), overlay_complete,
-                       rejection_rate=float(np.mean(np.abs(zero_stat) > tq_complete)))
+                       rejection_rate=float(np.mean(np.abs(beta_s / se) > tq_complete)))
         tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat,
                        lambda x: stats.t.cdf(x, df + 1), overlay_partial,
                        n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
@@ -392,7 +389,7 @@ def _pivot_tables(cfg: SimConfig):
     return build
 
 
-def _partial_or_nan(pfit, sk, m_vec, extra_variance: float = 0.0) -> float:
+def _partial_or_nan(pfit, sk, m_vec, extra_variance: float) -> float:
     """The partial zero-null statistic, or NaN when its denominator is negative."""
     try:
         return partial_t_statistic(pfit, sk, m_vec, extra_variance=extra_variance)
@@ -504,6 +501,66 @@ def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) 
             recv.close()
 
 
+def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean, d: int,
+               kind_idx: int, r: int) -> list:
+    """Replicate r of kind ``cfg.sketch_kinds[kind_idx]``: SSR_s, sigma2_hat, then per
+    target j the complete pivot at ``hyp[j]``, its se, beta_s[j], beta_p[j] and
+    the partial zero-null statistic (NaN where its denominator is negative).
+
+    Seed t < d is derive_seed(root, 10_000 + d (kind_idx m + r) + t), and the
+    last one seeds the sketch.  With ``mean`` (repeated sampling, d = 2) seed
+    0 draws a fresh response whose summaries replace ``partial_in``, and
+    sigma2_hat is the partial statistic's extra variance.
+    """
+    seeds = [derive_seed(cfg.root_seed, 10_000 + d * (kind_idx * cfg.m + r) + t)
+             for t in range(d)]
+    if mean is not None:
+        y = draw_response(mean, cfg.sigma2, seeds[0])
+        data = data.with_response(y)
+        partial_in = PartialInputs(Xty=data.X.T @ y, yty=float(y @ y))
+    sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k, seed=seeds[-1]))
+    cfit = fit_complete(sk)
+    pfit = fit_partial(sk, partial_in)
+    s2h = sigma2_hat_complete(cfit.SSR_s, cfg.n, cfg.k, cfg.p)
+    extra = 0.0 if mean is None else s2h
+    values = [cfit.SSR_s, s2h]
+    for j in cfg.targets:
+        values += marginal_t_statistic(cfit, sk, j, hyp[j])
+        values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, np.eye(cfg.p)[j], extra)
+    return values
+
+
+def _run(cfg: SimConfig, regime: Regime, setup) -> SimReport:
+    """cfg.m replicates of each kind on the run's dataset, and their tables.
+
+    ``setup(data, truth)`` returns _replicate's ``hyp``, ``partial_in`` and
+    ``mean`` (None when sketching one dataset, whose ``hyp`` is the report's
+    beta_F) and the builder ``tables(kind, ssr_s, sigma2_hat, per_target)``
+    of one kind's tables, with (j, target j's series, its pivot tables and
+    coverage) in ``per_target``.  A failing replicate ends the run with its
+    error type, the message prefixed by the kind and replicate.
+    """
+    if cfg.regime is not regime:
+        raise DomainError(f"config regime must be {regime.value}")
+    t_start = time.perf_counter()
+    data, truth = _make_dataset(cfg)
+    hyp, partial_in, mean, tables_of = setup(data, truth)
+    d = 1 if mean is None else 2
+    workers = min(_usable_cpus(), cfg.m)
+    ones = [functools.partial(_replicate, cfg, data, hyp, partial_in, mean, d, kind_idx)
+            for kind_idx in range(len(cfg.sketch_kinds))]
+    per_kind = _run_replicates(cfg.sketch_kinds, cfg.m, workers, 2 + 5 * len(cfg.targets), ones)
+    pivot_tables = _pivot_tables(cfg)
+    tables = []
+    for kind, cols in zip(cfg.sketch_kinds, per_kind):
+        # rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 5 i + q series q of target i
+        per_target = [(j, series, pivot_tables(kind, j, *series))
+                      for j, series in zip(cfg.targets, cols[2:].reshape(-1, 5, cfg.m))]
+        tables += tables_of(kind, cols[0], cols[1], per_target)
+    return SimReport(config=cfg, tables=tables, beta_F=hyp if mean is None else None,
+                     runtime_seconds=time.perf_counter() - t_start, workers=workers)
+
+
 def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     """One dataset, cfg.m independent sketches per sketch kind.
 
@@ -511,70 +568,43 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     the exact marginal pivot at the realized beta_F (its null law is
     t_{k-p}), the zero-null statistics of both estimators with their
     rejection indicators, and the marginal confidence-interval coverage of
-    beta_F.  A replicate that raises a SketchInferError ends the run with
-    the same error type, its message prefixed by the kind and replicate.
+    beta_F.  A failing replicate ends the run as _run describes.
     """
-    if cfg.regime is not Regime.REPEATED_SKETCH:
-        raise DomainError("config regime must be repeated_sketch")
-    t_start = time.perf_counter()
-    data, truth = _make_dataset(cfg)
-    full = fit_full(data)
-    gram_inv = np.linalg.inv(data.X.T @ data.X)
-    partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
-    p, k, m = cfg.p, cfg.k, cfg.m
-    eq_t = complete_sketching_t_params(full, gram_inv, k, p)
-    pivot_tables = _pivot_tables(cfg)
-    unit = {j: np.eye(p)[j] for j in cfg.targets}
 
-    # the reference laws of beta_s and beta_p do not depend on the sketch
-    # kind: their overlays (and the sorted beta_p draws) are computed once
-    # per target
-    q_lo = dist_quantile(student_t(eq_t.df), 0.001)
-    q_hi = dist_quantile(student_t(eq_t.df), 0.999)
-    complete_overlay, rep_ref, rep_overlay = {}, {}, {}
-    for j in cfg.targets:
-        loc, sd = eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])
-        x = np.linspace(loc + sd * q_lo, loc + sd * q_hi, cfg.overlay_points)
-        complete_overlay[j] = _frozen_overlay(x, stats.t.pdf((x - loc) / sd, eq_t.df) / sd)
-        rep_ref[j] = np.sort(sample_partial_sketching_rep(
-            unit[j], full, gram_inv, k, p, cfg.rep_draws, derive_seed(cfg.root_seed, 2 + j)
-        ))
-        rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
-
-    def one(kind, seed_base, r):
-        spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + r))
-        sk = apply_sketch(data, spec)
-        cfit = fit_complete(sk)
-        pfit = fit_partial(sk, partial_in)
-        values = []
+    def setup(data, truth):
+        full = fit_full(data)
+        gram_inv = np.linalg.inv(data.X.T @ data.X)
+        partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
+        eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
+        # the reference laws of beta_s and beta_p do not depend on the sketch
+        # kind: their overlays (and the sorted beta_p draws) are computed once
+        # per target
+        complete_overlay, rep_ref, rep_overlay = {}, {}, {}
         for j in cfg.targets:
-            values += marginal_t_statistic(cfit, sk, j, full.beta_F[j])
-            values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, unit[j])
-        return values
+            complete_overlay[j] = _frozen_overlay(*_t_overlay(
+                eq_t.df, cfg.overlay_points, eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])))
+            rep_ref[j] = np.sort(sample_partial_sketching_rep(
+                np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p, cfg.rep_draws,
+                derive_seed(cfg.root_seed, 2 + j)))
+            rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
 
-    workers = min(_usable_cpus(), m)
-    ones = [functools.partial(one, kind, 10_000 + kind_idx * m)
-            for kind_idx, kind in enumerate(cfg.sketch_kinds)]
-    per_kind = _run_replicates(cfg.sketch_kinds, m, workers, 5 * len(cfg.targets), ones)
-    tables = []
-    for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        # row 5 i + q holds series q of target i
-        null_stat, se, bs, bp, part = (cols[q::5] for q in range(5))
-        for i, j in enumerate(cfg.targets):
-            tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
-            ref = rep_ref[j]
-            tables += [
-                _table(f"beta_s[{j}]", kind, bs[i], lambda x: mvt_marginal_cdf(eq_t, j, x),
-                       complete_overlay[j], coverage=coverage),
-                _table(f"beta_p[{j}]", kind, bp[i],
-                       lambda x: np.searchsorted(ref, x, side="right") / ref.size, rep_overlay[j]),
-                tnull, tpart,
-            ]
+        def tables(kind, ssr_s, sigma2_hat, per_target):
+            out = []
+            for j, (_, _, bs, bp, _), (tnull, tpart, coverage) in per_target:
+                ref = rep_ref[j]
+                out += [
+                    _table(f"beta_s[{j}]", kind, bs, lambda x: mvt_marginal_cdf(eq_t, j, x),
+                           complete_overlay[j], coverage=coverage),
+                    _table(f"beta_p[{j}]", kind, bp,
+                           lambda x: np.searchsorted(ref, x, side="right") / ref.size,
+                           rep_overlay[j]),
+                    tnull, tpart,
+                ]
+            return out
 
-    return SimReport(
-        config=cfg, tables=tables, beta_F=full.beta_F,
-        runtime_seconds=time.perf_counter() - t_start, workers=workers,
-    )
+        return full.beta_F, partial_in, None, tables
+
+    return _run(cfg, Regime.REPEATED_SKETCH, setup)
 
 
 def run_repeated_sampling(cfg: SimConfig) -> SimReport:
@@ -584,48 +614,16 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     (null law t_{k-p}) and the partial zero-null statistics (t_{k-p+1} when
     the true coordinate is zero), confidence-interval coverage of beta_0,
     plus the sketched residual sum of squares and the derived variance
-    estimate for moment checks.  A failing replicate ends the run as in
-    run_repeated_sketching.
+    estimate for moment checks.  A failing replicate ends the run as _run
+    describes.
     """
-    if cfg.regime is not Regime.REPEATED_SAMPLE:
-        raise DomainError("config regime must be repeated_sample")
-    t_start = time.perf_counter()
-    data, truth = _make_dataset(cfg)
-    X = data.X
-    mean = response_mean(X, truth)
-    n, p, k, m = cfg.n, cfg.p, cfg.k, cfg.m
-    pivot_tables = _pivot_tables(cfg)
-    unit = {j: np.eye(p)[j] for j in cfg.targets}
 
-    def one(kind, seed_base, r):
-        y = draw_response(mean, truth.sigma2, derive_seed(cfg.root_seed, seed_base + 2 * r))
-        spec = SketchSpec(kind=kind, k=k, seed=derive_seed(cfg.root_seed, seed_base + 2 * r + 1))
-        sk = apply_sketch(data.with_response(y), spec)
-        cfit = fit_complete(sk)
-        pfit = fit_partial(sk, PartialInputs(Xty=X.T @ y, yty=float(y @ y)))
-        s2h = sigma2_hat_complete(cfit.SSR_s, n, k, p)
-        values = [cfit.SSR_s, s2h]
-        for j in cfg.targets:
-            values += marginal_t_statistic(cfit, sk, j, truth.beta_0[j])
-            values += cfit.beta[j], _partial_or_nan(pfit, sk, unit[j], s2h)
-        return values
-
-    workers = min(_usable_cpus(), m)
-    ones = [functools.partial(one, kind, 10_000 + kind_idx * 2 * m)
-            for kind_idx, kind in enumerate(cfg.sketch_kinds)]
-    per_kind = _run_replicates(cfg.sketch_kinds, m, workers, 2 + 4 * len(cfg.targets), ones)
-    tables = []
-    for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        # rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 4 i + q series q of target i
-        ssr, s2h = cols[0], cols[1]
-        null_stat, se, bs, part = (cols[2 + q::4] for q in range(4))
-        tables += [_table("ssr_s", kind, ssr), _table("sigma2_hat", kind, s2h)]
-        for i, j in enumerate(cfg.targets):
-            tnull, tpart, coverage = pivot_tables(kind, j, null_stat[i], bs[i] / se[i], part[i])
+    def tables(kind, ssr_s, sigma2_hat, per_target):
+        out = [_table("ssr_s", kind, ssr_s), _table("sigma2_hat", kind, sigma2_hat)]
+        for _, _, (tnull, tpart, coverage) in per_target:
             tnull.coverage = coverage
-            tables += [tnull, tpart]
+            out += [tnull, tpart]
+        return out
 
-    return SimReport(
-        config=cfg, tables=tables, beta_F=None,
-        runtime_seconds=time.perf_counter() - t_start, workers=workers,
-    )
+    return _run(cfg, Regime.REPEATED_SAMPLE,
+                lambda data, truth: (truth.beta_0, None, response_mean(data.X, truth), tables))

@@ -57,7 +57,8 @@ class TestFit:
         main(["fit", "--input", str(data_csv), "--response", "y",
               "--k", "10", "--seed", "5", "--output", str(out)])
         rep = json.loads(out.read_text())
-        rows = list(csv.reader(open(data_csv)))
+        with open(data_csv) as fh:
+            rows = list(csv.reader(fh))
         M = np.array([[float(c) for c in r] for r in rows[1:]])
         data = si.DataSet(X=M[:, :3], y=M[:, 3])
         sk = si.apply_sketch(data, si.SketchSpec(kind=si.SketchKind.GAUSSIAN, k=10, seed=5))
@@ -121,7 +122,8 @@ class TestFit:
         rc = main(["fit", "--input", str(data_csv), "--response", "y",
                    "--k", "10", "--seed", "5", "--output", str(out), "--format", "csv"])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["index", "name", "estimate"]
         assert len(rows) == 4
 
@@ -394,6 +396,57 @@ class TestNonFiniteReport:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: partial inputs contain NaN or infinite entries")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,overflowing", [("complete", "||y_s||^2"),
+                                                  ("efficient", "||y - X h||^2")])
+    def test_sum_of_squares_overflow(self, tmp_path, capsys, mode, overflowing):
+        # the design of test_partial_inputs_overflow: the sketched sums of
+        # squares overflow in complete mode, the null-centered total sum of
+        # squares in efficient mode
+        x = np.array([6.0, -2.0, 1.0, 4.0, 5.0, -1.0, 3.0]) * 1e161
+        y = np.array([6.0, 5.0, -3.0, 2.0, 1.0, -4.0, 6.0]) * 1e161
+        path = tmp_path / "huge.csv"
+        _write_csv(path, x[:, None], y)
+        out = tmp_path / "infer.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["infer", "--input", str(path), "--response", "y", "--mode", mode,
+                       "--k", "3", "--seed", "0", "--output", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and overflowing in err and "overflow" in err
+        assert not out.exists()
+
+
+class TestScaleInvariantRank:
+    """The rank check does not depend on the scale of the covariates."""
+
+    def _infer(self, tmp_path, name, X, y):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        _write_csv(path, X, y)
+        rc = main(["infer", "--input", str(path), "--response", "y", "--intercept",
+                   "--k", "50", "--mode", "complete", "--output", str(out)])
+        return rc, out
+
+    def test_disparate_scales_fit_as_rescaled(self, tmp_path):
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((2000, 2))
+        y = 1.0 + Z @ np.array([0.5, -1.5]) + rng.standard_normal(2000)
+        scale = np.array([1e-6, 1e5])
+        estimates = []
+        for name, X in (("scaled", Z * scale), ("unit", Z)):
+            rc, out = self._infer(tmp_path, name, X, y)
+            assert rc == 0
+            estimates.append([c["estimate"] for c in json.loads(out.read_text())["coefficients"]])
+        scaled, unit = np.array(estimates)
+        np.testing.assert_allclose(scaled * np.array([1.0, *scale]), unit, rtol=1e-9)
+
+    def test_collinear_column_exit_3(self, tmp_path, capsys):
+        z = np.random.default_rng(13).standard_normal(2000)
+        rc, out = self._infer(tmp_path, "collinear", np.column_stack([z * 1e-6, z * 1e5]), z)
+        assert rc == 3
+        assert "min_j |R_jj| / ||X_j||" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Pivot calibration, identities, and error paths of the inference layer."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +237,16 @@ class TestWStarExact:
         sk_plain = _gauss(data, 10, 18)
         with pytest.raises(MissingWStar):
             wstar_exact_tests(fit, sk_plain, float(data.y @ data.y), np.zeros(3))
+
+    @pytest.mark.parametrize("yty,hyp,overflowing", [
+        (np.inf, 0.0, "||y - X h||^2"), (1.0, 1e200, "||R(b* - h)||^2")])
+    def test_overflowing_sum_is_non_finite(self, yty, hyp, overflowing):
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        sk = _gauss(data, 10, 17, want_w_star=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite, match=f"{re.escape(overflowing)} .*overflows"):
+                wstar_exact_tests(fit_efficient_star(sk), sk, yty, np.full(3, hyp))
 
 
 class TestWStarMarginalT:

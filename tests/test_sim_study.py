@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from sketch_infer import sim_study
-from sketch_infer.core_model import fit_full
+from sketch_infer.core_model import fit_full, response_mean
 from sketch_infer.densities import sample_partial_sketching_rep
 from sketch_infer.errors import (
     DegenerateSSR,
@@ -23,6 +23,7 @@ from sketch_infer.errors import (
     RankDeficient,
     WorkerFailed,
 )
+from sketch_infer.estimators import PartialInputs
 from sketch_infer.inference import Regime
 from sketch_infer.sim_study import (
     SimConfig,
@@ -240,7 +241,8 @@ class TestEmission:
                 assert sum(t["counts"]) == t["count"]
         paths = rep.write_csvs(tmp_path / "csv")
         assert len(paths) == len(rep.tables)
-        header = open(paths[0]).readline().strip()
+        with open(paths[0]) as fh:
+            header = fh.readline().strip()
         assert header == "bin_left,bin_right,count,theory_x,theory_pdf"
 
     def test_non_finite_value_is_typed_error(self, tmp_path):
@@ -388,3 +390,38 @@ class TestWorkerCounts:
         proc.join(30)
         assert not proc.is_alive()
         assert sim_study._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+class TestReplay:
+    """_replicate, called outside a run, gives the run's values for each (kind, r)."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    def test_replicate_matches_run_tables(self, monkeypatch, regime, run, cpus):
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: cpus)
+        cfg = _small_cfg(regime, m=12, kinds=(SketchKind.HADAMARD, SketchKind.GAUSSIAN))
+        rep = run(cfg)
+        assert rep.workers == cpus
+        data, truth = sim_study._make_dataset(cfg)
+        if regime is Regime.REPEATED_SKETCH:
+            partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
+            args = (fit_full(data).beta_F, partial_in, None, 1)
+        else:
+            args = (truth.beta_0, None, response_mean(data.X, truth), 2)
+        for kind_idx, kind in enumerate(cfg.sketch_kinds):
+            # each replicate alone, after the run: replicates 6-11 ran in a
+            # forked worker when cpus == 2
+            cols = np.array([sim_study._replicate(cfg, data, *args, kind_idx, r)
+                             for r in range(cfg.m)]).T
+            for i, j in enumerate(cfg.targets):
+                # SSR_s, sigma2_hat, then per target the pivot, its se,
+                # beta_s, beta_p and the partial statistic
+                pivot, _, beta_s, beta_p, part = cols[2 + 5 * i:7 + 5 * i]
+                if regime is Regime.REPEATED_SKETCH:
+                    expected = {f"beta_s[{j}]": beta_s, f"beta_p[{j}]": beta_p}
+                else:
+                    expected = {"ssr_s": cols[0], f"pivot_complete_null[{j}]": pivot,
+                                f"pivot_partial_zero[{j}]": part[~np.isnan(part)]}
+                for name, values in expected.items():
+                    samples = rep.table(name, kind).samples
+                    assert samples.tobytes() == values.tobytes(), (kind, name)
