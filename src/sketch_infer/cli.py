@@ -1,7 +1,8 @@
 """Command-line front end: fit sketched regressions on CSV data, run inference,
 and drive the simulation harness from a config file.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 rank deficiency or an
+Exit codes: 0 success, otherwise the ``exit_code`` of the package error that
+ended the command: 2 parse/validation failure, 3 rank deficiency or an
 infeasible sketch size, 4 missing W* byproduct.
 """
 
@@ -19,16 +20,7 @@ import warnings
 import numpy as np
 
 from .core_model import DataSet
-from .errors import (
-    DomainError,
-    GammaNonpositive,
-    MissingWStar,
-    NegativeDenominator,
-    NonFinite,
-    RankDeficient,
-    SketchInferError,
-    ZeroEstimate,
-)
+from .errors import NegativeDenominator, SketchInferError, ZeroEstimate
 from .estimators import (
     PartialInputs,
     fit_complete,
@@ -55,16 +47,9 @@ from .sketch_ops import SketchKind, SketchSpec, apply_sketch
 
 SCHEMA = "sketch-infer/1"
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_RANK = 3
-EXIT_WSTAR = 4
 
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class _CliError(SketchInferError):
+    """An unreadable input file or an invalid option value (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +61,13 @@ def _read_csv(path: str, response: str, intercept: bool):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot open input file: {exc}")
+        raise _CliError(f"cannot open input file: {exc}")
     with fh:
         try:
             header, r_idx, M = _read_table(fh, response)
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start:exc.start + 1].hex()
-            raise _CliError(EXIT_INPUT, f"input file is not UTF-8 text: byte 0x{bad} "
+            raise _CliError(f"input file is not UTF-8 text: byte 0x{bad} "
                                         f"cannot be decoded ({exc.reason})")
     y = M[:, r_idx]
     X = np.delete(M, r_idx, axis=1)
@@ -99,7 +84,7 @@ def _read_table(fh, response: str):
     try:
         header = next(reader)
     except StopIteration:
-        raise _CliError(EXIT_INPUT, "input file is empty (a header row is required)")
+        raise _CliError("input file is empty (a header row is required)")
     header = [h.strip() for h in header]
     if response in header:
         r_idx = header.index(response)
@@ -107,12 +92,9 @@ def _read_table(fh, response: str):
         try:
             r_idx = int(response)
         except ValueError:
-            raise _CliError(
-                EXIT_INPUT,
-                f"response column '{response}' not found; columns are {header}",
-            )
+            raise _CliError(f"response column '{response}' not found; columns are {header}")
         if not 0 <= r_idx < len(header):
-            raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
+            raise _CliError(f"response index {r_idx} outside 0..{len(header) - 1}")
     M = _loadtxt_rows(fh, len(header))
     if M is None:
         fh.seek(0)
@@ -158,100 +140,69 @@ def _parse_rows(reader, header):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
-            raise _CliError(
-                EXIT_INPUT,
-                f"row {line_no}: expected {len(header)} fields, found {len(row)}",
-            )
+            raise _CliError(f"row {line_no}: expected {len(header)} fields, found {len(row)}")
         vals = []
         for c_idx, cell in enumerate(row):
             try:
                 vals.append(float(cell))
             except ValueError:
-                raise _CliError(
-                    EXIT_INPUT,
-                    f"row {line_no}, column '{header[c_idx]}': "
-                    f"could not parse {cell.strip()!r} as a number",
-                )
+                raise _CliError(f"row {line_no}, column '{header[c_idx]}': "
+                                f"could not parse {cell.strip()!r} as a number")
         rows.append(vals)
     if not rows:
-        raise _CliError(EXIT_INPUT, "input file contains no data rows")
+        raise _CliError("input file contains no data rows")
     return np.asarray(rows, dtype=float)
-
-
-def _build_dataset(X, y) -> DataSet:
-    try:
-        return DataSet(X=X, y=y)
-    except RankDeficient as exc:
-        raise _CliError(EXIT_RANK, str(exc))
-    except (NonFinite, DomainError) as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
-
-
-def _sketch(data: DataSet, args, want_w_star: bool):
-    if args.k <= data.p:
-        raise _CliError(
-            EXIT_RANK,
-            f"sketch size k={args.k} violates the k > p requirement (p={data.p})",
-        )
-    if want_w_star and args.k > data.n:
-        raise _CliError(
-            EXIT_WSTAR,
-            f"the W* byproduct is unavailable for k={args.k} > n={data.n}, "
-            "so the efficient mode cannot run",
-        )
-    spec = SketchSpec(kind=SketchKind(args.sketch), k=args.k, seed=args.seed)
-    try:
-        return apply_sketch(data, spec, want_w_star=want_w_star)
-    except DomainError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
-
-
-def _fit(mode: str, data: DataSet, sk):
-    try:
-        if mode == "complete":
-            return fit_complete(sk)
-        if mode == "partial":
-            # an overflow here is reported by PartialInputs as NonFinite
-            with np.errstate(over="ignore", invalid="ignore"):
-                xty, yty = data.X.T @ data.y, float(data.y @ data.y)
-            return fit_partial(sk, PartialInputs(Xty=xty, yty=yty))
-        if mode == "efficient":
-            return fit_efficient_star(sk)
-    except MissingWStar as exc:
-        raise _CliError(EXIT_WSTAR, str(exc))
-    except (RankDeficient, GammaNonpositive) as exc:
-        raise _CliError(EXIT_RANK, str(exc))
-    raise _CliError(EXIT_INPUT, f"unknown mode '{mode}'")
-
-
-def _write_report(report: dict, path: str, fmt: str, csv_rows=None, csv_header=None) -> None:
-    if fmt == "json":
-        text = json_text(report)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(args) -> int:
+def _fit_csv(args):
+    """Read the CSV, sketch it and fit it in ``args.mode``: (names, data, sketch, fit)."""
     X, y, names = _read_csv(args.input, args.response, args.intercept)
-    data = _build_dataset(X, y)
-    sk = _sketch(data, args, want_w_star=(args.mode == "efficient"))
-    fit = _fit(args.mode, data, sk)
-    report = {
-        "schema": SCHEMA,
-        "command": "fit",
-        "mode": args.mode,
+    data = DataSet(X=X, y=y)
+    spec = SketchSpec(kind=SketchKind(args.sketch), k=args.k, seed=args.seed)
+    sk = apply_sketch(data, spec, want_w_star=(args.mode == "efficient"))
+    if args.mode == "complete":
+        fit = fit_complete(sk)
+    elif args.mode == "partial":
+        # an overflow here is reported by PartialInputs as NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty, yty = data.X.T @ data.y, float(data.y @ data.y)
+        fit = fit_partial(sk, PartialInputs(Xty=xty, yty=yty))
+    else:
+        fit = fit_efficient_star(sk)
+    return names, data, sk, fit
+
+
+def _report_head(args, data: DataSet, sk, **after_mode) -> dict:
+    """The fields a fit and an infer report open with; ``after_mode`` follows the mode."""
+    return {
+        "schema": SCHEMA, "command": args.command, "mode": args.mode, **after_mode,
         "sketch": {"kind": sk.spec.kind.value, "k": sk.spec.k, "seed": sk.spec.seed},
-        "n": data.n,
-        "p": data.p,
+        "n": data.n, "p": data.p,
+    }
+
+
+def _write_report(args, report: dict, csv_header: list, csv_rows: list) -> int:
+    """Write the report to ``args.output`` as JSON, or its table as CSV; exit 0."""
+    if args.format == "json":
+        text = json_text(report)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(csv_header)
+            writer.writerows(csv_rows)
+    return 0
+
+
+def cmd_fit(args) -> int:
+    names, data, sk, fit = _fit_csv(args)
+    report = {
+        **_report_head(args, data, sk),
         "estimates": [
             {"index": i, "name": names[i], "estimate": float(b)} for i, b in enumerate(fit.beta)
         ],
@@ -260,8 +211,7 @@ def cmd_fit(args) -> int:
         "gamma": fit.gamma,
     }
     rows = [[i, names[i], repr(float(b))] for i, b in enumerate(fit.beta)]
-    _write_report(report, args.output, args.format, rows, ["index", "name", "estimate"])
-    return EXIT_OK
+    return _write_report(args, report, ["index", "name", "estimate"], rows)
 
 
 def _parse_nulls(spec: str, p: int):
@@ -271,11 +221,11 @@ def _parse_nulls(spec: str, p: int):
     try:
         vals = [float(s) for s in parts]
     except ValueError:
-        raise _CliError(EXIT_INPUT, f"could not parse null values '{spec}'")
+        raise _CliError(f"could not parse null values '{spec}'")
     if len(vals) == 1:
         return np.full(p, vals[0])
     if len(vals) != p:
-        raise _CliError(EXIT_INPUT, f"expected 1 or {p} null values, got {len(vals)}")
+        raise _CliError(f"expected 1 or {p} null values, got {len(vals)}")
     return np.asarray(vals)
 
 
@@ -297,10 +247,7 @@ def _coef_row(j: int, name: str, estimate, null, test=None, ci=None, flag=None) 
 
 
 def cmd_infer(args) -> int:
-    X, y, names = _read_csv(args.input, args.response, args.intercept)
-    data = _build_dataset(X, y)
-    sk = _sketch(data, args, want_w_star=(args.mode == "efficient"))
-    fit = _fit(args.mode, data, sk)
+    names, data, sk, fit = _fit_csv(args)
     nulls = _parse_nulls(args.null, data.p)
     level = 1.0 - args.alpha
     k, p = args.k, data.p
@@ -335,19 +282,9 @@ def cmd_infer(args) -> int:
         coefficients = [_coef_row(j, names[j], fit.beta[j], nulls[j], t, ci)
                         for j, (t, ci) in enumerate(pairs)]
 
-    report = {
-        "schema": SCHEMA,
-        "command": "infer",
-        "mode": args.mode,
-        "alpha": args.alpha,
-        "sketch": {"kind": sk.spec.kind.value, "k": sk.spec.k, "seed": sk.spec.seed},
-        "n": data.n,
-        "p": p,
-        "coefficients": coefficients,
-    }
+    report = {**_report_head(args, data, sk, alpha=args.alpha), "coefficients": coefficients}
     rows = [[c[h] for h in _INFER_CSV_HEADER] for c in coefficients]
-    _write_report(report, args.output, args.format, rows, _INFER_CSV_HEADER)
-    return EXIT_OK
+    return _write_report(args, report, _INFER_CSV_HEADER, rows)
 
 
 def _load_sim_config(args) -> SimConfig:
@@ -357,18 +294,18 @@ def _load_sim_config(args) -> SimConfig:
         overrides = (("m", args.m), ("root_seed", args.seed))
         return dataclasses.replace(maker(regime), **{f: v for f, v in overrides if v is not None})
     if args.config is None:
-        raise _CliError(EXIT_INPUT, "simulate needs --config or --preset")
+        raise _CliError("simulate needs --config or --preset")
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read config: {exc}")
+        raise _CliError(f"cannot read config: {exc}")
     raw.setdefault("regime", regime.value)
     try:
         return SimConfig(**raw)
-    except (TypeError, DomainError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a bad key, sketch name or value (DomainError)
         valid = ", ".join(s.value for s in SketchKind)
-        raise _CliError(EXIT_INPUT, f"invalid simulation config: {exc} (valid sketches: {valid})")
+        raise _CliError(f"invalid simulation config: {exc} (valid sketches: {valid})")
 
 
 def cmd_simulate(args) -> int:
@@ -386,7 +323,7 @@ def cmd_simulate(args) -> int:
         print(line)
     workers = f"{report.workers} worker{'s' if report.workers > 1 else ''}"
     print(f"runtime: {report.runtime_seconds:.1f} s on {workers}; outputs in {args.output_dir}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +397,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_nulls(argv))
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except SketchInferError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -217,12 +217,18 @@ def complete_sampling_pdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) ->
 
 
 def complete_sampling_approx_t(n: int, k: int, p: int, truth: ModelTruth, gram) -> MultivariateTParams:
-    """Large-n t approximation: t_p(k-p+1, beta_0, sigma^2 (n-p)/(k-p+1) (X'X)^{-1})."""
+    """Large-n t approximation: t_p(k-p+1, beta_0, sigma^2 (n-p)/(k-p+1) (X'X)^{-1}).
+
+    (X'X)^{-1} = L^{-T} L^{-1} from the Cholesky factor of ``gram``, which
+    must be positive definite (DomainError; NonFinite for a NaN or infinite
+    entry).
+    """
     df = k - p + 1
     if df <= 0:
         raise DomainError("requires k >= p")
-    gram = np.asarray(gram, dtype=float)
-    gram_inv = np.linalg.inv(gram)
+    L = _spd_factor(gram)[0]
+    L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    gram_inv = L_inv.T @ L_inv
     scale = truth.sigma2 * (n - p) / df
     return MultivariateTParams(df=df, location=truth.beta_0, scale_matrix=scale * gram_inv)
 
@@ -364,14 +370,18 @@ def ratio_beta_law_pdf(r_grid, phi: float, kappa: float, beta_param: float, para
 # ---------------------------------------------------------------------------
 
 def _check_direction(m_vec: np.ndarray, ref: np.ndarray, what: str) -> None:
-    """Reject a zero contrast m, or one parallel to ``ref`` (named ``what``)."""
-    nm = np.linalg.norm(m_vec)
-    nr = np.linalg.norm(ref)
-    if nm == 0.0:
+    """Reject a zero contrast m, or one parallel to ``ref`` (named ``what``).
+
+    Both vectors are divided by their largest magnitude before the cosine is
+    formed, so it cannot overflow, however large their entries.
+    """
+    sm, sr = np.abs(m_vec).max(), np.abs(ref).max()
+    if sm == 0.0:
         raise DomainError("contrast vector m must be nonzero")
-    if nr == 0.0:
+    if sr == 0.0:
         return
-    cos = abs(float(m_vec @ ref)) / (nm * nr)
+    u, v = m_vec / sm, ref / sr
+    cos = abs(float(u @ v)) / (np.hypot.reduce(u) * np.hypot.reduce(v))
     if cos >= 1.0 - 1e-12:
         raise AssumptionViolated(
             f"m is (numerically) parallel to {what}: the contrast degenerates "

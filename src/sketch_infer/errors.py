@@ -1,8 +1,15 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Each type carries the exit code the command line returns for it: 2 for
+invalid input or a value that cannot be computed, 3 for a rank-deficient
+design or an infeasible sketch size, 4 for a missing W* byproduct.
+"""
 
 
 class SketchInferError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class NonFinite(SketchInferError):
@@ -12,6 +19,8 @@ class NonFinite(SketchInferError):
 class RankDeficient(SketchInferError):
     """A design (or sketched design) matrix is numerically rank deficient."""
 
+    exit_code = 3
+
 
 class DimensionMismatch(SketchInferError):
     """Array shapes are inconsistent with the declared (n, k, p)."""
@@ -19,6 +28,18 @@ class DimensionMismatch(SketchInferError):
 
 class DomainError(SketchInferError, ValueError):
     """A parameter lies outside the mathematical domain of the operation."""
+
+
+class InfeasibleSketchSize(DomainError):
+    """The sketch size k is below 1, or too small (k <= p) to support a fit."""
+
+    exit_code = 3
+
+
+class WStarUnavailable(DomainError):
+    """W* = S S^T was requested with k > n, where it is singular."""
+
+    exit_code = 4
 
 
 class ConvergenceError(SketchInferError):
@@ -36,9 +57,13 @@ class OverflowSignal(SketchInferError):
 class GammaNonpositive(SketchInferError):
     """The unbiasedness adjustment (k - p - 1)/k is not positive."""
 
+    exit_code = 3
+
 
 class MissingWStar(SketchInferError):
     """The operation needs the sketch Gram byproduct S S^T, which was not requested."""
+
+    exit_code = 4
 
 
 class DegenerateSSR(SketchInferError):

@@ -83,9 +83,10 @@ def _complete_solve(sk: SketchedData):
     overflows raises NonFinite.
     """
     Q, R = sk.qr
-    qty = Q.T @ sk.ys
-    resid = sk.ys - Q @ qty
-    with np.errstate(over="ignore"):
+    # an overflow in Q^T y_s leaves SSR_s NaN, reported below with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        qty = Q.T @ sk.ys
+        resid = sk.ys - Q @ qty
         ssr, yty_s = float(resid @ resid), float(sk.ys @ sk.ys)
     if not (math.isfinite(ssr) and math.isfinite(yty_s)):
         raise NonFinite(f"the sketched sums of squares overflow (SSR_s = {ssr}, "

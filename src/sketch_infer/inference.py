@@ -80,13 +80,17 @@ class TestResult:
     statistic: float
     pivot_law: Law
     p_value: float
-    target: Target
     regime: Regime
     method: Method
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise DomainError(f"p-value {self.p_value} outside [0, 1]")
+
+    @property
+    def target(self) -> Target:
+        """beta_F under repeated sketching, beta_0 under repeated sampling."""
+        return Target.BETA_F if self.regime is Regime.REPEATED_SKETCH else Target.BETA_0
 
 
 @dataclass(frozen=True)
@@ -112,19 +116,22 @@ def _two_sided_t(stat: float, df: float) -> float:
 
 
 def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
-    """v' (R'R)^{-1} v via one triangular solve."""
+    """v' (R'R)^{-1} v via one triangular solve; inf, with no numpy warning,
+    where it overflows (a covariate of order 1e-185 makes it ~1e370)."""
     w = _solve_triangular(R, v, trans=True)
-    return float(w @ w)
+    with np.errstate(over="ignore"):
+        return float(w @ w)
 
 
 def _standard_error(sigma2_hat: float, R: np.ndarray, j: int) -> float:
-    """sqrt(sigma2_hat [(R'R)^{-1}]_jj); NonFinite where it underflows to 0,
-    as the t statistic that divides by it would not be finite."""
+    """sqrt(sigma2_hat [(R'R)^{-1}]_jj); NonFinite where it underflows to 0
+    or overflows, as the t statistic that divides by it would not be finite."""
     e = np.zeros(R.shape[0])
     e[j] = 1.0
     se = math.sqrt(sigma2_hat * _gram_inv_quad(R, e))
-    if se == 0.0:
-        raise NonFinite(f"the standard error of coefficient {j} underflows to 0")
+    if se == 0.0 or se == math.inf:
+        raise NonFinite(f"the standard error of coefficient {j} "
+                        f"{'underflows to 0' if se == 0.0 else 'overflows'}")
     return se
 
 
@@ -173,7 +180,6 @@ def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestRes
         statistic=stat,
         pivot_law=law,
         p_value=float(1.0 - dist_cdf(law, stat)),
-        target=Target.BETA_F,
         regime=Regime.REPEATED_SKETCH,
         method=Method.COMPLETE_F,
     )
@@ -210,7 +216,6 @@ def complete_marginal_t_test(
         statistic=stat,
         pivot_law=student_t(df),
         p_value=_two_sided_t(stat, df),
-        target=target,
         regime=regime,
         method=Method.COMPLETE_T,
     )
@@ -286,7 +291,6 @@ def wstar_exact_tests(
         statistic=f_stat,
         pivot_law=flaw,
         p_value=float(1.0 - dist_cdf(flaw, f_stat)),
-        target=Target.BETA_0,
         regime=Regime.REPEATED_SAMPLE,
         method=Method.WSTAR_EXACT,
     )
@@ -300,7 +304,6 @@ def wstar_exact_tests(
             statistic=c_stat,
             pivot_law=claw,
             p_value=float(1.0 - dist_cdf(claw, c_stat)),
-            target=Target.BETA_0,
             regime=Regime.REPEATED_SAMPLE,
             method=Method.WSTAR_EXACT,
         )
@@ -334,7 +337,6 @@ def wstar_marginal_t_tests(
             statistic=stat,
             pivot_law=law,
             p_value=_two_sided_t(stat, n - p),
-            target=Target.BETA_0,
             regime=Regime.REPEATED_SAMPLE,
             method=Method.WSTAR_EXACT,
         )
@@ -375,7 +377,6 @@ def mc_calibrated_sampling_test(
         statistic=obs,
         pivot_law=Law("mc_reference", (float(mc_size),)),
         p_value=p_val,
-        target=Target.BETA_0,
         regime=Regime.REPEATED_SAMPLE,
         method=Method.MC_CALIBRATED,
     )
@@ -404,7 +405,6 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
         statistic=stat,
         pivot_law=law,
         p_value=float(min(1.0, 2.0 * min(c, 1.0 - c))),
-        target=Target.BETA_F,
         regime=Regime.REPEATED_SKETCH,
         method=Method.PARTIAL_CHI2_UNIVARIATE,
     )
@@ -432,8 +432,10 @@ def partial_t_statistic(
     if m_vec.size != p:
         raise DomainError(f"m has length {m_vec.size}, expected {p}")
     R = fit.gram_s_factor
-    xty = (R.T @ (R @ fit.beta)) / fit.gamma
-    _check_direction(m_vec, xty, "X^T y")
+    # X^T y = R'R b_p / gamma, formed from R and b_p divided by their largest
+    # magnitudes: the same direction, and no overflow however large the data
+    Rn, bn = R / np.abs(R).max(), fit.beta / (np.abs(fit.beta).max() or 1.0)
+    _check_direction(m_vec, Rn.T @ (Rn @ bn), "X^T y")
     mb = float(m_vec @ fit.beta)
     bracket = fit.SSM_p * fit.gamma * _gram_inv_quad(R, m_vec) - mb * mb + extra_variance
     if bracket <= 0.0:
@@ -470,7 +472,6 @@ def partial_linear_combination_test(
         statistic=stat,
         pivot_law=student_t(df),
         p_value=_two_sided_t(stat, df),
-        target=Target.BETA_F if regime is Regime.REPEATED_SKETCH else Target.BETA_0,
         regime=regime,
         method=Method.PARTIAL_T,
     )

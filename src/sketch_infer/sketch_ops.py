@@ -19,7 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import DataSet, _qr_full_rank
-from .errors import DimensionMismatch, DomainError
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    InfeasibleSketchSize,
+    NonFinite,
+    WStarUnavailable,
+)
 
 # columns of a Gaussian sketch drawn at once; fixed so that the draws (and
 # so the realization) are bit-identical whether or not W* is requested
@@ -49,7 +55,7 @@ class SketchSpec:
 
     def __post_init__(self):
         if self.k < 1:
-            raise DomainError(f"sketch size k must be >= 1, got {self.k}")
+            raise InfeasibleSketchSize(f"sketch size k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,9 @@ class SketchedData:
             raise DimensionMismatch(
                 f"sketched shapes {self.Xs.shape}/{self.ys.shape} inconsistent with (k={k}, p={self.p})"
             )
+        if not (np.isfinite(self.Xs).all() and np.isfinite(self.ys).all()):
+            raise NonFinite("the sketched data contain NaN or infinite entries "
+                            "(the sketch overflowed: the data's entries are too large)")
         if self.W_star is not None:
             W = self.W_star
             if W.shape != (k, k):
@@ -109,9 +118,9 @@ def _check_feasible(data: DataSet, spec: SketchSpec, want_w_star: bool) -> None:
     # k <= p cannot support any downstream fit; S S^T is singular with
     # probability 1 when k > n
     if spec.k <= data.p:
-        raise DomainError(f"sketch size must exceed p (got k={spec.k}, p={data.p})")
+        raise InfeasibleSketchSize(f"sketch size must exceed p (got k={spec.k}, p={data.p})")
     if want_w_star and spec.k > data.n:
-        raise DomainError(f"W_star requires k <= n (got k={spec.k}, n={data.n})")
+        raise WStarUnavailable(f"W_star requires k <= n (got k={spec.k}, n={data.n})")
 
 
 def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
@@ -131,15 +140,18 @@ def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     B = np.zeros((k, m))
     W = np.zeros((k, k)) if want_w_star else None
     scale = 1.0 / np.sqrt(k)
-    for start in range(0, n, _GAUSS_CHUNK):
-        stop = min(start + _GAUSS_CHUNK, n)
-        Sc = rng.standard_normal((k, stop - start))
-        Sc *= scale
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            B += Sc[:, lo - start:hi - start] @ A[lo:hi]
-        if W is not None:
-            W += Sc @ Sc.T
+    # data near the largest double overflow B: SketchedData reports that
+    # as NonFinite, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _GAUSS_CHUNK):
+            stop = min(start + _GAUSS_CHUNK, n)
+            Sc = rng.standard_normal((k, stop - start))
+            Sc *= scale
+            for lo in range(start, stop, _BLOCK):
+                hi = min(lo + _BLOCK, stop)
+                B += Sc[:, lo - start:hi - start] @ A[lo:hi]
+            if W is not None:
+                W += Sc @ Sc.T
     Xs, ys = _split(B)
     return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
 
@@ -186,11 +198,13 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     row_signs = _walsh_rows(idx // block, np.arange(-(-n // block)))
     SA = A * signs[:, None]
     B = np.zeros((k, m))
-    for j, start in enumerate(range(0, n, block)):
-        stop = min(start + block, n)
-        C = base[:, :stop - start] @ SA[start:stop]
-        C *= row_signs[:, j, None]
-        B += C
+    # an overflow is reported by SketchedData as NonFinite, as in apply_gaussian
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, start in enumerate(range(0, n, block)):
+            stop = min(start + block, n)
+            C = base[:, :stop - start] @ SA[start:stop]
+            C *= row_signs[:, j, None]
+            B += C
     # combined scaling: (1/sqrt(n')) for the transform, sqrt(n'/k) overall
     B *= 1.0 / np.sqrt(k)
     Xs, ys = _split(B)

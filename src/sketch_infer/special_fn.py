@@ -155,8 +155,12 @@ def log_kummer_u(a: float, b: float, z: float) -> float:
     a ~ 5000) the error in log U was at most 7.3e-12, the rounding of
     log U itself at |log U| ~ 5e4, and at most 1.5e-14 where |log U| < 100.
     Over a in [0.5, 6000], b in [-5, 6000], z in [1e-3, 1e4] the recurrence
-    DLMF 13.3.10 held to 3e-11 in log space.  Below a ~ 0.5 the t^a tail can
-    outrun the rule, which then raises ConvergenceError.
+    DLMF 13.3.10 held to 3e-11 in log space.
+
+    Domain: defined for a > 0, z > 0 (DomainError otherwise), and verified
+    for a >= 0.5.  Below that the t^a tail can outrun the rule where the
+    peak is narrow, which then raises ConvergenceError rather than return
+    an unconverged value: U(0.05, 259.6, 228.3) does.
     """
     a, b, z = float(a), float(b), float(z)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
@@ -187,6 +191,8 @@ def kummer_u(a: float, b: float, z: float) -> float:
     the integral representation, relative error at most ~1e-11 where the
     value is representable (see ``log_kummer_u``).  Raises
     ``OverflowSignal`` beyond double precision; use ``log_kummer_u`` there.
+    Shares ``log_kummer_u``'s domain: verified for a >= 0.5; below that a
+    narrow peak can raise ``ConvergenceError``.
     """
     lv = log_kummer_u(a, b, z)
     if lv > _LOG_DBL_MAX:

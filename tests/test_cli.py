@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sketch_infer import cli
-from sketch_infer.cli import EXIT_INPUT, _CliError, main
+from sketch_infer.cli import _CliError, main
+from sketch_infer.errors import RankDeficient, SketchInferError
 
 
 INFER_ROW_KEYS = {"index", "name", "estimate", "null_value", "statistic", "pivot",
@@ -67,9 +70,10 @@ class TestFit:
         assert got == [float(b) for b in fit.beta]  # bitwise round trip
         assert rep["ssr_s"] == fit.SSR_s
 
-    def test_small_k_exit_3(self, data_csv, tmp_path):
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_small_k_exit_3(self, data_csv, tmp_path, k):
         rc = main(["fit", "--input", str(data_csv), "--response", "y",
-                   "--k", "3", "--seed", "1", "--output", str(tmp_path / "o.json")])
+                   "--k", k, "--seed", "1", "--output", str(tmp_path / "o.json")])
         assert rc == 3
 
     def test_deterministic_bytes(self, data_csv, tmp_path):
@@ -344,6 +348,42 @@ class TestSimulate:
         assert elapsed < 5.0
 
 
+class TestExitCodes:
+    """Each error type carries its exit code, as the README's table documents it."""
+
+    def test_every_error_type_has_its_documented_code(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        documented = {m[1]: int(m[2]) for m in re.finditer(r"^\| `(\w+)` \| (\d) \|", readme, re.M)}
+
+        def walk(cls):
+            yield cls
+            for sub in cls.__subclasses__():
+                yield from walk(sub)
+
+        types = {cls.__name__: cls for cls in walk(SketchInferError)}
+        cli_own = types.pop("_CliError")
+        assert sorted(documented) == sorted(types)
+        assert {name: cls.exit_code for name, cls in types.items()} == documented
+        assert cli_own.exit_code == 2
+
+    def test_failing_replicate_exits_with_its_type_code(self, tmp_path, capsys, monkeypatch):
+        from sketch_infer import sim_study
+
+        def rank_deficient(*args, **kwargs):
+            raise RankDeficient("sketched design is rank deficient")
+
+        monkeypatch.setattr(sim_study, "fit_complete", rank_deficient)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": 3, "beta0": [2.0, -1.0, 0.0, 1.0],
+            "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [0],
+            "root_seed": 5, "rep_draws": 2000,
+        }))
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: gaussian replicate 0: sketched design")
+
+
 class TestNonFiniteReport:
     """JSON has no NaN/Infinity: a non-finite value is exit 2, with no file written."""
 
@@ -393,7 +433,7 @@ class TestNonFiniteReport:
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["infer", "--input", str(path), "--response", "y", "--mode", "partial",
                        "--k", "3", "--seed", "0", "--output", str(out)])
-        assert rc == EXIT_INPUT
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: partial inputs contain NaN or infinite entries")
         assert not out.exists()
@@ -413,7 +453,7 @@ class TestNonFiniteReport:
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["infer", "--input", str(path), "--response", "y", "--mode", mode,
                        "--k", "3", "--seed", "0", "--output", str(out)])
-        assert rc == EXIT_INPUT
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and overflowing in err and "overflow" in err
         assert not out.exists()
@@ -455,13 +495,13 @@ def _read_csv_reference(path: str, response: str, intercept: bool):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot open input file: {exc}")
+        raise _CliError(f"cannot open input file: {exc}")
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise _CliError(EXIT_INPUT, "input file is empty (a header row is required)")
+            raise _CliError("input file is empty (a header row is required)")
         header = [h.strip() for h in header]
         if response in header:
             r_idx = header.index(response)
@@ -470,18 +510,16 @@ def _read_csv_reference(path: str, response: str, intercept: bool):
                 r_idx = int(response)
             except ValueError:
                 raise _CliError(
-                    EXIT_INPUT,
                     f"response column '{response}' not found; columns are {header}",
                 )
             if not 0 <= r_idx < len(header):
-                raise _CliError(EXIT_INPUT, f"response index {r_idx} outside 0..{len(header) - 1}")
+                raise _CliError(f"response index {r_idx} outside 0..{len(header) - 1}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise _CliError(
-                    EXIT_INPUT,
                     f"row {line_no}: expected {len(header)} fields, found {len(row)}",
                 )
             vals = []
@@ -490,13 +528,12 @@ def _read_csv_reference(path: str, response: str, intercept: bool):
                     vals.append(float(cell))
                 except ValueError:
                     raise _CliError(
-                        EXIT_INPUT,
                         f"row {line_no}, column '{header[c_idx]}': "
                         f"could not parse {cell.strip()!r} as a number",
                     )
             rows.append(vals)
         if not rows:
-            raise _CliError(EXIT_INPUT, "input file contains no data rows")
+            raise _CliError("input file contains no data rows")
     M = np.asarray(rows, dtype=float)
     y = M[:, r_idx]
     X = np.delete(M, r_idx, axis=1)
@@ -512,7 +549,7 @@ def _parse_outcome(parser, path, response, intercept):
     try:
         X, y, names = parser(str(path), response, intercept)
     except _CliError as exc:
-        return ("error", exc.code, str(exc))
+        return ("error", exc.exit_code, str(exc))
     return ("ok", X.dtype, X.shape, X.tobytes(), y.dtype, y.shape, y.tobytes(), names)
 
 
@@ -588,18 +625,36 @@ class TestCsvParser:
              mode="complete", kind="gaussian", k=3, seed=0)
     @example(text='x0,y\n0.0,1.0\n"6.362424904190393e+161","0.0"\n\n\n\n', response="y",
              intercept=False, mode="efficient", kind="gaussian", k=2, seed=0)
+    # X^T y of order 1e200: its norm, squared, overflows
+    @example(text="x0,x1,y\n3e100,1e100,2e100\n-1e100,2e100,1e100\n2e100,-1e100,3e100\n"
+                  "1e100,1e100,-1e100\n-2e100,3e100,2e100\n1e100,-2e100,1e100\n",
+             response="y", intercept=False, mode="partial", kind="hadamard", k=5, seed=0)
+    # the Gaussian sketch of values near the largest double overflows
+    @example(text="x0,y\n1e267,-1.7976931348623157e+308\n-3e14,1e-18\n1e264,2e15\n-7,3.7e80\n",
+             response="y", intercept=False, mode="efficient", kind="gaussian", k=2, seed=2)
+    # a covariate of order 1e-185: [(Xs'Xs)^{-1}]_00 overflows
+    @example(text="x0,y\n5.5612112766892974e-185,0\n0.0,-1.36231e-5\n", response="y",
+             intercept=False, mode="complete", kind="gaussian", k=3, seed=2)
+    # a sketched response of order 1e308: Q^T y_s overflows
+    @example(text="x0,y\n1,1.5e308\n2,1.5e308\n3,-1.5e308\n4,1.5e308\n5,1.5e308\n"
+                  "6,-1.5e308\n7,1.5e308\n", response="y", intercept=False,
+             mode="complete", kind="clarkson_woodruff", k=5, seed=3)
     def test_infer_exits_with_a_documented_code(self, tmp_path, capsys, text, response,
                                                 intercept, mode, kind, k, seed):
         # every outcome of `infer` on any text is a documented exit code
-        # with, at most, a one-line diagnostic: never a traceback
+        # with, at most, a one-line diagnostic: never a traceback, nor a
+        # numpy warning ahead of it
         path = tmp_path / "fuzz.csv"
         path.write_bytes(text.encode("utf-8"))
         argv = ["infer", "--input", str(path), "--response", response, "--sketch", kind,
                 "--k", str(k), "--mode", mode, "--seed", str(seed),
                 "--output", str(tmp_path / "fuzz.json")]
         capsys.readouterr()
-        code = main(argv + (["--intercept"] if intercept else []))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + (["--intercept"] if intercept else []))
         out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in out + err
         assert code == 0 or err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Nonstandard densities: normalization, moments, and end-to-end MC agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sketch_infer.core_model import DataSet, ModelTruth, fit_full
 from sketch_infer.densities import (
     HLawParams,
     MultivariateTParams,
+    _check_direction,
     _cholesky,
     _log_m_neg_laplace,
     _spd_factor,
@@ -150,6 +152,18 @@ class TestCompleteSamplingDensity:
         exact = complete_sampling_pdf(truth.beta_0, truth, gram, n, k, p)
         approx = mvt_pdf(complete_sampling_approx_t(n, k, p, truth, gram), truth.beta_0)
         assert abs(exact - approx) / exact < 0.01
+
+    @pytest.mark.parametrize("gram,error", [
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), DomainError),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFinite),
+        (np.diag([1.0, -1.0]), DomainError),
+    ], ids=["singular", "nan", "indefinite"])
+    def test_approximate_t_needs_positive_definite_gram(self, gram, error):
+        truth = ModelTruth(beta_0=np.zeros(2), sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error):
+                complete_sampling_approx_t(100, 10, 2, truth, gram)
 
 
 # (a, c) = ((k+1)/2, (n-p)/2) of the benchmark's three laws-grid designs
@@ -364,6 +378,13 @@ class TestPartialSketchingRep:
         target = float(m_vec @ self.full.beta_F)
         se = rep.std() / math.sqrt(rep.size)
         assert abs(rep.mean() - target) < 3 * se
+
+    def test_direction_check_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _check_direction(np.array([1.0, 0.0]), np.array([1e200, 1e200]), "X^T y")
+            with pytest.raises(AssumptionViolated):
+                _check_direction(np.array([-1.0, -1.0]), np.array([1e200, 1e200]), "X^T y")
 
     def test_rejects_parallel_contrast(self):
         xty = self.data.X.T @ self.data.y

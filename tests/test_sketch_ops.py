@@ -1,5 +1,7 @@
 """Sketch operators: moment oracles, determinism, structural properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from scipy.linalg import hadamard as dense_hadamard
 
 from sketch_infer import sketch_ops
 from sketch_infer.core_model import DataSet
-from sketch_infer.errors import DomainError
+from sketch_infer.errors import DomainError, InfeasibleSketchSize, NonFinite, WStarUnavailable
 from sketch_infer.sketch_ops import (
     SketchedData,
     SketchKind,
@@ -240,6 +242,28 @@ class TestSharedProperties:
         data = make_dataset(40, 3, np.ones(3), seed=2)
         with pytest.raises(DomainError):
             apply_sketch(data, _spec(kind, 3, 0))
+
+    def test_feasibility_errors_carry_their_exit_codes(self):
+        data = make_dataset(10, 2, np.ones(2), seed=0)
+        with pytest.raises(InfeasibleSketchSize) as small:
+            SketchSpec(kind=SketchKind.GAUSSIAN, k=0, seed=0)
+        with pytest.raises(InfeasibleSketchSize) as at_p:
+            apply_sketch(data, _spec(SketchKind.HADAMARD, 2, 0))
+        with pytest.raises(WStarUnavailable) as wstar:
+            apply_sketch(data, _spec(SketchKind.CLARKSON_WOODRUFF, 11, 0), want_w_star=True)
+        assert [e.value.exit_code for e in (small, at_p, wstar)] == [3, 3, 4]
+
+    # a 6 x 2 design of order 5e307: its QR is finite, the sketched sums
+    # overflow (Hadamard at every seed, the others at these)
+    @pytest.mark.parametrize("kind,seed", [(SketchKind.HADAMARD, s) for s in range(4)]
+                             + [(SketchKind.GAUSSIAN, 8), (SketchKind.CLARKSON_WOODRUFF, 48)])
+    def test_overflow_is_non_finite_without_warning(self, kind, seed):
+        X = 5e307 * np.column_stack([np.ones(6), np.tile([1.0, 0.5], 3)])
+        data = DataSet(X=X, y=np.full(6, 5e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite, match="sketch overflowed"):
+                apply_sketch(data, _spec(kind, 3, seed))
 
     def test_derive_seed_splits(self):
         seeds = {derive_seed(5, i) for i in range(1000)}

@@ -129,6 +129,13 @@ class TestKummerU:
         with pytest.raises(ConvergenceError, match="step too coarse"):
             log_kummer_u(0.5, 0.8, 1e-3)
 
+    def test_small_a_narrow_peak_outside_verified_domain(self):
+        # below a = 0.5 the t^a tail can outrun the rule: it raises, never
+        # returns an unconverged value
+        for fn in (kummer_u, log_kummer_u):
+            with pytest.raises(ConvergenceError, match="range too narrow"):
+                fn(0.05, 259.6, 228.3)
+
 
 class TestSoftplus:
     def test_matches_logaddexp_to_one_ulp_without_warnings(self):
