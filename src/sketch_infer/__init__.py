@@ -35,8 +35,7 @@ from .inference import (
     Target,
     TestResult,
     complete_joint_f_test,
-    complete_marginal_ci,
-    complete_marginal_t_test,
+    complete_marginal_t_tests,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
     partial_marginal_t_test,

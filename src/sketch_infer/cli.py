@@ -29,8 +29,7 @@ from .estimators import (
 )
 from .inference import (
     Regime,
-    complete_marginal_ci,
-    complete_marginal_t_test,
+    complete_marginal_t_tests,
     partial_marginal_t_test,
     partial_univariate_chi2_test,
     wstar_marginal_t_tests,
@@ -222,6 +221,8 @@ def _parse_nulls(spec: str, p: int):
         vals = [float(s) for s in parts]
     except ValueError:
         raise _CliError(f"could not parse null values '{spec}'")
+    if not np.isfinite(vals).all():  # a NaN null gives a NaN statistic
+        raise _CliError(f"null values must be finite, got '{spec}'")
     if len(vals) == 1:
         return np.full(p, vals[0])
     if len(vals) != p:
@@ -265,14 +266,13 @@ def cmd_infer(args) -> int:
                 flag = "only the zero null is supported for partial coefficients"
             else:
                 try:
-                    test = partial_marginal_t_test(fit, sk, j, Regime.REPEATED_SKETCH)
+                    test = partial_marginal_t_test(fit, sk, j)
                 except NegativeDenominator as exc:
                     flag = f"negative denominator: {exc}"
             coefficients.append(_coef_row(j, names[j], fit.beta[j], nulls[j], test, flag=flag))
     else:
         if args.mode == "complete":
-            pairs = [(complete_marginal_t_test(fit, sk, j, float(nulls[j])),
-                      complete_marginal_ci(fit, sk, j, level)) for j in range(p)]
+            pairs = complete_marginal_t_tests(fit, sk, nulls, level)
         else:  # efficient: classical inference on the whitened system, exact given S
             # an overflow here is reported by the W* tests as NonFinite
             with np.errstate(over="ignore", invalid="ignore"):

@@ -5,7 +5,13 @@ fixed and the randomness is the projection; the natural target is the
 full-data estimate beta_F.  Under repeated sampling both the response and the
 projection are redrawn; the target is the model parameter beta_0.  Several
 pivots share one formula across regimes and differ only in which null law
-interpretation applies; the report carries both labels so nothing is implicit.
+interpretation applies, so a test takes its regime as the ``regime``
+argument; every TestResult records that regime, and its ``target`` follows
+from it.
+
+Every result takes its p-value from one rule (``_result``), and the
+complete-sketch and W* marginal t pivots share one routine
+(``_marginal_t_tests``), differing only in their variance estimate and df.
 
 Testing a coordinate of beta_F equal to zero asks whether the *sample*
 estimate is zero, which is not a traditional inferential hypothesis; it is
@@ -42,10 +48,9 @@ __all__ = [
     "TestResult",
     "ConfidenceInterval",
     "complete_joint_f_test",
-    "complete_marginal_t_test",
+    "complete_marginal_t_tests",
     "marginal_t_statistic",
     "partial_t_statistic",
-    "complete_marginal_ci",
     "wstar_exact_tests",
     "wstar_marginal_t_tests",
     "mc_calibrated_sampling_test",
@@ -68,7 +73,6 @@ class Regime(str, enum.Enum):
 class Method(str, enum.Enum):
     COMPLETE_T = "complete_t"
     COMPLETE_F = "complete_f"
-    COMPLETE_CHI2 = "complete_chi2"
     WSTAR_EXACT = "wstar_exact"
     PARTIAL_T = "partial_t"
     PARTIAL_CHI2_UNIVARIATE = "partial_chi2_univariate"
@@ -110,9 +114,15 @@ class ConfidenceInterval:
         return self.lower <= x <= self.upper
 
 
-def _two_sided_t(stat: float, df: float) -> float:
-    c = dist_cdf(student_t(df), stat)
-    return float(min(1.0, 2.0 * min(c, 1.0 - c)))
+def _result(stat: float, law: Law, regime: Regime, method: Method,
+            two_sided: bool = True) -> TestResult:
+    """The test of ``stat`` referred to ``law``, with c its CDF there: the
+    equal-tail p-value min(1, 2 min(c, 1 - c)) when ``two_sided`` (right for
+    an asymmetric law too), the upper-tail 1 - c otherwise."""
+    c = dist_cdf(law, stat)
+    p_value = min(1.0, 2.0 * min(c, 1.0 - c)) if two_sided else 1.0 - c
+    return TestResult(statistic=stat, pivot_law=law, p_value=float(p_value),
+                      regime=regime, method=method)
 
 
 def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
@@ -140,6 +150,14 @@ def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
         raise DomainError(f"{op} requires a {kind.value} fit, got {fit.kind.value}")
 
 
+def _null_vector(fit: SketchFit, beta_hyp) -> np.ndarray:
+    """``beta_hyp`` as a float vector, checked to hold one value per coefficient."""
+    hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
+    if hyp.shape != fit.beta.shape:
+        raise DomainError(f"beta_hyp has length {hyp.size}, expected {fit.beta.size}")
+    return hyp
+
+
 def _roundoff_floor(k: int, total: float) -> float:
     """k eps ``total``: the smallest residual sum of squares worth a pivot.
 
@@ -163,8 +181,26 @@ def _require_ssr(fit: SketchFit, k: int) -> float:
     return fit.SSR_s
 
 
+def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarray,
+                      level: float, regime: Regime, method: Method):
+    """Per-coefficient t tests and intervals: (b_j - h_j) / se_j ~ t_df with
+    se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj), inverted to b_j +- t_{df,(1+level)/2} se_j.
+    One ``(TestResult, ConfidenceInterval)`` pair per coefficient."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must be in (0, 1)")
+    law = student_t(df)
+    tq = dist_quantile(law, (1.0 + level) / 2.0)
+    pairs = []
+    for j, (b_j, h_j) in enumerate(zip(fit.beta.tolist(), hyp.tolist())):
+        se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
+        ci = ConfidenceInterval(coefficient_index=j, lower=b_j - tq * se,
+                                upper=b_j + tq * se, level=level)
+        pairs.append((_result((b_j - h_j) / se, law, regime, method), ci))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
-# complete sketch, repeated sketching
+# complete sketch
 # ---------------------------------------------------------------------------
 
 def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestResult:
@@ -172,24 +208,17 @@ def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestRes
     _require_kind(fit, FitKind.COMPLETE, "joint F test")
     k, p = sk.spec.k, sk.p
     ssr = _require_ssr(fit, k)
-    d = fit.beta - np.asarray(beta_hyp, dtype=float).reshape(-1)
+    d = fit.beta - _null_vector(fit, beta_hyp)
     quad = float(np.sum((fit.gram_s_factor @ d) ** 2))
-    stat = (quad / p) / (ssr / (k - p))
-    law = f_law(p, k - p)
-    return TestResult(
-        statistic=stat,
-        pivot_law=law,
-        p_value=float(1.0 - dist_cdf(law, stat)),
-        regime=Regime.REPEATED_SKETCH,
-        method=Method.COMPLETE_F,
-    )
+    return _result((quad / p) / (ssr / (k - p)), f_law(p, k - p),
+                   Regime.REPEATED_SKETCH, Method.COMPLETE_F, two_sided=False)
 
 
 def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float):
     """Statistic and standard error of the complete-sketch marginal t pivot.
 
-    Cheap building block (no reference-law evaluation) used by the test
-    functions and by the simulation harness's replicate loop.
+    Cheap building block (no reference-law evaluation) for the simulation
+    harness's replicate loop.
     """
     k, p = sk.spec.k, sk.p
     ssr = _require_ssr(fit, k)
@@ -199,41 +228,21 @@ def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float)
     return (fit.beta[j] - hyp_j) / se, se
 
 
-def complete_marginal_t_test(
-    fit: SketchFit, sk: SketchedData, j: int, beta_hyp_j: float,
-    target: Target = Target.BETA_F,
-) -> TestResult:
-    """Marginal pivot (b_sj - h) / sqrt(SSR_s/(k-p) [(Xs'Xs)^{-1}]_jj) ~ t_{k-p}.
+def complete_marginal_t_tests(
+    fit: SketchFit, sk: SketchedData, beta_hyp, level: float,
+    regime: Regime = Regime.REPEATED_SKETCH,
+):
+    """Per-coefficient marginal t tests and intervals of the complete sketch.
 
-    Exact for target beta_F under repeated sketching; the same statistic is
-    the large-n approximate pivot for beta_0 under repeated samples.
+    (b_sj - h_j) / sqrt(SSR_s/(k-p) [(Xs'Xs)^{-1}]_jj) ~ t_{k-p}: exact for
+    beta_F under repeated sketching, and the large-n approximate pivot for
+    beta_0 under repeated sampling.  Returns one ``(TestResult,
+    ConfidenceInterval)`` pair per coefficient.
     """
-    _require_kind(fit, FitKind.COMPLETE, "marginal t test")
-    stat, _ = marginal_t_statistic(fit, sk, j, beta_hyp_j)
-    df = sk.spec.k - sk.p
-    regime = Regime.REPEATED_SKETCH if target is Target.BETA_F else Regime.REPEATED_SAMPLE
-    return TestResult(
-        statistic=stat,
-        pivot_law=student_t(df),
-        p_value=_two_sided_t(stat, df),
-        regime=regime,
-        method=Method.COMPLETE_T,
-    )
-
-
-def complete_marginal_ci(fit: SketchFit, sk: SketchedData, j: int, level: float) -> ConfidenceInterval:
-    """Invert the marginal t pivot: b_sj +- t_{k-p,(1+level)/2} * se_j."""
-    _require_kind(fit, FitKind.COMPLETE, "marginal CI")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
-    _, se = marginal_t_statistic(fit, sk, j, 0.0)
-    tq = dist_quantile(student_t(sk.spec.k - sk.p), (1.0 + level) / 2.0)
-    return ConfidenceInterval(
-        coefficient_index=j,
-        lower=float(fit.beta[j] - tq * se),
-        upper=float(fit.beta[j] + tq * se),
-        level=level,
-    )
+    _require_kind(fit, FitKind.COMPLETE, "marginal t tests")
+    k, p = sk.spec.k, sk.p
+    return _marginal_t_tests(fit, _require_ssr(fit, k) / (k - p), k - p,
+                             _null_vector(fit, beta_hyp), level, regime, Method.COMPLETE_T)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +262,6 @@ def _wstar_ssr(fit: SketchFit, sk: SketchedData, yty: float, hyp: np.ndarray):
     """
     if sk.W_star is None:
         raise MissingWStar("operation requires the W* = S S^T byproduct; re-sketch with want_w_star=True")
-    if hyp.shape != fit.beta.shape:
-        raise DomainError(f"beta_hyp has length {hyp.size}, expected {fit.beta.size}")
     if not math.isfinite(yty):
         raise NonFinite(f"the null-centered sum of squares ||y - X h||^2 = {yty} overflows")
     with np.errstate(over="ignore"):
@@ -283,31 +290,15 @@ def wstar_exact_tests(
     """
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* exact tests")
     n, p = sk.n, sk.p
-    hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    num, ssr_star = _wstar_ssr(fit, sk, yty, hyp)
-    f_stat = (num / p) / (ssr_star / (n - p))
-    flaw = f_law(p, n - p)
-    f_res = TestResult(
-        statistic=f_stat,
-        pivot_law=flaw,
-        p_value=float(1.0 - dist_cdf(flaw, f_stat)),
-        regime=Regime.REPEATED_SAMPLE,
-        method=Method.WSTAR_EXACT,
-    )
-    chi_res = None
-    if sigma2 is not None:
-        if sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
-        claw = chi2(p)
-        c_stat = num / sigma2
-        chi_res = TestResult(
-            statistic=c_stat,
-            pivot_law=claw,
-            p_value=float(1.0 - dist_cdf(claw, c_stat)),
-            regime=Regime.REPEATED_SAMPLE,
-            method=Method.WSTAR_EXACT,
-        )
-    return f_res, chi_res
+    num, ssr_star = _wstar_ssr(fit, sk, yty, _null_vector(fit, beta_hyp))
+    f_res = _result((num / p) / (ssr_star / (n - p)), f_law(p, n - p),
+                    Regime.REPEATED_SAMPLE, Method.WSTAR_EXACT, two_sided=False)
+    if sigma2 is None:
+        return f_res, None
+    if sigma2 <= 0:
+        raise DomainError("sigma2 must be positive")
+    return f_res, _result(num / sigma2, chi2(p), Regime.REPEATED_SAMPLE,
+                          Method.WSTAR_EXACT, two_sided=False)
 
 
 def wstar_marginal_t_tests(
@@ -321,29 +312,11 @@ def wstar_marginal_t_tests(
     ``(TestResult, ConfidenceInterval)`` pair per coefficient.
     """
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* marginal t tests")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
     n, p = sk.n, sk.p
-    hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    sigma2_hat = _wstar_ssr(fit, sk, yty, hyp)[1] / (n - p)
-    law = student_t(n - p)
-    tq = dist_quantile(law, (1.0 + level) / 2.0)
-    results = []
-    for j in range(p):
-        se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
-        b_j = float(fit.beta[j])
-        stat = (b_j - float(hyp[j])) / se
-        test = TestResult(
-            statistic=stat,
-            pivot_law=law,
-            p_value=_two_sided_t(stat, n - p),
-            regime=Regime.REPEATED_SAMPLE,
-            method=Method.WSTAR_EXACT,
-        )
-        ci = ConfidenceInterval(coefficient_index=j, lower=b_j - tq * se,
-                                upper=b_j + tq * se, level=level)
-        results.append((test, ci))
-    return results
+    hyp = _null_vector(fit, beta_hyp)
+    ssr_star = _wstar_ssr(fit, sk, yty, hyp)[1]
+    return _marginal_t_tests(fit, ssr_star / (n - p), n - p, hyp, level,
+                             Regime.REPEATED_SAMPLE, Method.WSTAR_EXACT)
 
 
 def mc_calibrated_sampling_test(
@@ -365,7 +338,7 @@ def mc_calibrated_sampling_test(
     if n <= p or k <= p:
         raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
     gram = np.asarray(gram, dtype=float)
-    d = fit.beta - np.asarray(beta_hyp, dtype=float).reshape(-1)
+    d = fit.beta - _null_vector(fit, beta_hyp)
     obs = (float(d @ gram @ d) / p) / sigma2_hat_complete(ssr, n, k, p)
     rng = np.random.default_rng(seed)
     v = rng.chisquare(p, mc_size)
@@ -373,13 +346,8 @@ def mc_calibrated_sampling_test(
     u = h_law_sample(ssr_s_law_params(n, k, p), rng.integers(2**63), mc_size)
     ref = v / (u * r) * (n - p) * (k - p) / p
     p_val = (1.0 + float(np.count_nonzero(ref >= obs))) / (mc_size + 1.0)
-    return TestResult(
-        statistic=obs,
-        pivot_law=Law("mc_reference", (float(mc_size),)),
-        p_value=p_val,
-        regime=Regime.REPEATED_SAMPLE,
-        method=Method.MC_CALIBRATED,
-    )
+    return TestResult(statistic=obs, pivot_law=Law("mc_reference", (float(mc_size),)),
+                      p_value=p_val, regime=Regime.REPEATED_SAMPLE, method=Method.MC_CALIBRATED)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +366,8 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
     bp = float(fit.beta[0])
     if bp == 0.0:
         raise ZeroEstimate("partial estimate is exactly zero")
-    stat = (k - 2.0) * beta_F_hyp / bp
-    law = chi2(k)
-    c = dist_cdf(law, stat) if stat > 0 else 0.0
-    return TestResult(
-        statistic=stat,
-        pivot_law=law,
-        p_value=float(min(1.0, 2.0 * min(c, 1.0 - c))),
-        regime=Regime.REPEATED_SKETCH,
-        method=Method.PARTIAL_CHI2_UNIVARIATE,
-    )
+    return _result((k - 2.0) * beta_F_hyp / bp, chi2(k), Regime.REPEATED_SKETCH,
+                   Method.PARTIAL_CHI2_UNIVARIATE)
 
 
 def partial_t_statistic(
@@ -448,43 +408,32 @@ def partial_t_statistic(
 def partial_linear_combination_test(
     fit: SketchFit, sk: SketchedData, m_vec,
     regime: Regime = Regime.REPEATED_SKETCH,
-    sigma2_proxy: float | None = None,
 ) -> TestResult:
     """Zero-null test of m'beta via the partial-sketch t pivot (t_{k-p+1}).
 
-    Exact for m'beta_F = 0 under repeated sketching.  For the sampling
-    regime an error-variance term is added to the denominator; it defaults
-    to the unbiased estimate SSR_s k/((n-p)(k-p)).
+    Exact for m'beta_F = 0 under repeated sketching.  Under repeated
+    sampling the unbiased error-variance estimate SSR_s k/((n-p)(k-p)) of
+    the complete fit of the same sketch is added to the denominator.
     """
     k, p = sk.spec.k, sk.p
     m_arr = np.asarray(m_vec, dtype=float).reshape(-1)
-    if regime is Regime.REPEATED_SAMPLE and p >= 2:
-        # beta_p stands in for the unobservable beta_0 direction
-        _check_direction(m_arr, fit.beta, "beta_p")
     extra = 0.0
     if regime is Regime.REPEATED_SAMPLE:
-        if sigma2_proxy is None:
-            sigma2_proxy = sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
-        extra = sigma2_proxy
-    stat = partial_t_statistic(fit, sk, m_arr, extra_variance=extra)
-    df = k - p + 1
-    return TestResult(
-        statistic=stat,
-        pivot_law=student_t(df),
-        p_value=_two_sided_t(stat, df),
-        regime=regime,
-        method=Method.PARTIAL_T,
-    )
+        if p >= 2:
+            # beta_p stands in for the unobservable beta_0 direction
+            _check_direction(m_arr, fit.beta, "beta_p")
+        extra = sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
+    return _result(partial_t_statistic(fit, sk, m_arr, extra_variance=extra),
+                   student_t(k - p + 1), regime, Method.PARTIAL_T)
 
 
 def partial_marginal_t_test(
     fit: SketchFit, sk: SketchedData, j: int,
     regime: Regime = Regime.REPEATED_SKETCH,
-    sigma2_proxy: float | None = None,
 ) -> TestResult:
     """Zero-null test of coordinate j of the partial estimator (unit contrast)."""
     if not 0 <= j < sk.p:
         raise IndexError(f"coefficient index {j} outside [0, {sk.p})")
     e = np.zeros(sk.p)
     e[j] = 1.0
-    return partial_linear_combination_test(fit, sk, e, regime, sigma2_proxy)
+    return partial_linear_combination_test(fit, sk, e, regime)

@@ -114,13 +114,21 @@ def _split(B: np.ndarray):
     return np.ascontiguousarray(B[:, 1:]), np.ascontiguousarray(B[:, 0])
 
 
+def _padded_size(n: int) -> int:
+    """n', the power of two the Hadamard sketch zero-pads n rows to."""
+    return 1 << (n - 1).bit_length()
+
+
 def _check_feasible(data: DataSet, spec: SketchSpec, want_w_star: bool) -> None:
     # k <= p cannot support any downstream fit; S S^T is singular with
-    # probability 1 when k > n
+    # probability 1 when k > n; the Hadamard sketch samples k distinct rows
+    # of an n' x n' transform
     if spec.k <= data.p:
         raise InfeasibleSketchSize(f"sketch size must exceed p (got k={spec.k}, p={data.p})")
     if want_w_star and spec.k > data.n:
         raise WStarUnavailable(f"W_star requires k <= n (got k={spec.k}, n={data.n})")
+    if spec.kind is SketchKind.HADAMARD and spec.k > (n_pad := _padded_size(data.n)):
+        raise InfeasibleSketchSize(f"hadamard sketch needs k <= padded size (k={spec.k}, n'={n_pad})")
 
 
 def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
@@ -187,9 +195,7 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     A = data.yX
     n, m = A.shape
     k = spec.k
-    n_pad = 1 << int(np.ceil(np.log2(n)))
-    if k > n_pad:
-        raise DomainError(f"hadamard sketch needs k <= padded size (k={k}, n'={n_pad})")
+    n_pad = _padded_size(n)
     rng = np.random.default_rng(spec.seed)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     idx = rng.choice(n_pad, size=k, replace=False)

@@ -76,6 +76,17 @@ class TestFit:
                    "--k", k, "--seed", "1", "--output", str(tmp_path / "o.json")])
         assert rc == 3
 
+    def test_hadamard_k_above_padded_size_exit_3(self, tmp_path, capsys):
+        # 5 rows pad to n' = 8: the Hadamard sketch cannot sample 9 distinct
+        # rows, while a Gaussian sketch with k > n still fits (without W*)
+        path = tmp_path / "tiny.csv"
+        _write_csv(path, np.arange(1.5, 6.5)[:, None], 2.0 * np.arange(5.0) - 0.3)
+        argv = ["fit", "--input", str(path), "--response", "y", "--k", "9",
+                "--output", str(tmp_path / "o.json")]
+        assert main(argv + ["--sketch", "hadamard"]) == 3
+        assert "needs k <= padded size (k=9, n'=8)" in capsys.readouterr().err
+        assert main(argv + ["--sketch", "gaussian"]) == 0
+
     def test_deterministic_bytes(self, data_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["fit", "--input", str(data_csv), "--response", "y",
@@ -238,6 +249,15 @@ class TestInfer:
         nulls = [c["null_value"] for c in json.loads(spaced.read_text())["coefficients"]]
         parsed = [float(v) for v in value.split(",")]
         assert nulls == (parsed if len(parsed) == 3 else parsed * 3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1,-inf,2"])
+    def test_non_finite_null_exit_2(self, tmp_path, data_csv, capsys, value):
+        out = tmp_path / "o.csv"
+        rc = main(["infer", "--input", str(data_csv), "--response", "y", "--k", "20",
+                   "--format", "csv", f"--null={value}", "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: null values must be finite, got '{value}'\n"
+        assert not out.exists()
 
     def test_null_without_value_is_usage_error(self, tmp_path, data_csv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,8 +34,7 @@ from sketch_infer.inference import (
     Regime,
     Target,
     complete_joint_f_test,
-    complete_marginal_ci,
-    complete_marginal_t_test,
+    complete_marginal_t_tests,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
     partial_marginal_t_test,
@@ -118,15 +117,21 @@ class TestCompleteMarginalT:
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
         sk = _gauss(data, 10, 6)
         fit = fit_complete(sk)
-        res = complete_marginal_t_test(fit, sk, 1, float(fit.beta[1]))
+        res, _ = complete_marginal_t_tests(fit, sk, fit.beta, 0.95)[1]
         assert res.statistic == pytest.approx(0.0, abs=1e-14)
         assert res.p_value == pytest.approx(1.0)
 
-    def test_index_bounds(self):
+    def test_null_length_must_match(self):
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
         sk = _gauss(data, 10, 6)
-        with pytest.raises(IndexError):
-            complete_marginal_t_test(fit_complete(sk), sk, 3, 0.0)
+        fit = fit_complete(sk)
+        with pytest.raises(DomainError, match="beta_hyp has length 4"):
+            complete_marginal_t_tests(fit, sk, np.zeros(4), 0.95)
+        # a one-value null is not broadcast to every coefficient
+        with pytest.raises(DomainError, match="beta_hyp has length 1"):
+            complete_joint_f_test(fit, sk, [0.5])
+        with pytest.raises(DomainError, match="beta_hyp has length 2"):
+            mc_calibrated_sampling_test(fit, data.X.T @ data.X, 100, 10, 3, [0.5, 1.0])
 
     def test_statistic_helper_consistency(self):
         from sketch_infer.inference import marginal_t_statistic
@@ -135,9 +140,8 @@ class TestCompleteMarginalT:
         sk = _gauss(data, 10, 6)
         fit = fit_complete(sk)
         stat, se = marginal_t_statistic(fit, sk, 1, 0.25)
-        res = complete_marginal_t_test(fit, sk, 1, 0.25)
+        res, ci = complete_marginal_t_tests(fit, sk, [0.0, 0.25, 0.0], 0.95)[1]
         assert stat == res.statistic
-        ci = complete_marginal_ci(fit, sk, 1, 0.95)
         assert (ci.upper - ci.lower) / 2 == pytest.approx(
             se * stats.t.ppf(0.975, 7), rel=1e-12)
 
@@ -153,8 +157,7 @@ class TestCompleteMarginalT:
         fit = fit_complete(sk_manual)
         hyp = np.array([0.3, -0.2, 0.1])
         f_res = complete_joint_f_test(fit, sk_manual, hyp)
-        tsq = [complete_marginal_t_test(fit, sk_manual, j, hyp[j]).statistic ** 2
-               for j in range(p)]
+        tsq = [t.statistic ** 2 for t, _ in complete_marginal_t_tests(fit, sk_manual, hyp, 0.95)]
         assert f_res.statistic == pytest.approx(sum(tsq) / p, rel=1e-8)
 
 
@@ -166,7 +169,7 @@ class TestCompleteMarginalCI:
         hits = 0
         for r in range(reps):
             sk = _gauss(data, 12, derive_seed(211, r))
-            ci = complete_marginal_ci(fit_complete(sk), sk, 0, 0.95)
+            _, ci = complete_marginal_t_tests(fit_complete(sk), sk, full.beta_F, 0.95)[0]
             hits += ci.contains(full.beta_F[0])
         assert 0.943 <= hits / reps <= 0.957
 
@@ -174,8 +177,8 @@ class TestCompleteMarginalCI:
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=8)
         sk = _gauss(data, 10, 9)
         fit = fit_complete(sk)
-        ci95 = complete_marginal_ci(fit, sk, 1, 0.95)
-        ci99 = complete_marginal_ci(fit, sk, 1, 0.99)
+        _, ci95 = complete_marginal_t_tests(fit, sk, np.zeros(3), 0.95)[1]
+        _, ci99 = complete_marginal_t_tests(fit, sk, np.zeros(3), 0.99)[1]
         assert ci99.lower <= ci95.lower <= ci95.upper <= ci99.upper
 
     def test_width_tracks_gram_inverse(self):
@@ -183,8 +186,7 @@ class TestCompleteMarginalCI:
         sk = _gauss(data, 10, 11)
         fit = fit_complete(sk)
         Ginv = np.linalg.inv(sk.Xs.T @ sk.Xs)
-        w = [complete_marginal_ci(fit, sk, j, 0.95).upper
-             - complete_marginal_ci(fit, sk, j, 0.95).lower for j in range(3)]
+        w = [ci.upper - ci.lower for _, ci in complete_marginal_t_tests(fit, sk, np.zeros(3), 0.95)]
         for j in range(1, 3):
             assert w[j] / w[0] == pytest.approx(math.sqrt(Ginv[j, j] / Ginv[0, 0]), rel=1e-8)
 
@@ -314,9 +316,11 @@ class TestSamplingApproxT:
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=19)
         sk = _gauss(data, 10, 20)
         fit = fit_complete(sk)
-        a = complete_marginal_t_test(fit, sk, 2, 0.1)
-        b = complete_marginal_t_test(fit, sk, 2, 0.1, target=Target.BETA_0)
+        hyp = [0.0, 0.0, 0.1]
+        a, _ = complete_marginal_t_tests(fit, sk, hyp, 0.95)[2]
+        b, _ = complete_marginal_t_tests(fit, sk, hyp, 0.95, Regime.REPEATED_SAMPLE)[2]
         assert a.statistic == b.statistic
+        assert a.target is Target.BETA_F and a.regime is Regime.REPEATED_SKETCH
         assert b.target is Target.BETA_0 and b.regime is Regime.REPEATED_SAMPLE
 
     def test_null_size(self):
@@ -330,8 +334,9 @@ class TestSamplingApproxT:
             y = X @ beta0 + rng.standard_normal(n)
             data = DataSet(X=X, y=y)
             sk = _gauss(data, k, derive_seed(401, r))
-            pvals[r] = complete_marginal_t_test(fit_complete(sk), sk, 1, 0.0,
-                                                target=Target.BETA_0).p_value
+            test, _ = complete_marginal_t_tests(fit_complete(sk), sk, beta0, 0.95,
+                                                Regime.REPEATED_SAMPLE)[1]
+            pvals[r] = test.p_value
         rate = float(np.mean(pvals < 0.05))
         assert 0.04 <= rate <= 0.06
         # approximate pivot: null p-values are uniform at the looser tolerance
@@ -540,8 +545,9 @@ _UNFORMED_PIVOT = (AssumptionViolated, DegenerateSSR, NegativeDenominator, NonFi
 
 
 class TestPValuesInUnitInterval:
-    """Every test the package returns has a p-value in [0, 1]; a pivot that
-    cannot be formed raises a typed error instead of returning one."""
+    """Every test the package returns has a p-value in [0, 1], and every
+    interval contains its estimate; a pivot that cannot be formed raises a
+    typed error instead of returning one."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_small_designs())
@@ -555,23 +561,45 @@ class TestPValuesInUnitInterval:
             assume(False)  # an empty CountSketch bucket or rank-deficient sketch
         p = data.p
         e_hyp = data.y - data.X @ hyp
-        calls = [lambda: [complete_joint_f_test(complete, sk, hyp)],
-                 lambda: list(wstar_exact_tests(star, sk, float(e_hyp @ e_hyp), hyp, 1.0))]
+        yty = float(e_hyp @ e_hyp)
+
+        def univariate():
+            try:
+                return [partial_univariate_chi2_test(partial, float(hyp[0]), spec.k)]
+            except ZeroEstimate:  # unformed for this pivot alone: it divides by beta_p
+                return []
+
+        # (estimate the returned intervals are centred on, call)
+        calls = [
+            (None, lambda: [complete_joint_f_test(complete, sk, hyp)]),
+            (None, lambda: list(wstar_exact_tests(star, sk, yty, hyp, 1.0))),
+            (None, lambda: [mc_calibrated_sampling_test(complete, data.X.T @ data.X, data.n,
+                                                        spec.k, p, hyp, mc_size=64,
+                                                        seed=spec.seed)]),
+            (complete.beta, lambda: complete_marginal_t_tests(complete, sk, hyp, 0.95)),
+            (complete.beta, lambda: complete_marginal_t_tests(complete, sk, hyp, 0.95,
+                                                              Regime.REPEATED_SAMPLE)),
+            (star.beta, lambda: wstar_marginal_t_tests(star, sk, yty, hyp, 0.95)),
+        ]
+        if p == 1:
+            calls.append((None, univariate))
         for j in range(p):
             unit = np.eye(p)[j]
             calls += [
-                lambda j=j: [complete_marginal_t_test(complete, sk, j, hyp[j])],
-                lambda u=unit: [partial_linear_combination_test(partial, sk, u)],
-                lambda u=unit: [partial_linear_combination_test(partial, sk, u,
-                                                                Regime.REPEATED_SAMPLE)],
+                (None, lambda u=unit: [partial_linear_combination_test(partial, sk, u)]),
+                (None, lambda u=unit: [partial_linear_combination_test(partial, sk, u,
+                                                                       Regime.REPEATED_SAMPLE)]),
             ]
         returned = 0
-        for call in calls:
+        for estimate, call in calls:
             try:
                 results = call()
             except _UNFORMED_PIVOT:
                 continue
             for res in results:
+                res, ci = res if isinstance(res, tuple) else (res, None)
                 assert 0.0 <= res.p_value <= 1.0, res
+                if ci is not None:
+                    assert ci.contains(estimate[ci.coefficient_index]), (ci, estimate)
                 returned += 1
         assert returned > 0
