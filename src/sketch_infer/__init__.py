@@ -38,7 +38,6 @@ from .inference import (
     complete_marginal_t_tests,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
-    partial_marginal_t_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
     wstar_marginal_t_tests,

@@ -30,7 +30,7 @@ from .estimators import (
 from .inference import (
     Regime,
     complete_marginal_t_tests,
-    partial_marginal_t_test,
+    partial_linear_combination_test,
     partial_univariate_chi2_test,
     wstar_marginal_t_tests,
 )
@@ -248,6 +248,8 @@ def _coef_row(j: int, name: str, estimate, null, test=None, ci=None, flag=None) 
 
 
 def cmd_infer(args) -> int:
+    if not 0.0 < args.alpha < 1.0:  # NaN fails too
+        raise _CliError(f"--alpha must be in (0, 1), got {args.alpha}")
     names, data, sk, fit = _fit_csv(args)
     nulls = _parse_nulls(args.null, data.p)
     level = 1.0 - args.alpha
@@ -266,7 +268,7 @@ def cmd_infer(args) -> int:
                 flag = "only the zero null is supported for partial coefficients"
             else:
                 try:
-                    test = partial_marginal_t_test(fit, sk, j)
+                    test = partial_linear_combination_test(fit, sk, np.eye(p)[j])
                 except NegativeDenominator as exc:
                     flag = f"negative denominator: {exc}"
             coefficients.append(_coef_row(j, names[j], fit.beta[j], nulls[j], test, flag=flag))
@@ -288,7 +290,7 @@ def cmd_infer(args) -> int:
 
 
 def _load_sim_config(args) -> SimConfig:
-    regime = Regime.REPEATED_SKETCH if args.regime == "sketching" else Regime.REPEATED_SAMPLE
+    regime = Regime.REPEATED_SAMPLE if args.regime == "sampling" else Regime.REPEATED_SKETCH
     if args.preset is not None:
         maker = paper_config if args.preset == "paper" else desk_config
         overrides = (("m", args.m), ("root_seed", args.seed))
@@ -301,6 +303,9 @@ def _load_sim_config(args) -> SimConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliError(f"cannot read config: {exc}")
     raw.setdefault("regime", regime.value)
+    if args.regime is not None and raw["regime"] != regime.value:
+        raise _CliError(f"--regime {args.regime} conflicts with the config's regime "
+                        f"{raw['regime']!r}")
     try:
         return SimConfig(**raw)
     except (TypeError, ValueError) as exc:  # a bad key, sketch name or value (DomainError)
@@ -369,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--config", default=None, help="JSON file with the design")
     sp_sim.add_argument("--preset", default=None, choices=["paper", "desk"],
                         help="built-in design (n=10^4 reference or n=2000 desk scale)")
-    sp_sim.add_argument("--regime", default="sketching", choices=["sketching", "sampling"])
+    sp_sim.add_argument("--regime", default=None, choices=["sketching", "sampling"],
+                        help="default sketching; must agree with a config file's regime")
     sp_sim.add_argument("--m", type=int, default=None, help="override replicate count")
     sp_sim.add_argument("--seed", type=int, default=None, help="override root seed")
     sp_sim.add_argument("--output-dir", required=True)

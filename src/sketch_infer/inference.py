@@ -9,9 +9,10 @@ interpretation applies, so a test takes its regime as the ``regime``
 argument; every TestResult records that regime, and its ``target`` follows
 from it.
 
-Every result takes its p-value from one rule (``_result``), and the
-complete-sketch and W* marginal t pivots share one routine
-(``_marginal_t_tests``), differing only in their variance estimate and df.
+Every result takes its p-value from one rule (``_result``).  The library,
+the CLI and the simulation harness share one routine per t statistic:
+``_t_statistic`` for every marginal (b_j - h_j) / se_j (complete or W*) and
+``partial_t_statistic`` for the partial one, whatever the regime.
 
 Testing a coordinate of beta_F equal to zero asks whether the *sample*
 estimate is zero, which is not a traditional inferential hypothesis; it is
@@ -55,7 +56,6 @@ __all__ = [
     "wstar_marginal_t_tests",
     "mc_calibrated_sampling_test",
     "partial_univariate_chi2_test",
-    "partial_marginal_t_test",
     "partial_linear_combination_test",
 ]
 
@@ -181,21 +181,30 @@ def _require_ssr(fit: SketchFit, k: int) -> float:
     return fit.SSR_s
 
 
+def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple:
+    """(b_j - h_j) / se_j and se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj): the one
+    place a marginal t statistic is formed."""
+    if not 0 <= j < fit.beta.size:
+        raise DomainError(f"coefficient index {j} outside [0, {fit.beta.size})")
+    se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
+    return (fit.beta[j] - h_j) / se, se
+
+
 def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarray,
                       level: float, regime: Regime, method: Method):
-    """Per-coefficient t tests and intervals: (b_j - h_j) / se_j ~ t_df with
-    se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj), inverted to b_j +- t_{df,(1+level)/2} se_j.
-    One ``(TestResult, ConfidenceInterval)`` pair per coefficient."""
+    """Per-coefficient t tests and intervals: (b_j - h_j) / se_j ~ t_df,
+    inverted to b_j +- t_{df,(1+level)/2} se_j.  One ``(TestResult,
+    ConfidenceInterval)`` pair per coefficient."""
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     law = student_t(df)
     tq = dist_quantile(law, (1.0 + level) / 2.0)
     pairs = []
-    for j, (b_j, h_j) in enumerate(zip(fit.beta.tolist(), hyp.tolist())):
-        se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
+    for j, b_j in enumerate(fit.beta.tolist()):
+        stat, se = _t_statistic(fit, sigma2_hat, j, hyp[j])
         ci = ConfidenceInterval(coefficient_index=j, lower=b_j - tq * se,
                                 upper=b_j + tq * se, level=level)
-        pairs.append((_result((b_j - h_j) / se, law, regime, method), ci))
+        pairs.append((_result(float(stat), law, regime, method), ci))
     return pairs
 
 
@@ -221,11 +230,7 @@ def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float)
     harness's replicate loop.
     """
     k, p = sk.spec.k, sk.p
-    ssr = _require_ssr(fit, k)
-    if not 0 <= j < p:
-        raise IndexError(f"coefficient index {j} outside [0, {p})")
-    se = _standard_error(ssr / (k - p), fit.gram_s_factor, j)
-    return (fit.beta[j] - hyp_j) / se, se
+    return _t_statistic(fit, _require_ssr(fit, k) / (k - p), j, hyp_j)
 
 
 def complete_marginal_t_tests(
@@ -371,13 +376,14 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
 
 
 def partial_t_statistic(
-    fit: SketchFit, sk: SketchedData, m_vec, extra_variance: float = 0.0,
+    fit: SketchFit, sk: SketchedData, m_vec, regime: Regime = Regime.REPEATED_SKETCH,
 ) -> float:
     """Statistic of the partial-sketch zero-null t pivot for m'beta.
 
     m'b_p sqrt{(k-p+1) / (SSM_p gamma m'(Xs'Xs)^{-1}m - (m'b_p)^2 + extra)};
-    ``extra_variance`` is the sampling regime's error-variance proxy (zero
-    for the sketching regime).
+    extra is zero under repeated sketching and, under repeated sampling, the
+    unbiased error-variance estimate SSR_s k/((n-p)(k-p)) of the complete fit
+    of the same sketch.
 
     The bare bracket is a Cauchy-Schwarz gap in the (Xs'Xs)^{-1} metric, so
     a non-positive value can only arise from degeneracy or roundoff; it is
@@ -391,13 +397,15 @@ def partial_t_statistic(
     m_vec = np.asarray(m_vec, dtype=float).reshape(-1)
     if m_vec.size != p:
         raise DomainError(f"m has length {m_vec.size}, expected {p}")
+    extra = (sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
+             if regime is Regime.REPEATED_SAMPLE else 0.0)
     R = fit.gram_s_factor
     # X^T y = R'R b_p / gamma, formed from R and b_p divided by their largest
     # magnitudes: the same direction, and no overflow however large the data
     Rn, bn = R / np.abs(R).max(), fit.beta / (np.abs(fit.beta).max() or 1.0)
     _check_direction(m_vec, Rn.T @ (Rn @ bn), "X^T y")
     mb = float(m_vec @ fit.beta)
-    bracket = fit.SSM_p * fit.gamma * _gram_inv_quad(R, m_vec) - mb * mb + extra_variance
+    bracket = fit.SSM_p * fit.gamma * _gram_inv_quad(R, m_vec) - mb * mb + extra
     if bracket <= 0.0:
         raise NegativeDenominator(
             f"pivot denominator evaluated {bracket:.3e} <= 0 for this sketch realization"
@@ -412,28 +420,12 @@ def partial_linear_combination_test(
     """Zero-null test of m'beta via the partial-sketch t pivot (t_{k-p+1}).
 
     Exact for m'beta_F = 0 under repeated sketching.  Under repeated
-    sampling the unbiased error-variance estimate SSR_s k/((n-p)(k-p)) of
-    the complete fit of the same sketch is added to the denominator.
+    sampling m must not be orthogonal to beta_p, which stands in for the
+    unobservable beta_0 direction.  Coefficient j's test takes m = e_j.
     """
     k, p = sk.spec.k, sk.p
     m_arr = np.asarray(m_vec, dtype=float).reshape(-1)
-    extra = 0.0
-    if regime is Regime.REPEATED_SAMPLE:
-        if p >= 2:
-            # beta_p stands in for the unobservable beta_0 direction
-            _check_direction(m_arr, fit.beta, "beta_p")
-        extra = sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
-    return _result(partial_t_statistic(fit, sk, m_arr, extra_variance=extra),
+    if regime is Regime.REPEATED_SAMPLE and p >= 2:
+        _check_direction(m_arr, fit.beta, "beta_p")
+    return _result(partial_t_statistic(fit, sk, m_arr, regime),
                    student_t(k - p + 1), regime, Method.PARTIAL_T)
-
-
-def partial_marginal_t_test(
-    fit: SketchFit, sk: SketchedData, j: int,
-    regime: Regime = Regime.REPEATED_SKETCH,
-) -> TestResult:
-    """Zero-null test of coordinate j of the partial estimator (unit contrast)."""
-    if not 0 <= j < sk.p:
-        raise IndexError(f"coefficient index {j} outside [0, {sk.p})")
-    e = np.zeros(sk.p)
-    e[j] = 1.0
-    return partial_linear_combination_test(fit, sk, e, regime)

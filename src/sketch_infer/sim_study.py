@@ -4,8 +4,8 @@ Two experiment designs: repeated sketching (one dataset, many projections;
 estimator histograms are compared to their exact sketching laws) and
 repeated sampling (fixed covariates, fresh response and projection per
 replicate; pivot histograms are compared to their approximate null laws).
-Both run on one skeleton with one replicate function, which takes its
-regime through its arguments.  Replicates are independent tasks with
+Both run on one skeleton with one replicate function, which reads its
+regime from the config.  Replicates are independent tasks with
 per-replicate derived seeds, so a run is bit-reproducible from its root
 seed regardless of scheduling: each sketch kind's replicates are split into
 contiguous index ranges, one per usable CPU, run in forked workers and
@@ -81,7 +81,6 @@ class SimConfig:
     targets: tuple
     root_seed: int
     alpha: float = 0.05
-    ci_level: float = 0.95
     rep_draws: int = 100_000
     overlay_points: int = 512
 
@@ -96,6 +95,8 @@ class SimConfig:
             raise DomainError(f"need k > p + 3 (got k={self.k}, p={self.p})")
         if any(t < 0 or t >= self.p for t in self.targets):
             raise DomainError("target indices must lie in [0, p)")
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
         kinds = tuple(SketchKind(s) for s in self.sketch_kinds)
         object.__setattr__(self, "beta0", b)
         object.__setattr__(self, "sketch_kinds", kinds)
@@ -109,8 +110,7 @@ class SimConfig:
             "sketch_kinds": [s.value for s in self.sketch_kinds],
             "regime": self.regime.value, "targets": list(self.targets),
             "root_seed": self.root_seed, "alpha": self.alpha,
-            "ci_level": self.ci_level, "rep_draws": self.rep_draws,
-            "overlay_points": self.overlay_points,
+            "rep_draws": self.rep_draws, "overlay_points": self.overlay_points,
         }
 
 
@@ -364,11 +364,11 @@ def _pivot_tables(cfg: SimConfig):
     partial zero-null t, are fixed for a run, so their critical values and
     overlay grids are computed here once.  The returned function takes a
     target's five replicate series (see _replicate) and returns both tables
-    and the coverage of the interval that inverts the complete pivot.
+    and the coverage of the level 1 - alpha interval that inverts the
+    complete pivot, decided at the same critical value as its rejections.
     """
     df = cfg.k - cfg.p
     tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
-    tq_ci = dist_quantile(student_t(df), (1.0 + cfg.ci_level) / 2.0)
     tq_partial = dist_quantile(student_t(df + 1), 1.0 - cfg.alpha / 2.0)
     overlay_complete = _frozen_overlay(*_t_overlay(df, cfg.overlay_points))
     overlay_partial = _frozen_overlay(*_t_overlay(df + 1, cfg.overlay_points))
@@ -384,15 +384,15 @@ def _pivot_tables(cfg: SimConfig):
                        n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
         if part_stat.size:
             tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
-        return tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_ci))
+        return tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_complete))
 
     return build
 
 
-def _partial_or_nan(pfit, sk, m_vec, extra_variance: float) -> float:
+def _partial_or_nan(pfit, sk, m_vec, regime: Regime) -> float:
     """The partial zero-null statistic, or NaN when its denominator is negative."""
     try:
-        return partial_t_statistic(pfit, sk, m_vec, extra_variance=extra_variance)
+        return partial_t_statistic(pfit, sk, m_vec, regime)
     except NegativeDenominator:
         return np.nan
 
@@ -501,17 +501,17 @@ def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) 
             recv.close()
 
 
-def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean, d: int,
+def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
                kind_idx: int, r: int) -> list:
     """Replicate r of kind ``cfg.sketch_kinds[kind_idx]``: SSR_s, sigma2_hat, then per
     target j the complete pivot at ``hyp[j]``, its se, beta_s[j], beta_p[j] and
     the partial zero-null statistic (NaN where its denominator is negative).
 
     Seed t < d is derive_seed(root, 10_000 + d (kind_idx m + r) + t), and the
-    last one seeds the sketch.  With ``mean`` (repeated sampling, d = 2) seed
-    0 draws a fresh response whose summaries replace ``partial_in``, and
-    sigma2_hat is the partial statistic's extra variance.
+    last one seeds the sketch.  Under repeated sampling (d = 2, else 1) seed 0
+    draws a fresh response about ``mean`` whose summaries replace ``partial_in``.
     """
+    d = 2 if cfg.regime is Regime.REPEATED_SAMPLE else 1
     seeds = [derive_seed(cfg.root_seed, 10_000 + d * (kind_idx * cfg.m + r) + t)
              for t in range(d)]
     if mean is not None:
@@ -521,12 +521,10 @@ def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
     sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k, seed=seeds[-1]))
     cfit = fit_complete(sk)
     pfit = fit_partial(sk, partial_in)
-    s2h = sigma2_hat_complete(cfit.SSR_s, cfg.n, cfg.k, cfg.p)
-    extra = 0.0 if mean is None else s2h
-    values = [cfit.SSR_s, s2h]
+    values = [cfit.SSR_s, sigma2_hat_complete(cfit.SSR_s, cfg.n, cfg.k, cfg.p)]
     for j in cfg.targets:
         values += marginal_t_statistic(cfit, sk, j, hyp[j])
-        values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, np.eye(cfg.p)[j], extra)
+        values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, np.eye(cfg.p)[j], cfg.regime)
     return values
 
 
@@ -545,9 +543,8 @@ def _run(cfg: SimConfig, regime: Regime, setup) -> SimReport:
     t_start = time.perf_counter()
     data, truth = _make_dataset(cfg)
     hyp, partial_in, mean, tables_of = setup(data, truth)
-    d = 1 if mean is None else 2
     workers = min(_usable_cpus(), cfg.m)
-    ones = [functools.partial(_replicate, cfg, data, hyp, partial_in, mean, d, kind_idx)
+    ones = [functools.partial(_replicate, cfg, data, hyp, partial_in, mean, kind_idx)
             for kind_idx in range(len(cfg.sketch_kinds))]
     per_kind = _run_replicates(cfg.sketch_kinds, cfg.m, workers, 2 + 5 * len(cfg.targets), ones)
     pivot_tables = _pivot_tables(cfg)

@@ -259,6 +259,21 @@ class TestInfer:
         assert capsys.readouterr().err == f"error: null values must be finite, got '{value}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["complete", "partial", "efficient"])
+    @pytest.mark.parametrize("alpha", ["5", "-1", "0", "1", "nan"])
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, data_csv, capsys, mode, alpha):
+        out = tmp_path / "o.json"
+        argv = ["infer", "--input", str(data_csv), "--response", "y", "--k", "20",
+                "--mode", mode, "--alpha", alpha, "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --alpha must be in (0, 1), got {float(alpha)}\n")
+        assert not out.exists()
+        # checked before the input is read
+        argv[2] = str(tmp_path / "missing.csv")
+        assert main(argv) == 2
+        assert "--alpha" in capsys.readouterr().err
+
     def test_null_without_value_is_usage_error(self, tmp_path, data_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["infer", "--input", str(data_csv), "--response", "y", "--k", "20",
@@ -315,6 +330,36 @@ class TestSimulate:
         assert report["config"]["m"] == 25
         assert any(p.suffix == ".csv" for p in out_dir.iterdir())
         assert "KS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,flag,regime", [
+        (None, "sampling", "repeated_sample"),
+        (None, None, "repeated_sketch"),
+        ("repeated_sample", None, "repeated_sample"),
+        ("repeated_sample", "sampling", "repeated_sample"),
+        ("repeated_sketch", "sampling", None),
+        ("repeated_sample", "sketching", None),
+    ])
+    def test_config_regime_and_flag(self, tmp_path, capsys, key, flag, regime):
+        # the flag fills in a config without a regime and must agree with
+        # one that has it; a conflict (regime None here) exits 2
+        cfg = {"n": 250, "p": 4, "k": 12, "m": 3, "beta0": [2.0, -1.0, 0.0, 1.0],
+               "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [0],
+               "root_seed": 5, "rep_draws": 2000}
+        if key is not None:
+            cfg["regime"] = key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)]
+        rc = main(argv + ([] if flag is None else ["--regime", flag]))
+        if regime is None:
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: --regime {flag} conflicts with the config's regime '{key}'\n")
+            assert not out_dir.exists()
+        else:
+            assert rc == 0
+            assert json.loads((out_dir / "report.json").read_text())["config"]["regime"] == regime
 
     def test_failing_replicate_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -37,7 +37,6 @@ from sketch_infer.inference import (
     complete_marginal_t_tests,
     mc_calibrated_sampling_test,
     partial_linear_combination_test,
-    partial_marginal_t_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
     wstar_marginal_t_tests,
@@ -144,6 +143,15 @@ class TestCompleteMarginalT:
         assert stat == res.statistic
         assert (ci.upper - ci.lower) / 2 == pytest.approx(
             se * stats.t.ppf(0.975, 7), rel=1e-12)
+
+    @pytest.mark.parametrize("j", [3, -1])
+    def test_statistic_index_outside_range(self, j):
+        from sketch_infer.inference import marginal_t_statistic
+
+        data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
+        sk = _gauss(data, 10, 6)
+        with pytest.raises(DomainError, match=re.escape(f"coefficient index {j} outside [0, 3)")):
+            marginal_t_statistic(fit_complete(sk), sk, j, 0.0)
 
     def test_f_equals_mean_square_t_for_diagonal_gram(self):
         # orthogonal sketched columns: F(hyp) = sum_j t_j(hyp_j)^2 / p
@@ -439,7 +447,7 @@ class TestPartialMarginalT:
             sk = _gauss(data, k, derive_seed(1001, r))
             fit = fit_partial(sk, pin)
             try:
-                draws.append(partial_marginal_t_test(fit, sk, 2).statistic)
+                draws.append(partial_linear_combination_test(fit, sk, np.eye(p)[2]).statistic)
             except NegativeDenominator:
                 pass
         draws = np.asarray(draws)
@@ -453,7 +461,7 @@ class TestPartialMarginalT:
         sk = __import__("sketch_infer").sketch_ops.SketchedData(
             Xs=np.zeros((10, 3)) + np.eye(10)[:, :3], ys=np.zeros(10),
             spec=SketchSpec(kind=SketchKind.GAUSSIAN, k=10, seed=0), n=50, p=3)
-        res = partial_marginal_t_test(fit, sk, 1)
+        res = partial_linear_combination_test(fit, sk, [0.0, 1.0, 0.0])
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
@@ -461,22 +469,14 @@ class TestPartialMarginalT:
         data = make_dataset(300, 3, [1.0, 0.0, -1.0], seed=34)
         sk = _gauss(data, 12, 35)
         fit = fit_partial(sk, _partial_inputs(data))
-        a = partial_marginal_t_test(fit, sk, 1, Regime.REPEATED_SAMPLE)
-        b = partial_marginal_t_test(fit, sk, 1, Regime.REPEATED_SKETCH)
+        e1 = np.array([0.0, 1.0, 0.0])
+        a = partial_linear_combination_test(fit, sk, e1, Regime.REPEATED_SAMPLE)
+        b = partial_linear_combination_test(fit, sk, e1, Regime.REPEATED_SKETCH)
         # the added variance proxy strictly shrinks the statistic magnitude
         assert abs(a.statistic) < abs(b.statistic)
 
 
 class TestPartialLinearCombination:
-    def test_unit_vector_reduces_to_marginal(self):
-        data = make_dataset(200, 3, [1.0, -1.0, 0.5], seed=36)
-        sk = _gauss(data, 12, 37)
-        fit = fit_partial(sk, _partial_inputs(data))
-        e1 = np.array([0.0, 1.0, 0.0])
-        a = partial_linear_combination_test(fit, sk, e1)
-        b = partial_marginal_t_test(fit, sk, 1)
-        assert a.statistic == b.statistic and a.p_value == b.p_value
-
     def test_null_size_general_contrast(self):
         data = _zeroed_coordinate_dataset(400, 4, [1.0, -2.0, 0.5, 1.5], j=3, seed=38)
         pin = _partial_inputs(data)

@@ -13,18 +13,23 @@ import pytest
 from scipy import stats
 
 from sketch_infer import sim_study
-from sketch_infer.core_model import fit_full, response_mean
+from sketch_infer.core_model import draw_response, fit_full, response_mean
 from sketch_infer.densities import sample_partial_sketching_rep
 from sketch_infer.errors import (
     DegenerateSSR,
     DomainError,
     EmptyInput,
+    NegativeDenominator,
     NonFinite,
     RankDeficient,
     WorkerFailed,
 )
-from sketch_infer.estimators import PartialInputs
-from sketch_infer.inference import Regime
+from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
+from sketch_infer.inference import (
+    Regime,
+    complete_marginal_t_tests,
+    partial_linear_combination_test,
+)
 from sketch_infer.sim_study import (
     SimConfig,
     json_text,
@@ -33,7 +38,8 @@ from sketch_infer.sim_study import (
     run_repeated_sampling,
     run_repeated_sketching,
 )
-from sketch_infer.sketch_ops import SketchKind, derive_seed
+from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
+from sketch_infer.special_fn import dist_quantile, student_t
 
 
 def _small_cfg(regime, m=60, seed=77, kinds=(SketchKind.GAUSSIAN,)):
@@ -87,6 +93,24 @@ class TestConfig:
                         targets=(0,), root_seed=1)
         assert cfg.sketch_kinds == (SketchKind.GAUSSIAN, SketchKind.HADAMARD)
         assert cfg.regime is Regime.REPEATED_SKETCH
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 5.0, math.nan])
+    def test_alpha_inside_unit_interval(self, alpha):
+        with pytest.raises(DomainError, match=r"alpha must be in \(0, 1\)"):
+            dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), alpha=alpha)
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=["sketching", "sampling"])
+    def test_coverage_at_one_minus_alpha(self, regime):
+        # the complete pivot's interval coverage uses the rejection rate's
+        # critical value t_{k-p}(1 - alpha/2); the report has no other level
+        run = run_repeated_sketching if regime is Regime.REPEATED_SKETCH else run_repeated_sampling
+        rep = run(dataclasses.replace(_small_cfg(regime, m=40), alpha=0.3))
+        assert "ci_level" not in rep.to_jsonable()["config"]
+        tq = dist_quantile(student_t(12 - 4), 1.0 - 0.3 / 2.0)
+        for j in (0, 2):
+            pivot = rep.table(f"pivot_complete_null[{j}]", "gaussian").samples
+            name = f"beta_s[{j}]" if regime is Regime.REPEATED_SKETCH else f"pivot_complete_null[{j}]"
+            assert rep.table(name, "gaussian").coverage == float(np.mean(np.abs(pivot) <= tq))
 
 
 class TestRepeatedSketching:
@@ -392,6 +416,29 @@ class TestWorkerCounts:
         assert sim_study._usable_cpus() == len(os.sched_getaffinity(0))
 
 
+def _check_library_pivots(cfg, data, hyp, partial_in, mean, kind_idx, r, col):
+    """Replicate r's pivot and partial columns are, bit for bit, the statistics
+    of the library tests on that replicate's sketch in ``cfg.regime`` (a NaN
+    partial column, where the library raises NegativeDenominator)."""
+    if mean is not None:
+        y = draw_response(mean, cfg.sigma2,
+                          derive_seed(cfg.root_seed, 10_000 + 2 * (kind_idx * cfg.m + r)))
+        data = data.with_response(y)
+        partial_in = PartialInputs(Xty=data.X.T @ y, yty=float(y @ y))
+    sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k,
+                                       seed=_sketch_seed(cfg, kind_idx, r)))
+    cfit, pfit = fit_complete(sk), fit_partial(sk, partial_in)
+    tests = complete_marginal_t_tests(cfit, sk, hyp, 0.95, cfg.regime)
+    for i, j in enumerate(cfg.targets):
+        assert col[2 + 5 * i] == tests[j][0].statistic, (kind_idx, r, j)
+        if np.isnan(col[6 + 5 * i]):
+            with pytest.raises(NegativeDenominator):
+                partial_linear_combination_test(pfit, sk, np.eye(cfg.p)[j], cfg.regime)
+        else:
+            partial = partial_linear_combination_test(pfit, sk, np.eye(cfg.p)[j], cfg.regime)
+            assert col[6 + 5 * i] == partial.statistic, (kind_idx, r, j)
+
+
 class TestReplay:
     """_replicate, called outside a run, gives the run's values for each (kind, r)."""
 
@@ -405,14 +452,16 @@ class TestReplay:
         data, truth = sim_study._make_dataset(cfg)
         if regime is Regime.REPEATED_SKETCH:
             partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
-            args = (fit_full(data).beta_F, partial_in, None, 1)
+            args = (fit_full(data).beta_F, partial_in, None)
         else:
-            args = (truth.beta_0, None, response_mean(data.X, truth), 2)
+            args = (truth.beta_0, None, response_mean(data.X, truth))
         for kind_idx, kind in enumerate(cfg.sketch_kinds):
             # each replicate alone, after the run: replicates 6-11 ran in a
             # forked worker when cpus == 2
             cols = np.array([sim_study._replicate(cfg, data, *args, kind_idx, r)
                              for r in range(cfg.m)]).T
+            for r in range(cfg.m):
+                _check_library_pivots(cfg, data, *args, kind_idx, r, cols[:, r])
             for i, j in enumerate(cfg.targets):
                 # SSR_s, sigma2_hat, then per target the pivot, its se,
                 # beta_s, beta_p and the partial statistic
