@@ -30,7 +30,6 @@ from .estimators import (
 )
 from .inference import (
     ConfidenceInterval,
-    Method,
     Regime,
     Target,
     TestResult,

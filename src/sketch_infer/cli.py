@@ -166,10 +166,7 @@ def _fit_csv(args):
     if args.mode == "complete":
         fit = fit_complete(sk)
     elif args.mode == "partial":
-        # an overflow here is reported by PartialInputs as NonFinite
-        with np.errstate(over="ignore", invalid="ignore"):
-            xty, yty = data.X.T @ data.y, float(data.y @ data.y)
-        fit = fit_partial(sk, PartialInputs(Xty=xty, yty=yty))
+        fit = fit_partial(sk, PartialInputs.of(data))
     else:
         fit = fit_efficient_star(sk)
     return names, data, sk, fit
@@ -290,27 +287,29 @@ def cmd_infer(args) -> int:
 
 
 def _load_sim_config(args) -> SimConfig:
+    """The preset's or the config file's design, with ``--m`` and ``--seed`` applied."""
     regime = Regime.REPEATED_SAMPLE if args.regime == "sampling" else Regime.REPEATED_SKETCH
     if args.preset is not None:
-        maker = paper_config if args.preset == "paper" else desk_config
-        overrides = (("m", args.m), ("root_seed", args.seed))
-        return dataclasses.replace(maker(regime), **{f: v for f, v in overrides if v is not None})
-    if args.config is None:
+        cfg = (paper_config if args.preset == "paper" else desk_config)(regime)
+    elif args.config is None:
         raise _CliError("simulate needs --config or --preset")
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read config: {exc}")
-    raw.setdefault("regime", regime.value)
-    if args.regime is not None and raw["regime"] != regime.value:
-        raise _CliError(f"--regime {args.regime} conflicts with the config's regime "
-                        f"{raw['regime']!r}")
-    try:
-        return SimConfig(**raw)
-    except (TypeError, ValueError) as exc:  # a bad key, sketch name or value (DomainError)
-        valid = ", ".join(s.value for s in SketchKind)
-        raise _CliError(f"invalid simulation config: {exc} (valid sketches: {valid})")
+    else:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise _CliError(f"cannot read config: {exc}")
+        raw.setdefault("regime", regime.value)
+        if args.regime is not None and raw["regime"] != regime.value:
+            raise _CliError(f"--regime {args.regime} conflicts with the config's regime "
+                            f"{raw['regime']!r}")
+        try:
+            cfg = SimConfig(**raw)
+        except (TypeError, ValueError) as exc:  # a bad key, sketch name or value (DomainError)
+            valid = ", ".join(s.value for s in SketchKind)
+            raise _CliError(f"invalid simulation config: {exc} (valid sketches: {valid})")
+    overrides = (("m", args.m), ("root_seed", args.seed))
+    return dataclasses.replace(cfg, **{f: v for f, v in overrides if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -371,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp_inf.set_defaults(func=cmd_infer)
 
     sp_sim = sub.add_parser("simulate", help="run the Monte-Carlo calibration study")
-    sp_sim.add_argument("--config", default=None, help="JSON file with the design")
-    sp_sim.add_argument("--preset", default=None, choices=["paper", "desk"],
+    design = sp_sim.add_mutually_exclusive_group()
+    design.add_argument("--config", default=None, help="JSON file with the design")
+    design.add_argument("--preset", default=None, choices=["paper", "desk"],
                         help="built-in design (n=10^4 reference or n=2000 desk scale)")
     sp_sim.add_argument("--regime", default=None, choices=["sketching", "sampling"],
                         help="default sketching; must agree with a config file's regime")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -81,6 +80,9 @@ class DataSet:
     y: np.ndarray
     n: int = field(init=False)
     p: int = field(init=False)
+    # the read-only n x (p+1) stack [y | X] that every sketch kernel applies
+    # its projection to, built once per dataset
+    yX: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = _as_matrix(self.X)
@@ -92,45 +94,31 @@ class DataSet:
         if y.shape[0] != n:
             raise DomainError(f"y has length {y.shape[0]}, expected {n}")
         _qr_full_rank(X)  # RankDeficient if X is not full column rank
+        yX = np.column_stack([y, X])
+        yX.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-
-    @cached_property
-    def yX(self) -> np.ndarray:
-        """The read-only n x (p+1) stack [y | X] that every sketch operator
-        applies its projection to, built once per dataset.
-
-        A copy made by ``with_response`` builds it from its parent's stack:
-        one contiguous copy with y written over the first column costs about
-        half of stacking y and X afresh.
-        """
-        parent = self.__dict__.pop("_parent_yX", None)
-        if parent is None:
-            A = np.column_stack([self.y, self.X])
-        else:
-            A = parent.copy()
-            A[:, 0] = self.y
-        A.flags.writeable = False
-        return A
+        object.__setattr__(self, "yX", yX)
 
     def with_response(self, y) -> DataSet:
         """A copy with response ``y`` that shares this instance's validated X.
 
         Only y is checked (finite, length n); X is neither copied nor
         re-factored, so repeated-sampling replicates skip the rank-check QR.
-        This instance's ``yX`` holds the old y, so it is not carried over; the
-        copy builds its own from it when first sketched.
+        The copy's stack is this one's with y written over the first column:
+        one contiguous copy costs about half of stacking y and X afresh.
         """
         y = np.asarray(y, dtype=float).reshape(-1)
         _check_finite(y)
         if y.shape[0] != self.n:
             raise DomainError(f"y has length {y.shape[0]}, expected {self.n}")
-        parent_yX = self.yX
+        yX = self.yX.copy()
+        yX[:, 0] = y
+        yX.flags.writeable = False
         new = object.__new__(type(self))
-        new.__dict__.update(vars(self), y=y, _parent_yX=parent_yX)
-        del new.__dict__["yX"]
+        new.__dict__.update(vars(self), y=y, yX=yX)
         return new
 
 

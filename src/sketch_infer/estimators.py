@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import _qr_full_rank, _solve_triangular
+from .core_model import DataSet, _qr_full_rank, _solve_triangular
 from .errors import (
     DomainError,
     GammaNonpositive,
@@ -68,6 +68,14 @@ class PartialInputs:
             raise DomainError("y^T y must be nonnegative")
         object.__setattr__(self, "Xty", x)
         object.__setattr__(self, "yty", float(self.yty))
+
+    @classmethod
+    def of(cls, data: DataSet) -> PartialInputs:
+        """X^T y and y^T y of ``data``, the one place they are formed."""
+        # an overflowed sum is reported by __post_init__ as NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty, yty = data.X.T @ data.y, float(data.y @ data.y)
+        return cls(Xty=xty, yty=yty)
 
 
 def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:

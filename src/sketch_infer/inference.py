@@ -45,7 +45,6 @@ from .special_fn import Law, chi2, dist_cdf, dist_quantile, f_law, student_t
 __all__ = [
     "Target",
     "Regime",
-    "Method",
     "TestResult",
     "ConfidenceInterval",
     "complete_joint_f_test",
@@ -70,22 +69,12 @@ class Regime(str, enum.Enum):
     REPEATED_SAMPLE = "repeated_sample"
 
 
-class Method(str, enum.Enum):
-    COMPLETE_T = "complete_t"
-    COMPLETE_F = "complete_f"
-    WSTAR_EXACT = "wstar_exact"
-    PARTIAL_T = "partial_t"
-    PARTIAL_CHI2_UNIVARIATE = "partial_chi2_univariate"
-    MC_CALIBRATED = "mc_calibrated"
-
-
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
     pivot_law: Law
     p_value: float
     regime: Regime
-    method: Method
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -114,15 +103,13 @@ class ConfidenceInterval:
         return self.lower <= x <= self.upper
 
 
-def _result(stat: float, law: Law, regime: Regime, method: Method,
-            two_sided: bool = True) -> TestResult:
+def _result(stat: float, law: Law, regime: Regime, two_sided: bool = True) -> TestResult:
     """The test of ``stat`` referred to ``law``, with c its CDF there: the
     equal-tail p-value min(1, 2 min(c, 1 - c)) when ``two_sided`` (right for
     an asymmetric law too), the upper-tail 1 - c otherwise."""
     c = dist_cdf(law, stat)
     p_value = min(1.0, 2.0 * min(c, 1.0 - c)) if two_sided else 1.0 - c
-    return TestResult(statistic=stat, pivot_law=law, p_value=float(p_value),
-                      regime=regime, method=method)
+    return TestResult(statistic=stat, pivot_law=law, p_value=float(p_value), regime=regime)
 
 
 def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
@@ -191,7 +178,7 @@ def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple
 
 
 def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarray,
-                      level: float, regime: Regime, method: Method):
+                      level: float, regime: Regime):
     """Per-coefficient t tests and intervals: (b_j - h_j) / se_j ~ t_df,
     inverted to b_j +- t_{df,(1+level)/2} se_j.  One ``(TestResult,
     ConfidenceInterval)`` pair per coefficient."""
@@ -204,7 +191,7 @@ def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarra
         stat, se = _t_statistic(fit, sigma2_hat, j, hyp[j])
         ci = ConfidenceInterval(coefficient_index=j, lower=b_j - tq * se,
                                 upper=b_j + tq * se, level=level)
-        pairs.append((_result(float(stat), law, regime, method), ci))
+        pairs.append((_result(float(stat), law, regime), ci))
     return pairs
 
 
@@ -219,8 +206,8 @@ def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestRes
     ssr = _require_ssr(fit, k)
     d = fit.beta - _null_vector(fit, beta_hyp)
     quad = float(np.sum((fit.gram_s_factor @ d) ** 2))
-    return _result((quad / p) / (ssr / (k - p)), f_law(p, k - p),
-                   Regime.REPEATED_SKETCH, Method.COMPLETE_F, two_sided=False)
+    return _result((quad / p) / (ssr / (k - p)), f_law(p, k - p), Regime.REPEATED_SKETCH,
+                   two_sided=False)
 
 
 def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float):
@@ -247,7 +234,7 @@ def complete_marginal_t_tests(
     _require_kind(fit, FitKind.COMPLETE, "marginal t tests")
     k, p = sk.spec.k, sk.p
     return _marginal_t_tests(fit, _require_ssr(fit, k) / (k - p), k - p,
-                             _null_vector(fit, beta_hyp), level, regime, Method.COMPLETE_T)
+                             _null_vector(fit, beta_hyp), level, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +283,13 @@ def wstar_exact_tests(
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* exact tests")
     n, p = sk.n, sk.p
     num, ssr_star = _wstar_ssr(fit, sk, yty, _null_vector(fit, beta_hyp))
-    f_res = _result((num / p) / (ssr_star / (n - p)), f_law(p, n - p),
-                    Regime.REPEATED_SAMPLE, Method.WSTAR_EXACT, two_sided=False)
+    f_res = _result((num / p) / (ssr_star / (n - p)), f_law(p, n - p), Regime.REPEATED_SAMPLE,
+                    two_sided=False)
     if sigma2 is None:
         return f_res, None
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
-    return f_res, _result(num / sigma2, chi2(p), Regime.REPEATED_SAMPLE,
-                          Method.WSTAR_EXACT, two_sided=False)
+    return f_res, _result(num / sigma2, chi2(p), Regime.REPEATED_SAMPLE, two_sided=False)
 
 
 def wstar_marginal_t_tests(
@@ -320,8 +306,7 @@ def wstar_marginal_t_tests(
     n, p = sk.n, sk.p
     hyp = _null_vector(fit, beta_hyp)
     ssr_star = _wstar_ssr(fit, sk, yty, hyp)[1]
-    return _marginal_t_tests(fit, ssr_star / (n - p), n - p, hyp, level,
-                             Regime.REPEATED_SAMPLE, Method.WSTAR_EXACT)
+    return _marginal_t_tests(fit, ssr_star / (n - p), n - p, hyp, level, Regime.REPEATED_SAMPLE)
 
 
 def mc_calibrated_sampling_test(
@@ -352,7 +337,7 @@ def mc_calibrated_sampling_test(
     ref = v / (u * r) * (n - p) * (k - p) / p
     p_val = (1.0 + float(np.count_nonzero(ref >= obs))) / (mc_size + 1.0)
     return TestResult(statistic=obs, pivot_law=Law("mc_reference", (float(mc_size),)),
-                      p_value=p_val, regime=Regime.REPEATED_SAMPLE, method=Method.MC_CALIBRATED)
+                      p_value=p_val, regime=Regime.REPEATED_SAMPLE)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +356,7 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
     bp = float(fit.beta[0])
     if bp == 0.0:
         raise ZeroEstimate("partial estimate is exactly zero")
-    return _result((k - 2.0) * beta_F_hyp / bp, chi2(k), Regime.REPEATED_SKETCH,
-                   Method.PARTIAL_CHI2_UNIVARIATE)
+    return _result((k - 2.0) * beta_F_hyp / bp, chi2(k), Regime.REPEATED_SKETCH)
 
 
 def partial_t_statistic(
@@ -427,5 +411,4 @@ def partial_linear_combination_test(
     m_arr = np.asarray(m_vec, dtype=float).reshape(-1)
     if regime is Regime.REPEATED_SAMPLE and p >= 2:
         _check_direction(m_arr, fit.beta, "beta_p")
-    return _result(partial_t_statistic(fit, sk, m_arr, regime),
-                   student_t(k - p + 1), regime, Method.PARTIAL_T)
+    return _result(partial_t_statistic(fit, sk, m_arr, regime), student_t(k - p + 1), regime)

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special, stats
+from scipy import stats
 
 from .core_model import (
     DataSet,
@@ -251,20 +251,15 @@ def json_text(doc) -> str:
 
 
 def ks_statistic(samples, cdf) -> tuple:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value (scipy's kstest).
 
     ``cdf`` is a callable evaluating the reference law on an array.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    m = x.size
-    if m == 0:
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
         raise EmptyInput("KS statistic needs at least one sample")
-    c = np.asarray(cdf(x), dtype=float)
-    hi = np.arange(1, m + 1) / m
-    lo = np.arange(0, m) / m
-    d = max(float(np.max(hi - c)), float(np.max(c - lo)))
-    p = float(special.kolmogorov(np.sqrt(m) * d))
-    return d, p
+    res = stats.kstest(x, cdf, method="asymp")
+    return float(res.statistic), float(res.pvalue)
 
 
 def _make_dataset(cfg: SimConfig) -> tuple:
@@ -517,7 +512,7 @@ def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
     if mean is not None:
         y = draw_response(mean, cfg.sigma2, seeds[0])
         data = data.with_response(y)
-        partial_in = PartialInputs(Xty=data.X.T @ y, yty=float(y @ y))
+        partial_in = PartialInputs.of(data)
     sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k, seed=seeds[-1]))
     cfit = fit_complete(sk)
     pfit = fit_partial(sk, partial_in)
@@ -571,7 +566,7 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     def setup(data, truth):
         full = fit_full(data)
         gram_inv = np.linalg.inv(data.X.T @ data.X)
-        partial_in = PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
+        partial_in = PartialInputs.of(data)
         eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
         # the reference laws of beta_s and beta_p do not depend on the sketch
         # kind: their overlays (and the sorted beta_p draws) are computed once

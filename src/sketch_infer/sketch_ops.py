@@ -8,6 +8,12 @@ blocks of S (for the Hadamard sketch, only the k sampled rows of the
 Walsh-Hadamard matrix, factored into one k x block base and a k x n_blocks
 table of row signs), and the Clarkson-Woodruff sketch scatters rows into
 hash buckets.
+
+``apply_sketch`` is the one path from a dataset to a sketch: it checks the
+size, seeds the generator, runs the kind's kernel on [y | X] and splits the
+result.  A kernel ``(A, k, rng, want_w_star) -> (B, W)`` returns B = S A and,
+on request, W = S S^T (else None); only the kernels differ between kinds, and
+a new projection is one more entry of ``_KERNELS``.
 """
 
 from __future__ import annotations
@@ -131,37 +137,27 @@ def _check_feasible(data: DataSet, spec: SketchSpec, want_w_star: bool) -> None:
         raise InfeasibleSketchSize(f"hadamard sketch needs k <= padded size (k={spec.k}, n'={n_pad})")
 
 
-def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+def _gaussian(A: np.ndarray, k: int, rng, want_w_star: bool):
     """Apply a Gaussian sketch with i.i.d. N(0, 1/k) entries.
 
     The projection is drawn in fixed column chunks and applied immediately,
     in products over fixed column blocks of each chunk, so memory stays
     O(k * chunk) and the realization depends only on (n, k, seed).
     """
-    if spec.kind is not SketchKind.GAUSSIAN:
-        raise DomainError(f"spec.kind is {spec.kind}, expected gaussian")
-    _check_feasible(data, spec, want_w_star)
-    A = data.yX
     n, m = A.shape
-    k = spec.k
-    rng = np.random.default_rng(spec.seed)
     B = np.zeros((k, m))
     W = np.zeros((k, k)) if want_w_star else None
     scale = 1.0 / np.sqrt(k)
-    # data near the largest double overflow B: SketchedData reports that
-    # as NonFinite, so numpy's warning is silenced
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _GAUSS_CHUNK):
-            stop = min(start + _GAUSS_CHUNK, n)
-            Sc = rng.standard_normal((k, stop - start))
-            Sc *= scale
-            for lo in range(start, stop, _BLOCK):
-                hi = min(lo + _BLOCK, stop)
-                B += Sc[:, lo - start:hi - start] @ A[lo:hi]
-            if W is not None:
-                W += Sc @ Sc.T
-    Xs, ys = _split(B)
-    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
+    for start in range(0, n, _GAUSS_CHUNK):
+        stop = min(start + _GAUSS_CHUNK, n)
+        Sc = rng.standard_normal((k, stop - start))
+        Sc *= scale
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            B += Sc[:, lo - start:hi - start] @ A[lo:hi]
+        if W is not None:
+            W += Sc @ Sc.T
+    return B, W
 
 
 def _walsh_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -172,7 +168,7 @@ def _walsh_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (1 - 2 * (bits & 1).view(np.int8)).astype(float)
 
 
-def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+def _hadamard(A: np.ndarray, k: int, rng, want_w_star: bool):
     """Subsampled randomized Hadamard sketch.
 
     Rows are zero-padded to the next power of two n', multiplied by random
@@ -189,14 +185,8 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     Every product is an exact +-1 times a data value, so this equals the
     block-by-block product with the sampled rows bit for bit.
     """
-    if spec.kind is not SketchKind.HADAMARD:
-        raise DomainError(f"spec.kind is {spec.kind}, expected hadamard")
-    _check_feasible(data, spec, want_w_star)
-    A = data.yX
     n, m = A.shape
-    k = spec.k
     n_pad = _padded_size(n)
-    rng = np.random.default_rng(spec.seed)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     idx = rng.choice(n_pad, size=k, replace=False)
     block = _BLOCK
@@ -204,16 +194,13 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
     row_signs = _walsh_rows(idx // block, np.arange(-(-n // block)))
     SA = A * signs[:, None]
     B = np.zeros((k, m))
-    # an overflow is reported by SketchedData as NonFinite, as in apply_gaussian
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, start in enumerate(range(0, n, block)):
-            stop = min(start + block, n)
-            C = base[:, :stop - start] @ SA[start:stop]
-            C *= row_signs[:, j, None]
-            B += C
+    for j, start in enumerate(range(0, n, block)):
+        stop = min(start + block, n)
+        C = base[:, :stop - start] @ SA[start:stop]
+        C *= row_signs[:, j, None]
+        B += C
     # combined scaling: (1/sqrt(n')) for the transform, sqrt(n'/k) overall
     B *= 1.0 / np.sqrt(k)
-    Xs, ys = _split(B)
     W = None
     if want_w_star:
         # rows of S are orthogonal over the padded space: S_full S_full^T = (n'/k) I;
@@ -224,10 +211,10 @@ def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -
             pad_cols = np.arange(n, n_pad)
             Hp = _walsh_rows(idx, pad_cols) / np.sqrt(k)
             W -= Hp @ Hp.T
-    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
+    return B, W
 
 
-def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+def _clarkson_woodruff(A: np.ndarray, k: int, rng, want_w_star: bool):
     """Clarkson-Woodruff (CountSketch) projection.
 
     Each input row i is assigned a uniform bucket h(i) in {1..k} and a sign
@@ -235,13 +222,7 @@ def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool =
     streaming pass, O(n (p+1)) time.  Left unscaled: one +-1 per column of S
     already gives E[S^T S] = I exactly.
     """
-    if spec.kind is not SketchKind.CLARKSON_WOODRUFF:
-        raise DomainError(f"spec.kind is {spec.kind}, expected clarkson_woodruff")
-    _check_feasible(data, spec, want_w_star)
-    A = data.yX
     n, m = A.shape
-    k = spec.k
-    rng = np.random.default_rng(spec.seed)
     buckets = rng.integers(0, k, n)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
     # one contiguous row per column of [y | X], so each bincount reads it in place
@@ -249,22 +230,53 @@ def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool =
     B = np.empty((k, m))
     for j in range(m):
         B[:, j] = np.bincount(buckets, weights=signed[j], minlength=k)
-    Xs, ys = _split(B)
     W = None
     if want_w_star:
         # S rows are disjoint +-1 indicators, so S S^T is diagonal with the
         # bucket occupancy counts
         W = np.diag(np.bincount(buckets, minlength=k).astype(float))
-    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=n, p=data.p, W_star=W)
+    return B, W
 
 
-_APPLIERS = {
-    SketchKind.GAUSSIAN: apply_gaussian,
-    SketchKind.HADAMARD: apply_hadamard,
-    SketchKind.CLARKSON_WOODRUFF: apply_clarkson_woodruff,
+# kind -> kernel (A = [y | X], k, rng, want_w_star) -> (B = S A, W = S S^T or None)
+_KERNELS = {
+    SketchKind.GAUSSIAN: _gaussian,
+    SketchKind.HADAMARD: _hadamard,
+    SketchKind.CLARKSON_WOODRUFF: _clarkson_woodruff,
 }
 
 
 def apply_sketch(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
-    """Dispatch to the operator named by ``spec.kind``."""
-    return _APPLIERS[spec.kind](data, spec, want_w_star)
+    """Sketch ``data.yX`` with the kernel of ``spec.kind``, seeded by ``spec.seed``.
+
+    ``want_w_star`` also returns S S^T.  Infeasible sizes raise before any draw.
+    """
+    _check_feasible(data, spec, want_w_star)
+    rng = np.random.default_rng(spec.seed)
+    # data near the largest double overflow B: SketchedData reports that
+    # as NonFinite, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        B, W = _KERNELS[spec.kind](data.yX, spec.k, rng, want_w_star)
+    Xs, ys = _split(B)
+    return SketchedData(Xs=Xs, ys=ys, spec=spec, n=data.n, p=data.p, W_star=W)
+
+
+def _of_kind(kind: SketchKind, spec: SketchSpec) -> SketchSpec:
+    if spec.kind is not kind:
+        raise DomainError(f"spec.kind is {spec.kind}, expected {kind.value}")
+    return spec
+
+
+def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+    """``apply_sketch`` for a Gaussian ``spec``; see ``_gaussian``."""
+    return apply_sketch(data, _of_kind(SketchKind.GAUSSIAN, spec), want_w_star)
+
+
+def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+    """``apply_sketch`` for a Hadamard ``spec``; see ``_hadamard``."""
+    return apply_sketch(data, _of_kind(SketchKind.HADAMARD, spec), want_w_star)
+
+
+def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
+    """``apply_sketch`` for a Clarkson-Woodruff ``spec``; see ``_clarkson_woodruff``."""
+    return apply_sketch(data, _of_kind(SketchKind.CLARKSON_WOODRUFF, spec), want_w_star)

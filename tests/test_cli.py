@@ -361,6 +361,32 @@ class TestSimulate:
             assert rc == 0
             assert json.loads((out_dir / "report.json").read_text())["config"]["regime"] == regime
 
+    def test_config_takes_m_and_seed(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": 7, "beta0": [2.0, -1.0, 0.0, 1.0],
+            "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [0],
+            "root_seed": 5, "rep_draws": 2000,
+        }))
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--m", "3", "--seed", "9",
+                   "--output-dir", str(out_dir)])
+        assert rc == 0
+        config = json.loads((out_dir / "report.json").read_text())["config"]
+        assert (config["m"], config["root_seed"]) == (3, 9)
+
+    def test_preset_excludes_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 7}))
+        out_dir = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "desk", "--config", str(cfg_path), "--m", "2",
+                  "--output-dir", str(out_dir)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--preset" in err and "--config" in err
+        assert not out_dir.exists()
+
     def test_failing_replicate_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -95,8 +95,9 @@ class TestStackedData:
         assert data.yX is data.yX and not data.yX.flags.writeable
 
     def test_swapped_response_rebuilds_stack(self):
+        # the copy's stack is the parent's with y overwritten: the parent's
+        # own stack keeps its y
         data = make_dataset(20, 3, np.ones(3), seed=2)
-        data.yX  # fill the parent's cache
         y2, y3 = np.arange(20.0), -np.arange(20.0)
         swapped = data.with_response(y2)
         np.testing.assert_array_equal(swapped.with_response(y3).yX,

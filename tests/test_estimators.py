@@ -149,6 +149,11 @@ class TestFitPartial:
         assert fit.SSM_p == pytest.approx(float(pin.Xty @ fit.beta))
         assert fit.SSM_p > 0
 
+    def test_partial_inputs_of_dataset(self):
+        data = make_dataset(200, 5, np.arange(5.0), seed=4)
+        pin, ref = PartialInputs.of(data), _partial_inputs(data)
+        assert np.array_equal(pin.Xty, ref.Xty) and pin.yty == ref.yty
+
     def test_gamma_guard(self):
         data = make_dataset(50, 4, np.ones(4), seed=2)
         with pytest.raises(GammaNonpositive):

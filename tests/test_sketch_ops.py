@@ -243,6 +243,15 @@ class TestSharedProperties:
         with pytest.raises(DomainError):
             apply_sketch(data, _spec(kind, 3, 0))
 
+    @pytest.mark.parametrize("apply,kind", [(apply_gaussian, SketchKind.GAUSSIAN),
+                                            (apply_hadamard, SketchKind.HADAMARD),
+                                            (apply_clarkson_woodruff, SketchKind.CLARKSON_WOODRUFF)])
+    def test_operator_rejects_other_kinds(self, apply, kind):
+        data = make_dataset(40, 3, np.ones(3), seed=2)
+        for other in set(SketchKind) - {kind}:
+            with pytest.raises(DomainError, match=f"expected {kind.value}$"):
+                apply(data, _spec(other, 8, 0))
+
     def test_feasibility_errors_carry_their_exit_codes(self):
         data = make_dataset(10, 2, np.ones(2), seed=0)
         with pytest.raises(InfeasibleSketchSize) as small:
@@ -384,7 +393,7 @@ class TestMatchesReferenceOperators:
 
     @pytest.mark.parametrize("kind", list(SketchKind))
     def test_response_swap_does_not_reuse_stale_stack(self, kind):
-        # the parent's cached [y | X] holds the old y: a swapped response must
+        # the parent's [y | X] holds the old y: a swapped response must
         # sketch exactly as a freshly built dataset does
         rng = np.random.default_rng(6)
         data = make_dataset(300, 3, np.ones(3), seed=7)
