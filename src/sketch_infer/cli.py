@@ -37,10 +37,11 @@ from .inference import (
 from .sim_study import (
     SimConfig,
     desk_config,
-    json_text,
     paper_config,
     run_repeated_sampling,
     run_repeated_sketching,
+    write_csv,
+    write_json,
 )
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch
 
@@ -181,17 +182,13 @@ def _report_head(args, data: DataSet, sk, **after_mode) -> dict:
     }
 
 
-def _write_report(args, report: dict, csv_header: list, csv_rows: list) -> int:
-    """Write the report to ``args.output`` as JSON, or its table as CSV; exit 0."""
+def _write_report(args, report: dict, table: str, csv_header: list) -> int:
+    """Write the report to ``args.output`` as JSON, or its ``table`` rows as CSV
+    with the columns ``csv_header`` names; exit 0."""
     if args.format == "json":
-        text = json_text(report)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(args.output, report)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+        write_csv(args.output, csv_header, ([row[h] for h in csv_header] for row in report[table]))
     return 0
 
 
@@ -206,8 +203,7 @@ def cmd_fit(args) -> int:
         "ssm_p": fit.SSM_p,
         "gamma": fit.gamma,
     }
-    rows = [[i, names[i], repr(float(b))] for i, b in enumerate(fit.beta)]
-    return _write_report(args, report, ["index", "name", "estimate"], rows)
+    return _write_report(args, report, "estimates", ["index", "name", "estimate"])
 
 
 def _parse_nulls(spec: str, p: int):
@@ -282,8 +278,7 @@ def cmd_infer(args) -> int:
                         for j, (t, ci) in enumerate(pairs)]
 
     report = {**_report_head(args, data, sk, alpha=args.alpha), "coefficients": coefficients}
-    rows = [[c[h] for h in _INFER_CSV_HEADER] for c in coefficients]
-    return _write_report(args, report, _INFER_CSV_HEADER, rows)
+    return _write_report(args, report, "coefficients", _INFER_CSV_HEADER)
 
 
 def _load_sim_config(args) -> SimConfig:

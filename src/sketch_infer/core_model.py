@@ -72,7 +72,7 @@ def _solve_triangular(T: np.ndarray, b: np.ndarray, *, lower: bool = False,
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSet:
     """Full design matrix X (n x p, full column rank) and response y (n)."""
 
@@ -122,7 +122,7 @@ class DataSet:
         return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullFit:
     """Least-squares solution on the full data with its sum-of-squares split."""
 
@@ -131,7 +131,7 @@ class FullFit:
     SSM_F: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelTruth:
     """Generative parameters: y ~ N(X beta_0, sigma2 I).
 

@@ -82,7 +82,7 @@ def _spd_factor(matrix) -> tuple:
 # multivariate t
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultivariateTParams:
     """Triple (df, location, scale matrix) of a multivariate t law."""
 

@@ -32,7 +32,7 @@ class FitKind(str, enum.Enum):
     EFFICIENT_STAR = "efficient_star"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchFit:
     """Coefficients from a sketched regression.
 
@@ -53,7 +53,7 @@ class SketchFit:
     yty_s: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialInputs:
     """Single-pass full-data summaries available to the partial sketch."""
 

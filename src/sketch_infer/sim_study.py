@@ -4,8 +4,9 @@ Two experiment designs: repeated sketching (one dataset, many projections;
 estimator histograms are compared to their exact sketching laws) and
 repeated sampling (fixed covariates, fresh response and projection per
 replicate; pivot histograms are compared to their approximate null laws).
-Both run on one skeleton with one replicate function, which reads its
-regime from the config.  Replicates are independent tasks with
+Both run their replicates through one runner and one replicate function,
+which reads its regime from the config, and build their tables from one
+pivot-table function.  Replicates are independent tasks with
 per-replicate derived seeds, so a run is bit-reproducible from its root
 seed regardless of scheduling: each sketch kind's replicates are split into
 contiguous index ranges, one per usable CPU, run in forked workers and
@@ -14,14 +15,17 @@ joined in index order.
 
 from __future__ import annotations
 
+import csv
 import functools
+import itertools
 import json
 import multiprocessing
 import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 from scipy import stats
@@ -66,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Design of one Monte-Carlo experiment."""
 
@@ -103,16 +107,6 @@ class SimConfig:
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(self, "regime", Regime(self.regime))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "k": self.k, "m": self.m,
-            "beta0": list(self.beta0), "sigma2": self.sigma2,
-            "sketch_kinds": [s.value for s in self.sketch_kinds],
-            "regime": self.regime.value, "targets": list(self.targets),
-            "root_seed": self.root_seed, "alpha": self.alpha,
-            "rep_draws": self.rep_draws, "overlay_points": self.overlay_points,
-        }
-
 
 def paper_config(regime: Regime, sketch_kinds=tuple(SketchKind), m: int = 10_000,
                  root_seed: int = 20240817) -> SimConfig:
@@ -130,7 +124,7 @@ def desk_config(regime: Regime, sketch_kinds=(SketchKind.GAUSSIAN,), m: int = 2_
     return replace(paper_config(regime, sketch_kinds, m, root_seed), n=2_000)
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
     """One histogrammed series with its reference-law diagnostics."""
 
@@ -149,27 +143,10 @@ class ResultTable:
     overlay_pdf: np.ndarray | None = None
 
     def to_jsonable(self) -> dict:
-        def arr(a):
-            return None if a is None else [float(v) for v in a]
-
-        return {
-            "name": self.name,
-            "sketch": self.sketch,
-            "count": int(self.samples.size),
-            "n_error": self.n_error,
-            "bin_edges": arr(self.bin_edges),
-            "counts": None if self.counts is None else [int(c) for c in self.counts],
-            "ks_statistic": self.ks_statistic,
-            "ks_p": self.ks_p,
-            "coverage": self.coverage,
-            "rejection_rate": self.rejection_rate,
-            "negative_denominator_rate": self.negative_denominator_rate,
-            "overlay_x": arr(self.overlay_x),
-            "overlay_pdf": arr(self.overlay_pdf),
-        }
+        return {**_plain(self, omit=("samples",)), "count": self.samples.size}
 
 
-@dataclass
+@dataclass(eq=False)
 class SimReport:
     """The tables of one run.  ``workers`` (the processes that ran the
     replicates) is reported beside ``runtime_seconds`` but kept out of the
@@ -192,19 +169,19 @@ class SimReport:
         return {
             "schema": "sketch-infer/1",
             "kind": "simulation_report",
-            "config": self.config.to_jsonable(),
-            "beta_F": None if self.beta_F is None else [float(b) for b in self.beta_F],
-            "runtime_seconds": self.runtime_seconds,
+            **_plain(self, omit=("tables", "workers")),
             "tables": [t.to_jsonable() for t in self.tables],
         }
 
     def write_json(self, path) -> None:
-        text = json_text(self.to_jsonable())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(path, self.to_jsonable())
 
     def write_csvs(self, directory) -> list:
-        """One CSV per table: bin_left, bin_right, count, theory_x, theory_pdf."""
+        """One CSV per table: bin_left, bin_right, count, theory_x, theory_pdf.
+
+        A row holds one bin and one overlay point; where the bins and the
+        overlay differ in length, the shorter one's cells are left empty.
+        """
         os.makedirs(directory, exist_ok=True)
         paths = []
         for t in self.tables:
@@ -212,18 +189,10 @@ class SimReport:
                 continue
             fname = f"{t.sketch}__{t.name}.csv".replace("[", "_").replace("]", "")
             path = os.path.join(directory, fname)
-            nb = len(t.counts)
-            ng = 0 if t.overlay_x is None else len(t.overlay_x)
-            rows = max(nb, ng)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("bin_left,bin_right,count,theory_x,theory_pdf\n")
-                for i in range(rows):
-                    left = f"{t.bin_edges[i]!r}" if i < nb else ""
-                    right = f"{t.bin_edges[i + 1]!r}" if i < nb else ""
-                    cnt = f"{int(t.counts[i])}" if i < nb else ""
-                    tx = f"{t.overlay_x[i]!r}" if i < ng else ""
-                    tp = f"{t.overlay_pdf[i]!r}" if i < ng else ""
-                    fh.write(f"{left},{right},{cnt},{tx},{tp}\n")
+            columns = [t.bin_edges[:-1], t.bin_edges[1:], t.counts, t.overlay_x, t.overlay_pdf]
+            write_csv(path, ["bin_left", "bin_right", "count", "theory_x", "theory_pdf"],
+                      itertools.zip_longest(*(() if c is None else c.tolist() for c in columns),
+                                            fillvalue=""))
             paths.append(path)
         return paths
 
@@ -248,6 +217,37 @@ def json_text(doc) -> str:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite value: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as json_text; a non-finite value writes nothing."""
+    text = json_text(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` in the csv module's default dialect
+    (CRLF line ends; a number as its repr, None as an empty cell)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _plain(value, omit=()):
+    """``value`` in JSON-native types: a dataclass as a dict of its fields bar
+    ``omit``, an enum as its value, a numpy array or scalar and a tuple as
+    lists and Python numbers."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.name not in omit}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def ks_statistic(samples, cdf) -> tuple:
@@ -347,28 +347,28 @@ def _table(name: str, kind: SketchKind, samples: np.ndarray, cdf=None,
 
 
 def _frozen_overlay(x: np.ndarray, pdf: np.ndarray) -> tuple:
-    """An overlay shared, read-only, by the tables of every kind."""
+    """An overlay shared, read-only, by several tables."""
     x.flags.writeable = pdf.flags.writeable = False
     return x, pdf
 
 
-def _pivot_tables(cfg: SimConfig):
-    """The function that makes one kind's pivot_complete_null[j] and pivot_partial_zero[j].
+def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray) -> list:
+    """One kind's pivot_complete_null[j] and pivot_partial_zero[j] tables per
+    target j, each pair with the coverage of the level 1 - alpha interval that
+    inverts the complete pivot, decided at the same critical value as its
+    rejections.  ``cols`` holds the kind's replicate columns (see _replicate).
 
-    The null laws, t_{k-p} for the complete marginal t and t_{k-p+1} for the
-    partial zero-null t, are fixed for a run, so their critical values and
-    overlay grids are computed here once.  The returned function takes a
-    target's five replicate series (see _replicate) and returns both tables
-    and the coverage of the level 1 - alpha interval that inverts the
-    complete pivot, decided at the same critical value as its rejections.
+    The null laws are t_{k-p} for the complete marginal t and t_{k-p+1} for
+    the partial zero-null t; their critical values and overlays are computed
+    once and shared by the targets.
     """
     df = cfg.k - cfg.p
     tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
     tq_partial = dist_quantile(student_t(df + 1), 1.0 - cfg.alpha / 2.0)
     overlay_complete = _frozen_overlay(*_t_overlay(df, cfg.overlay_points))
     overlay_partial = _frozen_overlay(*_t_overlay(df + 1, cfg.overlay_points))
-
-    def build(kind: SketchKind, j: int, null_stat, se, beta_s, beta_p, part_all) -> tuple:
+    out = []
+    for j, (null_stat, se, beta_s, _, part_all) in zip(cfg.targets, _target_series(cfg, cols)):
         part_stat = part_all[~np.isnan(part_all)]
         n_negden = part_all.size - part_stat.size
         tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat,
@@ -379,9 +379,15 @@ def _pivot_tables(cfg: SimConfig):
                        n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
         if part_stat.size:
             tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
-        return tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_complete))
+        out.append((tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_complete))))
+    return out
 
-    return build
+
+def _target_series(cfg: SimConfig, cols: np.ndarray) -> np.ndarray:
+    """The five series of each target in ``cols``, as a (targets, 5, m) view:
+    rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 5 i + q series q of
+    target i (see _replicate)."""
+    return cols[2:].reshape(-1, 5, cfg.m)
 
 
 def _partial_or_nan(pfit, sk, m_vec, regime: Regime) -> float:
@@ -523,34 +529,17 @@ def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
     return values
 
 
-def _run(cfg: SimConfig, regime: Regime, setup) -> SimReport:
-    """cfg.m replicates of each kind on the run's dataset, and their tables.
-
-    ``setup(data, truth)`` returns _replicate's ``hyp``, ``partial_in`` and
-    ``mean`` (None when sketching one dataset, whose ``hyp`` is the report's
-    beta_F) and the builder ``tables(kind, ssr_s, sigma2_hat, per_target)``
-    of one kind's tables, with (j, target j's series, its pivot tables and
-    coverage) in ``per_target``.  A failing replicate ends the run with its
-    error type, the message prefixed by the kind and replicate.
+def _run(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean) -> tuple:
+    """cfg.m replicates of each kind on ``data``, with _replicate's ``hyp``,
+    ``partial_in`` and ``mean``: one column array per kind (see _replicate)
+    and the number of workers that ran them.  A failing replicate ends the
+    run with its error type, the message prefixed by the kind and replicate.
     """
-    if cfg.regime is not regime:
-        raise DomainError(f"config regime must be {regime.value}")
-    t_start = time.perf_counter()
-    data, truth = _make_dataset(cfg)
-    hyp, partial_in, mean, tables_of = setup(data, truth)
     workers = min(_usable_cpus(), cfg.m)
     ones = [functools.partial(_replicate, cfg, data, hyp, partial_in, mean, kind_idx)
             for kind_idx in range(len(cfg.sketch_kinds))]
-    per_kind = _run_replicates(cfg.sketch_kinds, cfg.m, workers, 2 + 5 * len(cfg.targets), ones)
-    pivot_tables = _pivot_tables(cfg)
-    tables = []
-    for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        # rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 5 i + q series q of target i
-        per_target = [(j, series, pivot_tables(kind, j, *series))
-                      for j, series in zip(cfg.targets, cols[2:].reshape(-1, 5, cfg.m))]
-        tables += tables_of(kind, cols[0], cols[1], per_target)
-    return SimReport(config=cfg, tables=tables, beta_F=hyp if mean is None else None,
-                     runtime_seconds=time.perf_counter() - t_start, workers=workers)
+    width = 2 + 5 * len(cfg.targets)
+    return _run_replicates(cfg.sketch_kinds, cfg.m, workers, width, ones), workers
 
 
 def run_repeated_sketching(cfg: SimConfig) -> SimReport:
@@ -562,41 +551,41 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     rejection indicators, and the marginal confidence-interval coverage of
     beta_F.  A failing replicate ends the run as _run describes.
     """
-
-    def setup(data, truth):
-        full = fit_full(data)
-        gram_inv = np.linalg.inv(data.X.T @ data.X)
-        partial_in = PartialInputs.of(data)
-        eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
-        # the reference laws of beta_s and beta_p do not depend on the sketch
-        # kind: their overlays (and the sorted beta_p draws) are computed once
-        # per target
-        complete_overlay, rep_ref, rep_overlay = {}, {}, {}
-        for j in cfg.targets:
-            complete_overlay[j] = _frozen_overlay(*_t_overlay(
-                eq_t.df, cfg.overlay_points, eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])))
-            rep_ref[j] = np.sort(sample_partial_sketching_rep(
-                np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p, cfg.rep_draws,
-                derive_seed(cfg.root_seed, 2 + j)))
-            rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
-
-        def tables(kind, ssr_s, sigma2_hat, per_target):
-            out = []
-            for j, (_, _, bs, bp, _), (tnull, tpart, coverage) in per_target:
-                ref = rep_ref[j]
-                out += [
-                    _table(f"beta_s[{j}]", kind, bs, lambda x: mvt_marginal_cdf(eq_t, j, x),
-                           complete_overlay[j], coverage=coverage),
-                    _table(f"beta_p[{j}]", kind, bp,
-                           lambda x: np.searchsorted(ref, x, side="right") / ref.size,
-                           rep_overlay[j]),
-                    tnull, tpart,
-                ]
-            return out
-
-        return full.beta_F, partial_in, None, tables
-
-    return _run(cfg, Regime.REPEATED_SKETCH, setup)
+    if cfg.regime is not Regime.REPEATED_SKETCH:
+        raise DomainError(f"config regime must be {Regime.REPEATED_SKETCH.value}")
+    t_start = time.perf_counter()
+    data, _ = _make_dataset(cfg)
+    full = fit_full(data)
+    gram_inv = np.linalg.inv(data.X.T @ data.X)
+    partial_in = PartialInputs.of(data)
+    eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
+    # the reference laws of beta_s and beta_p do not depend on the sketch
+    # kind: their overlays (and the sorted beta_p draws) are computed once
+    # per target
+    complete_overlay, rep_ref, rep_overlay = {}, {}, {}
+    for j in cfg.targets:
+        complete_overlay[j] = _frozen_overlay(*_t_overlay(
+            eq_t.df, cfg.overlay_points, eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])))
+        rep_ref[j] = np.sort(sample_partial_sketching_rep(
+            np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p, cfg.rep_draws,
+            derive_seed(cfg.root_seed, 2 + j)))
+        rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
+    per_kind, workers = _run(cfg, data, full.beta_F, partial_in, None)
+    tables = []
+    for kind, cols in zip(cfg.sketch_kinds, per_kind):
+        for j, (_, _, bs, bp, _), (tnull, tpart, coverage) in zip(
+                cfg.targets, _target_series(cfg, cols), _pivot_tables(cfg, kind, cols)):
+            ref = rep_ref[j]
+            tables += [
+                _table(f"beta_s[{j}]", kind, bs, lambda x: mvt_marginal_cdf(eq_t, j, x),
+                       complete_overlay[j], coverage=coverage),
+                _table(f"beta_p[{j}]", kind, bp,
+                       lambda x: np.searchsorted(ref, x, side="right") / ref.size,
+                       rep_overlay[j]),
+                tnull, tpart,
+            ]
+    return SimReport(config=cfg, tables=tables, beta_F=full.beta_F,
+                     runtime_seconds=time.perf_counter() - t_start, workers=workers)
 
 
 def run_repeated_sampling(cfg: SimConfig) -> SimReport:
@@ -609,13 +598,16 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
     estimate for moment checks.  A failing replicate ends the run as _run
     describes.
     """
-
-    def tables(kind, ssr_s, sigma2_hat, per_target):
-        out = [_table("ssr_s", kind, ssr_s), _table("sigma2_hat", kind, sigma2_hat)]
-        for _, _, (tnull, tpart, coverage) in per_target:
+    if cfg.regime is not Regime.REPEATED_SAMPLE:
+        raise DomainError(f"config regime must be {Regime.REPEATED_SAMPLE.value}")
+    t_start = time.perf_counter()
+    data, truth = _make_dataset(cfg)
+    per_kind, workers = _run(cfg, data, truth.beta_0, None, response_mean(data.X, truth))
+    tables = []
+    for kind, cols in zip(cfg.sketch_kinds, per_kind):
+        tables += [_table("ssr_s", kind, cols[0]), _table("sigma2_hat", kind, cols[1])]
+        for tnull, tpart, coverage in _pivot_tables(cfg, kind, cols):
             tnull.coverage = coverage
-            out += [tnull, tpart]
-        return out
-
-    return _run(cfg, Regime.REPEATED_SAMPLE,
-                lambda data, truth: (truth.beta_0, None, response_mean(data.X, truth), tables))
+            tables += [tnull, tpart]
+    return SimReport(config=cfg, tables=tables, beta_F=None,
+                     runtime_seconds=time.perf_counter() - t_start, workers=workers)

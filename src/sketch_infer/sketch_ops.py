@@ -64,7 +64,7 @@ class SketchSpec:
             raise InfeasibleSketchSize(f"sketch size k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchedData:
     """Sketched design X_s = S X and response y_s = S y, plus provenance.
 

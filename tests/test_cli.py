@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sketch_infer import cli
 from sketch_infer.cli import _CliError, main
-from sketch_infer.errors import RankDeficient, SketchInferError
+from sketch_infer.errors import NegativeDenominator, RankDeficient, SketchInferError
 
 
 INFER_ROW_KEYS = {"index", "name", "estimate", "null_value", "statistic", "pivot",
@@ -200,6 +200,30 @@ class TestInfer:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert all(c["pivot"] in (None, "t(10)") for c in rep["coefficients"])
+
+    def test_partial_negative_denominator_flagged(self, data_csv, tmp_path, monkeypatch):
+        def negative(*args):
+            raise NegativeDenominator("injected")
+
+        monkeypatch.setattr(cli, "partial_linear_combination_test", negative)
+        reports = {}
+        for fmt in ("json", "csv"):
+            reports[fmt] = tmp_path / f"infer.{fmt}"
+            rc = main(["infer", "--input", str(data_csv), "--response", "y", "--mode", "partial",
+                       "--k", "12", "--seed", "4", "--format", fmt,
+                       "--output", str(reports[fmt])])
+            assert rc == 0
+        coefficients = json.loads(reports["json"].read_text())["coefficients"]
+        with open(reports["csv"], newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == cli._INFER_CSV_HEADER and len(rows) == len(coefficients) == 3
+        for c, row in zip(coefficients, rows):
+            assert c["flag"] == "negative denominator: injected"
+            assert c["statistic"] is None and c["pivot"] is None and c["p_value"] is None
+            cells = dict(zip(header, row))
+            assert float(cells["estimate"]) == c["estimate"]
+            assert cells["flag"] == c["flag"]
+            assert [cells[h] for h in ("statistic", "p_value", "ci_lower", "ci_upper")] == [""] * 4
 
     def test_efficient_without_wstar_exit_4(self, tmp_path):
         rng = np.random.default_rng(12)

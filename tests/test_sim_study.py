@@ -1,6 +1,7 @@
 """Simulation harness: determinism, bookkeeping, emission formats."""
 
 import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -269,6 +270,36 @@ class TestEmission:
             header = fh.readline().strip()
         assert header == "bin_left,bin_right,count,theory_x,theory_pdf"
 
+    @pytest.mark.parametrize("regime,run,points", [
+        (Regime.REPEATED_SKETCH, run_repeated_sketching, 512),
+        (Regime.REPEATED_SAMPLE, run_repeated_sampling, 4),
+    ], ids=["sketching", "sampling"])
+    def test_csv_cells_match_json(self, tmp_path, regime, run, points):
+        # every cell reads back as its JSON value; past the end of the
+        # shorter of the bins and the overlay, cells are empty
+        rep = run(dataclasses.replace(_small_cfg(regime, m=40), overlay_points=points))
+        rep.write_json(tmp_path / "report.json")
+        tables = json.loads((tmp_path / "report.json").read_text())["tables"]
+        paths = rep.write_csvs(tmp_path / "csv")
+        assert len(paths) == len(tables)
+        longer = set()
+        for t, path in zip(tables, paths):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["bin_left", "bin_right", "count", "theory_x", "theory_pdf"]
+            columns = [t["bin_edges"][:-1], t["bin_edges"][1:], t["counts"],
+                       t["overlay_x"] or [], t["overlay_pdf"] or []]
+            assert len(rows) == max(len(c) for c in columns)
+            longer.add("bins" if len(t["counts"]) > len(columns[3]) else "overlay")
+            for i, row in enumerate(rows):
+                assert len(row) == 5
+                for cell, column in zip(row, columns):
+                    if i < len(column):
+                        assert type(column[i])(cell) == column[i], (path, i, cell)
+                    else:
+                        assert cell == "", (path, i)
+        assert longer == ({"overlay"} if points == 512 else {"bins"})
+
     def test_non_finite_value_is_typed_error(self, tmp_path):
         rep = run_repeated_sketching(_small_cfg(Regime.REPEATED_SKETCH, m=5))
         rep.tables[0].ks_statistic = float("nan")
@@ -474,3 +505,34 @@ class TestReplay:
                 for name, values in expected.items():
                     samples = rep.table(name, kind).samples
                     assert samples.tobytes() == values.tobytes(), (kind, name)
+
+
+class TestAllNegativeDenominators:
+    """A run in which no partial statistic exists still writes its tables."""
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    def test_empty_partial_table_is_written(self, tmp_path, monkeypatch, regime, run):
+        def negative(*args):
+            raise NegativeDenominator("injected")
+
+        monkeypatch.setattr(sim_study, "partial_t_statistic", negative)
+        cfg = _small_cfg(regime, m=6)
+        rep = run(cfg)
+        rep.write_json(tmp_path / "report.json")
+        rep.write_csvs(tmp_path / "csv")
+        doc = {t["name"]: t for t in json.loads((tmp_path / "report.json").read_text())["tables"]}
+        for j in cfg.targets:
+            name = f"pivot_partial_zero[{j}]"
+            t = rep.table(name, SketchKind.GAUSSIAN)
+            assert t.samples.size == 0 and t.n_error == cfg.m
+            assert t.negative_denominator_rate == 1.0
+            assert t.ks_statistic is None and t.rejection_rate is None
+            row = doc[name]
+            assert row["count"] == 0 and row["n_error"] == cfg.m
+            assert row["bin_edges"] == [0.0, 1.0] and row["counts"] == [0]
+            with open(tmp_path / "csv" / f"gaussian__pivot_partial_zero_{j}.csv", newline="",
+                      encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == 1 + cfg.overlay_points
+            assert rows[1][:3] == ["0.0", "1.0", "0"]
+            assert all(r[:3] == ["", "", ""] for r in rows[2:])
