@@ -26,15 +26,14 @@ def _check_finite(*arrays) -> None:
             raise NonFinite("input contains NaN or infinite entries")
 
 
-def _qr_full_rank(X: np.ndarray):
-    """Economy QR with a scale-invariant rank check.
+def _check_rank(R: np.ndarray) -> None:
+    """Scale-invariant rank check on the R factor of a QR of X.
 
     |R_jj| is the norm of column j's part orthogonal to the columns before
     it, and ||R[:j+1, j]|| = ||X_j|| its whole norm, so their ratio is the
     sine of the angle between X_j and the earlier columns' span.  It does
     not change when a column is rescaled; each must exceed RANK_TOL.
     """
-    Q, R = np.linalg.qr(X)
     d = np.abs(np.diag(R))
     # hypot overflows only where the norm itself does, not where its square does
     with np.errstate(over="ignore"):
@@ -46,6 +45,12 @@ def _qr_full_rank(X: np.ndarray):
         sines = np.divide(d, norms, out=np.zeros_like(d), where=norms > 0.0)
         raise RankDeficient(f"matrix is numerically rank deficient (min_j |R_jj| / ||X_j|| = "
                             f"{sines.min() if d.size else 0.0:.3e})")
+
+
+def _qr_full_rank(X: np.ndarray):
+    """Economy QR of X, rank-checked by ``_check_rank``."""
+    Q, R = np.linalg.qr(X)
+    _check_rank(R)
     return Q, R
 
 
@@ -93,7 +98,9 @@ class DataSet:
             raise DomainError(f"need n > p, got n={n}, p={p}")
         if y.shape[0] != n:
             raise DomainError(f"y has length {y.shape[0]}, expected {n}")
-        _qr_full_rank(X)  # RankDeficient if X is not full column rank
+        # RankDeficient if X is not full column rank; R alone, without Q, is
+        # the R of the economy QR (one dgeqrf) at half its cost or less
+        _check_rank(np.linalg.qr(X, mode="r"))
         yX = np.column_stack([y, X])
         yX.flags.writeable = False
         object.__setattr__(self, "X", X)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .core_model import FullFit, ModelTruth, _solve_triangular
 from .errors import (
@@ -129,7 +130,7 @@ def mvt_pdf(params: MultivariateTParams, b) -> float:
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
     sd = math.sqrt(params.scale_matrix[j, j])
-    return stats.t.cdf((np.asarray(x, dtype=float) - params.location[j]) / sd, params.df)
+    return special.stdtr(params.df, (np.asarray(x, dtype=float) - params.location[j]) / sd)
 
 
 def complete_sketching_t_params(fullfit: FullFit, gram_inv: np.ndarray, k: int, p: int) -> MultivariateTParams:
@@ -353,11 +354,18 @@ def ratio_beta_law_pdf(r_grid, phi: float, kappa: float, beta_param: float, para
             + (beta_param - 1.0) * math.log1p(-v) - lnB
         )
 
+    # imported here, its only use: the package loads without scipy.integrate
+    from scipy import integrate
+
     try:
-        vals = np.array([
-            integrate.quad(integrand, 0.0, 1.0, args=(r,), limit=200, epsabs=1e-12, epsrel=1e-9)[0]
-            for r in r_grid
-        ])
+        # quad reports a failed integral by a warning: raise it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            vals = np.array([
+                integrate.quad(integrand, 0.0, 1.0, args=(r,), limit=200, epsabs=1e-12,
+                               epsrel=1e-9)[0]
+                for r in r_grid
+            ])
     except (integrate.IntegrationWarning, FloatingPointError) as exc:
         raise ConvergenceError(f"ratio-beta density quadrature failed: {exc}") from exc
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .core_model import (
     DataSet,
@@ -54,7 +53,7 @@ from .errors import (
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
-from .special_fn import dist_quantile, student_t
+from .special_fn import dist_cdf, dist_quantile, student_t
 
 PAPER_BETA = np.arange(-5.0, 6.0)  # (-5, -4, ..., 5), p = 11
 
@@ -258,6 +257,8 @@ def ks_statistic(samples, cdf) -> tuple:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptyInput("KS statistic needs at least one sample")
+    from scipy import stats  # ~0.5 s to import: loaded by the harness only, not by fit or infer
+
     res = stats.kstest(x, cdf, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -283,6 +284,8 @@ def _histogram(samples: np.ndarray):
 
 def _t_overlay(df: int, points: int, loc: float = 0.0, scale: float = 1.0):
     """Grid from the 0.001 to the 0.999 quantile of loc + scale t_df, and its density."""
+    from scipy import stats  # ~0.5 s to import: loaded by the harness only, not by fit or infer
+
     lo = dist_quantile(student_t(df), 0.001)
     hi = dist_quantile(student_t(df), 0.999)
     x = np.linspace(loc + scale * lo, loc + scale * hi, points)
@@ -372,10 +375,10 @@ def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray) -> list:
         part_stat = part_all[~np.isnan(part_all)]
         n_negden = part_all.size - part_stat.size
         tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat,
-                       lambda x: stats.t.cdf(x, df), overlay_complete,
+                       lambda x: dist_cdf(student_t(df), x), overlay_complete,
                        rejection_rate=float(np.mean(np.abs(beta_s / se) > tq_complete)))
         tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat,
-                       lambda x: stats.t.cdf(x, df + 1), overlay_partial,
+                       lambda x: dist_cdf(student_t(df + 1), x), overlay_partial,
                        n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
         if part_stat.size:
             tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))

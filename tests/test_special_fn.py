@@ -259,9 +259,6 @@ class TestDistributions:
     def test_reused_law_matches_fresh_scipy_law(self):
         from scipy import stats
 
-        from sketch_infer.special_fn import _frozen
-
-        assert _frozen(student_t(10)) is _frozen(student_t(10.0))
         # labels print integral parameters exactly, others as :g
         assert str(student_t(10)) == str(student_t(10.0)) == "t(10)"
         assert str(student_t(1_234_567)) == "t(1234567)"
@@ -269,6 +266,38 @@ class TestDistributions:
         for _ in range(2):
             assert dist_quantile(student_t(10), 0.975) == float(stats.t(10.0).ppf(0.975))
             assert dist_cdf(f_law(3, 10), 1.7) == stats.f(3.0, 10.0).cdf(1.7)
+
+    # the laws the package refers pivots to at n = 10^4, p = 11, k = 21:
+    # t(k-p), t(k-p+1), F(p, k-p), F(p, n-p), chi2(p), chi2(k); t at its
+    # extreme df; beta at two shapes
+    LAWS = [student_t(10), student_t(11), student_t(1), student_t(1e6), f_law(11, 10),
+            f_law(11, 9989), chi2(11), chi2(21), beta_law(2.5, 3), beta_law(0.5, 2)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_equal_scipy_stats_bit_for_bit(self, law):
+        from scipy import stats
+
+        frozen = getattr(stats, law.name)(*law.params)
+        x = np.concatenate([np.linspace(-50.0, 50.0, 801), np.linspace(-0.5, 1.5, 201),
+                            [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300]])
+        got, ref = dist_cdf(law, x), frozen.cdf(x)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        for xi in x[::40]:
+            g, r = dist_cdf(law, float(xi)), frozen.cdf(float(xi))
+            assert type(g) is type(r) and (g == r or (math.isnan(g) and math.isnan(r)))
+        # scipy.stats inverts beta by its own routine, which departs from
+        # betaincinv in the far tails only (see test_beta_quantile_tail)
+        q = np.linspace(1e-6, 1.0 - 1e-6, 1001)
+        if law.name != "beta":
+            q = np.concatenate([q, [1e-300, 1e-12, 0.001, 0.025, 0.975, 0.999, 1.0 - 1e-16]])
+        assert np.array_equal([dist_quantile(law, qi) for qi in q], frozen.ppf(q), equal_nan=True)
+
+    def test_beta_quantile_tail(self):
+        # Beta(1/2, 2) has CDF (3 x^{1/2} - x^{3/2}) / 2, so the 1e-10 quantile
+        # is 4.44e-21; scipy.stats' beta quantile reads 2.5e-25 there
+        x = dist_quantile(beta_law(0.5, 2), 1e-10)
+        assert abs((3.0 * math.sqrt(x) - x ** 1.5) / 2.0 / 1e-10 - 1.0) < 1e-12
 
     def test_symmetric_beta_median(self):
         for a in (0.5, 1.0, 3.7):
