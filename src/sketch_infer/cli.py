@@ -35,6 +35,7 @@ from .inference import (
     wstar_marginal_t_tests,
 )
 from .sim_study import (
+    SCHEMA,
     SimConfig,
     desk_config,
     paper_config,
@@ -44,8 +45,6 @@ from .sim_study import (
     write_json,
 )
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch
-
-SCHEMA = "sketch-infer/1"
 
 
 class _CliError(SketchInferError):
@@ -294,6 +293,10 @@ def _load_sim_config(args) -> SimConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _CliError(f"cannot read config: {exc}")
+        if not isinstance(raw, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+            raise _CliError(f"invalid simulation config: expected a JSON object, got "
+                            f"{kind.get(type(raw), 'a number')}")
         raw.setdefault("regime", regime.value)
         if args.regime is not None and raw["regime"] != regime.value:
             raise _CliError(f"--regime {args.regime} conflicts with the config's regime "

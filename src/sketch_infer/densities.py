@@ -38,9 +38,11 @@ from .errors import (
 from .special_fn import (
     _log_laplace_integral,
     _softplus,
+    dist_cdf,
     kummer_m,
     log_bessel_k,
     log_kummer_u,
+    student_t,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -130,7 +132,7 @@ def mvt_pdf(params: MultivariateTParams, b) -> float:
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
     sd = math.sqrt(params.scale_matrix[j, j])
-    return special.stdtr(params.df, (np.asarray(x, dtype=float) - params.location[j]) / sd)
+    return dist_cdf(student_t(params.df), (np.asarray(x, dtype=float) - params.location[j]) / sd)
 
 
 def complete_sketching_t_params(fullfit: FullFit, gram_inv: np.ndarray, k: int, p: int) -> MultivariateTParams:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy import special
 
 from .core_model import (
     DataSet,
@@ -53,8 +54,9 @@ from .errors import (
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
 from .sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
-from .special_fn import dist_cdf, dist_quantile, student_t
+from .special_fn import _t_pdf, dist_cdf, dist_quantile, student_t
 
+SCHEMA = "sketch-infer/1"  # version tag of every JSON report the package writes
 PAPER_BETA = np.arange(-5.0, 6.0)  # (-5, -4, ..., 5), p = 11
 
 __all__ = [
@@ -88,11 +90,16 @@ class SimConfig:
     overlay_points: int = 512
 
     def __post_init__(self):
+        least = {"n": 1, "m": 1, "root_seed": 0, "rep_draws": 0, "overlay_points": 0}
+        counts = [(f, getattr(self, f)) for f in ("p", "k", *least)]
+        for name, value in counts + [("targets", t) for t in self.targets]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} takes integers only, got {value!r}")
+            if name in least and value < least[name]:
+                raise DomainError(f"{name} must be >= {least[name]}, got {value}")
         b = np.asarray(self.beta0, dtype=float).reshape(-1)
         if b.size != self.p:
             raise DomainError(f"beta0 has length {b.size}, expected p={self.p}")
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
         if self.k <= self.p + 3:
             # partial paths need positive (k-p)(k-p-3) variance denominators
             raise DomainError(f"need k > p + 3 (got k={self.k}, p={self.p})")
@@ -166,7 +173,7 @@ class SimReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "schema": "sketch-infer/1",
+            "schema": SCHEMA,
             "kind": "simulation_report",
             **_plain(self, omit=("tables", "workers")),
             "tables": [t.to_jsonable() for t in self.tables],
@@ -198,11 +205,10 @@ class SimReport:
     def summary_lines(self) -> list:
         lines = [f"{'table':38s} {'sketch':18s} {'KS':>8s} {'cover':>7s} {'reject':>7s} {'negden':>7s}"]
         for t in self.tables:
-            ks = "" if t.ks_statistic is None else f"{t.ks_statistic:.4f}"
-            cov = "" if t.coverage is None else f"{t.coverage:.3f}"
-            rej = "" if t.rejection_rate is None else f"{t.rejection_rate:.3f}"
-            neg = "" if t.negative_denominator_rate is None else f"{t.negative_denominator_rate:.4f}"
-            lines.append(f"{t.name:38s} {t.sketch:18s} {ks:>8s} {cov:>7s} {rej:>7s} {neg:>7s}")
+            cells = [("" if v is None else f"{v:{spec}}").rjust(width) for v, spec, width in (
+                (t.ks_statistic, ".4f", 8), (t.coverage, ".3f", 7), (t.rejection_rate, ".3f", 7),
+                (t.negative_denominator_rate, ".4f", 7))]
+            lines.append(f"{t.name:38s} {t.sketch:18s} {' '.join(cells)}")
         return lines
 
 
@@ -250,17 +256,18 @@ def _plain(value, omit=()):
 
 
 def ks_statistic(samples, cdf) -> tuple:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value (scipy's kstest).
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value, bit for bit
+    those of scipy.stats' ``kstest(samples, cdf, method="asymp")``.
 
     ``cdf`` is a callable evaluating the reference law on an array.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if n == 0:
         raise EmptyInput("KS statistic needs at least one sample")
-    from scipy import stats  # ~0.5 s to import: loaded by the harness only, not by fit or infer
-
-    res = stats.kstest(x, cdf, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    c = cdf(x)
+    d = max((c - np.arange(0.0, n) / n).max(), (np.arange(1.0, n + 1) / n - c).max())
+    return float(d), float(np.clip(special.kolmogorov(d * np.sqrt(n)), 0.0, 1.0))
 
 
 def _make_dataset(cfg: SimConfig) -> tuple:
@@ -274,22 +281,14 @@ def _make_dataset(cfg: SimConfig) -> tuple:
     return DataSet(X=X, y=y), truth
 
 
-def _histogram(samples: np.ndarray):
-    if samples.size == 0:
-        return np.array([0.0, 1.0]), np.array([0])
-    edges = np.histogram_bin_edges(samples, bins="fd")
-    counts, edges = np.histogram(samples, bins=edges)
-    return edges, counts
-
-
 def _t_overlay(df: int, points: int, loc: float = 0.0, scale: float = 1.0):
-    """Grid from the 0.001 to the 0.999 quantile of loc + scale t_df, and its density."""
-    from scipy import stats  # ~0.5 s to import: loaded by the harness only, not by fit or infer
-
+    """Grid from the 0.001 to the 0.999 quantile of loc + scale t_df and its density, read-only."""
     lo = dist_quantile(student_t(df), 0.001)
     hi = dist_quantile(student_t(df), 0.999)
     x = np.linspace(loc + scale * lo, loc + scale * hi, points)
-    return x, stats.t.pdf((x - loc) / scale, df) / scale
+    pdf = _t_pdf(df, (x - loc) / scale) / scale
+    x.flags.writeable = pdf.flags.writeable = False
+    return x, pdf
 
 
 # Gaussian kernel terms beyond this many bandwidths are below e^-72 of the
@@ -331,28 +330,26 @@ def _partial_overlay(ref: np.ndarray, points: int) -> tuple:
     """Grid and density of the beta_p overlay from the sorted reference draws.
 
     A Gaussian KDE of the draws thinned by a stride to ~20 000 points, on
-    ``points`` equally spaced values from the 0.001 to the 0.999 quantile.
+    ``points`` equally spaced values from the 0.001 to the 0.999 quantile; read-only.
     """
     lo, hi = np.quantile(ref, [0.001, 0.999])
     x = np.linspace(lo, hi, points)
-    return x, _gaussian_kde_sorted(ref[:: max(1, ref.size // 20_000)], x)
+    pdf = _gaussian_kde_sorted(ref[:: max(1, ref.size // 20_000)], x)
+    x.flags.writeable = pdf.flags.writeable = False
+    return x, pdf
 
 
 def _table(name: str, kind: SketchKind, samples: np.ndarray, cdf=None,
            overlay=(None, None), **fields) -> ResultTable:
-    """Histogrammed table of ``samples``, with its KS distance to ``cdf`` when given."""
+    """Histogrammed table of ``samples`` (one empty bin [0, 1] when there are
+    none), with its KS distance to ``cdf`` when given."""
     t = ResultTable(name, kind.value, samples, overlay_x=overlay[0], overlay_pdf=overlay[1],
-                    **fields)
+                    bin_edges=np.array([0.0, 1.0]), counts=np.array([0]), **fields)
     if cdf is not None and samples.size >= 2:
         t.ks_statistic, t.ks_p = ks_statistic(samples, cdf)
-    t.bin_edges, t.counts = _histogram(samples)
+    if samples.size:
+        t.counts, t.bin_edges = np.histogram(samples, np.histogram_bin_edges(samples, bins="fd"))
     return t
-
-
-def _frozen_overlay(x: np.ndarray, pdf: np.ndarray) -> tuple:
-    """An overlay shared, read-only, by several tables."""
-    x.flags.writeable = pdf.flags.writeable = False
-    return x, pdf
 
 
 def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray) -> list:
@@ -368,8 +365,8 @@ def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray) -> list:
     df = cfg.k - cfg.p
     tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
     tq_partial = dist_quantile(student_t(df + 1), 1.0 - cfg.alpha / 2.0)
-    overlay_complete = _frozen_overlay(*_t_overlay(df, cfg.overlay_points))
-    overlay_partial = _frozen_overlay(*_t_overlay(df + 1, cfg.overlay_points))
+    overlay_complete = _t_overlay(df, cfg.overlay_points)
+    overlay_partial = _t_overlay(df + 1, cfg.overlay_points)
     out = []
     for j, (null_stat, se, beta_s, _, part_all) in zip(cfg.targets, _target_series(cfg, cols)):
         part_stat = part_all[~np.isnan(part_all)]
@@ -567,12 +564,12 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     # per target
     complete_overlay, rep_ref, rep_overlay = {}, {}, {}
     for j in cfg.targets:
-        complete_overlay[j] = _frozen_overlay(*_t_overlay(
-            eq_t.df, cfg.overlay_points, eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])))
+        complete_overlay[j] = _t_overlay(eq_t.df, cfg.overlay_points, eq_t.location[j],
+                                         np.sqrt(eq_t.scale_matrix[j, j]))
         rep_ref[j] = np.sort(sample_partial_sketching_rep(
             np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p, cfg.rep_draws,
             derive_seed(cfg.root_seed, 2 + j)))
-        rep_overlay[j] = _frozen_overlay(*_partial_overlay(rep_ref[j], cfg.overlay_points))
+        rep_overlay[j] = _partial_overlay(rep_ref[j], cfg.overlay_points)
     per_kind, workers = _run(cfg, data, full.beta_F, partial_in, None)
     tables = []
     for kind, cols in zip(cfg.sketch_kinds, per_kind):

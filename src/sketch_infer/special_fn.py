@@ -276,10 +276,14 @@ def bessel_k(nu: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class Law:
-    """Tag describing a classical distribution, e.g. Law('chi2', (10.0,))."""
+    """Tag of a classical distribution, e.g. Law('chi2', (10.0,)); parameters must be > 0."""
 
     name: str
     params: tuple
+
+    def __post_init__(self):
+        if any(p <= 0 for p in self.params):
+            raise DomainError(f"{self.name} requires positive parameters, got {self.params}")
 
     def __str__(self):
         # integral parameters print exactly: :g would round t(1234567) to t(1.23457e+06)
@@ -289,31 +293,19 @@ class Law:
 
 
 def chi2(df: float) -> Law:
-    if df <= 0:
-        raise DomainError("chi2 requires df > 0")
     return Law("chi2", (float(df),))
 
 
 def student_t(df: float) -> Law:
-    if df <= 0:
-        raise DomainError("t requires df > 0")
     return Law("t", (float(df),))
 
 
 def f_law(d1: float, d2: float) -> Law:
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError("f requires positive degrees of freedom")
     return Law("f", (float(d1), float(d2)))
 
 
 def beta_law(a: float, b: float) -> Law:
-    if a <= 0 or b <= 0:
-        raise DomainError("beta requires positive shape parameters")
     return Law("beta", (float(a), float(b)))
-
-
-def _chi2_ppf(df, q):
-    return 2.0 * special.gammaincinv(df / 2.0, q)
 
 
 # law name -> (CDF, quantile, support): the scipy.special functions that
@@ -321,10 +313,16 @@ def _chi2_ppf(df, q):
 # law objects (importing scipy.stats alone takes ~0.5 s)
 _LAWS = {
     "t": (special.stdtr, special.stdtrit, (-math.inf, math.inf)),
-    "chi2": (special.chdtr, _chi2_ppf, (0.0, math.inf)),
+    "chi2": (special.chdtr, lambda df, q: 2.0 * special.gammaincinv(df / 2.0, q), (0.0, math.inf)),
     "f": (special.fdtr, special.fdtri, (0.0, math.inf)),
     "beta": (special.betainc, special.betaincinv, (0.0, 1.0)),
 }
+
+
+def _t_pdf(df: float, x):
+    """Density of t_df at x, in scipy.stats' expression: bit for bit its value."""
+    return np.exp(np.log(special.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+                  - (df + 1) / 2 * np.log1p(x * x / df))
 
 
 def _law_functions(law: Law) -> tuple:

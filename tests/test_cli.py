@@ -452,6 +452,50 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "gaussian" in err and "hadamard" in err and "clarkson_woodruff" in err
 
+    # each count or index of a config that is not an integer, or a count
+    # below its least value, varied on a 300 x 3 design with k = 21
+    BAD_FIELDS = [("k", 21.5), ("m", 2.5), ("n", 300.5), ("p", 3.0), ("root_seed", 1.5),
+                  ("rep_draws", 2000.0), ("overlay_points", 16.0), ("targets", [0.5]),
+                  ("n", True), ("m", True), ("k", False), ("targets", [True]),
+                  ("rep_draws", -1), ("overlay_points", -3), ("m", 0), ("n", -5),
+                  ("root_seed", -1)]
+
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
+    def test_bad_count_exit_2(self, tmp_path, capsys, field, value):
+        cfg = {"n": 300, "p": 3, "k": 21, "m": 2, "beta0": [1.0, 0.0, -1.0], "sigma2": 1.0,
+               "sketch_kinds": ["gaussian"], "targets": [0], "root_seed": 5, "rep_draws": 2000,
+               "overlay_points": 16, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: invalid simulation config: {field} "
+                        r"(takes integers only|must be >= [01]), got ", err), err
+        assert not out_dir.exists()
+
+    def test_negative_seed_option_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--preset", "desk", "--m", "2", "--seed", "-1",
+                   "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: root_seed must be >= 0, got -1\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "an array"), ('"abc"', "a string"),
+                                           ("null", "null"), ("3", "a number"),
+                                           ("2.5", "a number"), ("true", "a boolean")])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid simulation config: expected a JSON object, got {kind}\n")
+        assert not out_dir.exists()
+
     def test_desk_preset_smoke(self, tmp_path):
         import time
 

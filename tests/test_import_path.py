@@ -1,10 +1,15 @@
-"""Fresh interpreters: the library and fit/infer load neither scipy.stats nor scipy.integrate."""
+"""The package stays off scipy.stats: no module imports it, and fresh
+interpreters running the library, fit/infer and the harness load neither
+scipy.stats nor scipy.integrate."""
 
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +36,20 @@ for command in ("fit", "infer"):
         rc = cli.main([command, "--input", path, "--response", "y", "--k", "20",
                        "--mode", mode, "--output", sys.argv[1] + "/report.json"])
         out[f"{command} {mode}"] = loaded() if rc == 0 else f"exit {rc}"
+
+# the harness, KS tests and overlays included, at n = 200 with all three kinds
+from sketch_infer.inference import Regime
+from sketch_infer.sim_study import SimConfig, run_repeated_sampling, run_repeated_sketching
+
+for regime, run in ((Regime.REPEATED_SKETCH, run_repeated_sketching),
+                    (Regime.REPEATED_SAMPLE, run_repeated_sampling)):
+    cfg = SimConfig(n=200, p=11, k=21, m=2, beta0=np.arange(-5.0, 6.0), sigma2=1.0,
+                    sketch_kinds=("gaussian", "hadamard", "clarkson_woodruff"), regime=regime,
+                    targets=(0, 5), root_seed=1)
+    rep = run(cfg)
+    ran = (any(t.ks_statistic is not None for t in rep.tables)
+           and rep.tables[-1].overlay_pdf is not None)
+    out[run.__name__] = loaded() if ran else "no KS test or overlay"
 print(json.dumps(out))
 """
 
@@ -40,5 +59,42 @@ def test_library_and_cli_stay_off_scipy_stats(tmp_path):
     res = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     steps = json.loads(res.stdout.splitlines()[-1])
-    assert len(steps) == 7
+    assert len(steps) == 9
     assert steps == {step: [] for step in steps}
+
+
+def _imports_scipy_stats(node) -> bool:
+    """Whether an ast node is an import of scipy.stats or of a name inside it."""
+    def inside(name):
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+    if isinstance(node, ast.Import):
+        return any(inside(alias.name) for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return inside(node.module) or (
+            node.module == "scipy" and any(alias.name == "stats" for alias in node.names))
+    return False
+
+
+@pytest.mark.parametrize("code,found", [
+    ("from scipy import stats", True),
+    ("import scipy.stats as st", True),
+    ("from scipy.stats import norm", True),
+    ("from scipy.stats._distn_infrastructure import rv_continuous", True),
+    ("from scipy import special, stats", True),
+    ("def f():\n    from scipy import stats\n    return stats", True),
+    ("from scipy import special", False),
+    ("import scipy.special", False),
+    ("from .special_fn import student_t", False),
+])
+def test_guard_sees_every_import_form(code, found):
+    assert any(map(_imports_scipy_stats, ast.walk(ast.parse(code)))) is found
+
+
+def test_no_module_imports_scipy_stats():
+    # function-local imports included: ast.walk reaches every nested node
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted((SRC / "sketch_infer").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if _imports_scipy_stats(node)]
+    assert offenders == []

@@ -15,7 +15,7 @@ from scipy import stats
 
 from sketch_infer import sim_study
 from sketch_infer.core_model import draw_response, fit_full, response_mean
-from sketch_infer.densities import sample_partial_sketching_rep
+from sketch_infer.densities import complete_sketching_t_params, sample_partial_sketching_rep
 from sketch_infer.errors import (
     DegenerateSSR,
     DomainError,
@@ -74,8 +74,49 @@ class TestKsStatistic:
         with pytest.raises(EmptyInput):
             ks_statistic(np.array([]), lambda x: x)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 200, 10_000])
+    @pytest.mark.parametrize("law", ["t", "norm"])
+    def test_equals_scipy_kstest_bit_for_bit(self, m, law):
+        # the statistic and the asymptotic p-value scipy.stats computes, not near them
+        cdf = {"t": lambda x: stats.t.cdf(x, 10), "norm": stats.norm.cdf}[law]
+        rng = np.random.default_rng(m)
+        # null draws, shifted draws, and ties
+        for x in (rng.standard_t(10, m), rng.standard_normal(m) + 0.3,
+                  np.round(rng.standard_normal(m), 1)):
+            res = stats.kstest(x, cdf, method="asymp")
+            assert ks_statistic(x, cdf) == (float(res.statistic), float(res.pvalue))
+
+
+class TestTOverlay:
+    """The t overlays' density is scipy.stats' t density, bit for bit."""
+
+    @staticmethod
+    def _check(df, loc=0.0, scale=1.0):
+        x, pdf = sim_study._t_overlay(df, 512, loc, scale)
+        np.testing.assert_array_equal(pdf, stats.t.pdf(x, df, loc=loc, scale=scale))
+        assert not (x.flags.writeable or pdf.flags.writeable)
+
+    @pytest.mark.parametrize("df", [10, 11, 1, 3, 1000, 10**6])
+    def test_pivot_laws(self, df):
+        # t_{k-p} and t_{k-p+1} at the paper design (k - p = 10), and extreme df
+        self._check(df)
+
+    def test_beta_s_law_at_paper_design(self):
+        cfg = paper_config(Regime.REPEATED_SKETCH, m=1)
+        data, _ = sim_study._make_dataset(cfg)
+        eq_t = complete_sketching_t_params(fit_full(data), np.linalg.inv(data.X.T @ data.X),
+                                           cfg.k, cfg.p)
+        for j in range(cfg.p):
+            self._check(eq_t.df, eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j]))
+
 
 class TestConfig:
+    def test_numpy_integer_counts_accepted(self):
+        cfg = dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), m=np.int64(3),
+                                  targets=(np.int32(0), np.int64(2)))
+        assert cfg.m == 3 and cfg.targets == (0, 2)
+        assert all(type(t) is int for t in cfg.targets)
+
     def test_partial_path_needs_wide_sketch(self):
         with pytest.raises(DomainError):
             SimConfig(n=100, p=4, k=7, m=10, beta0=np.zeros(4), sigma2=1.0,

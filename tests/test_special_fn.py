@@ -317,3 +317,10 @@ class TestDistributions:
             dist_quantile(chi2(2), 1.5)
         with pytest.raises(DomainError):
             dist_cdf(Law("nope", ()), 1.0)
+
+    @pytest.mark.parametrize("make", [lambda: chi2(0), lambda: student_t(-2), lambda: f_law(3, 0),
+                                      lambda: f_law(-1, 3), lambda: beta_law(0, 2),
+                                      lambda: beta_law(2, -0.5), lambda: Law("t", (0.0,))])
+    def test_nonpositive_parameter_rejected(self, make):
+        with pytest.raises(DomainError, match="requires positive parameters"):
+            make()
