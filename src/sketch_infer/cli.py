@@ -303,9 +303,8 @@ def _load_sim_config(args) -> SimConfig:
                             f"{raw['regime']!r}")
         try:
             cfg = SimConfig(**raw)
-        except (TypeError, ValueError) as exc:  # a bad key, sketch name or value (DomainError)
-            valid = ", ".join(s.value for s in SketchKind)
-            raise _CliError(f"invalid simulation config: {exc} (valid sketches: {valid})")
+        except (TypeError, ValueError) as exc:  # a bad key, or a bad value (DomainError)
+            raise _CliError(f"invalid simulation config: {exc}")
     overrides = (("m", args.m), ("root_seed", args.seed))
     return dataclasses.replace(cfg, **{f: v for f, v in overrides if v is not None})
 

@@ -91,32 +91,128 @@ _END_SHARE = 1e-15
 _HALF_RULE_GAP = 1e-7
 
 
+def _trapezoid_terms(h: np.ndarray, weight: np.ndarray, what: str, *args) -> tuple:
+    """(terms, total, top): the terms exp(h - top) * weight of a trapezoid rule
+    whose integrand has the exponent values ``h`` on its nodes, top = max h,
+    and their sum.  Never returns an unconverged rule: raises
+    ConvergenceError naming ``what.format(*args)`` (formatted only then)
+    when the sum is not finite and positive, when an end term exceeds
+    ``_END_SHARE`` of it (range too narrow) or when the half rule is more
+    than ``_HALF_RULE_GAP`` away (step too coarse).
+    """
+    top = h.max()
+    terms = np.exp(h - top) * weight
+    total = terms.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        raise ConvergenceError(f"{what.format(*args)}: trapezoid sum is {total}")
+    end = max(terms[0], terms[-1]) / total
+    if end > _END_SHARE:
+        raise ConvergenceError(f"{what.format(*args)}: trapezoid range too narrow, "
+                               f"an end term is {end:.1e} of the sum")
+    gap = abs(2.0 * terms[::2].sum() / total - 1.0)
+    if gap > _HALF_RULE_GAP:
+        raise ConvergenceError(f"{what.format(*args)}: trapezoid step too coarse, "
+                               f"the half rule is {gap:.1e} away")
+    return terms, total, top
+
+
 def _log_laplace_integral(h, mode: float, sigma: float) -> float:
     """log of the integral of exp(h(u)) over the real line, h single-peaked.
 
     ``mode`` is the maximiser of h and ``sigma = (-h''(mode))^{-1/2}`` its
     Laplace width; ``h`` maps an array of u to an array.  Never returns an
-    unconverged value: raises ConvergenceError when the sum is not finite
-    and positive, when an end term exceeds ``_END_SHARE`` of it (range too
-    narrow) or when the half rule is more than ``_HALF_RULE_GAP`` away (step
-    too coarse).
+    unconverged value: the rule is checked by ``_trapezoid_terms``.
     """
     shift, weight = _NODES
-    hv = h(mode + sigma * shift)
-    top = hv.max()
-    terms = np.exp(hv - top) * weight
-    total = terms.sum()
-    if not (math.isfinite(total) and total > 0.0):
-        raise ConvergenceError(f"trapezoid sum is {total} at mode {mode}, width {sigma}")
-    end = max(terms[0], terms[-1]) / total
-    if end > _END_SHARE:
-        raise ConvergenceError(f"trapezoid range too narrow at mode {mode}, width {sigma}: "
-                               f"an end term is {end:.1e} of the sum")
-    gap = abs(2.0 * terms[::2].sum() / total - 1.0)
-    if gap > _HALF_RULE_GAP:
-        raise ConvergenceError(f"trapezoid step too coarse at mode {mode}, width {sigma}: "
-                               f"the half rule is {gap:.1e} away")
+    _, total, top = _trapezoid_terms(h(mode + sigma * shift), weight,
+                                     "at mode {}, width {}", mode, sigma)
     return float(top) + math.log(sigma * total)
+
+
+# mixing nodes whose weight is below this share of the largest one are dropped
+_PRUNE = 1e-20
+
+
+def _mixing_rule(h, sigma: float, nodes: tuple | None, what: str, *args) -> tuple:
+    """Offsets v_i and weights q_i (summing to 1) with sum_i q_i f(v_i) ~ E f(V)
+    for V with density proportional to exp(h(v)), single-peaked at 0 with
+    Laplace width ``sigma``.
+
+    The rule behind mixture laws: every other node of ``nodes`` (None for
+    ``_NODES``: ~100 nodes once those below ``_PRUNE`` of the peak weight
+    are dropped), checked once per rule by ``_trapezoid_terms`` (``what``
+    and ``args`` name the rule in its errors) on the kept rule against its
+    own every-other-node half.  ``h`` maps an array of v
+    to an array; centring it at the mode keeps the exponent small, so no
+    weight overflows.
+    """
+    shift, weight = _NODES if nodes is None else nodes
+    v = sigma * shift[::2]
+    with np.errstate(over="ignore"):  # an exponent -> -inf is a zero weight
+        terms, total, _ = _trapezoid_terms(h(v), weight[::2], what, *args)
+    keep = terms >= _PRUNE * terms.max()
+    return v[keep], terms[keep] / terms[keep].sum()
+
+
+def _chi2_rule(df: float) -> tuple:
+    """Nodes w_i and weights q_i (summing to 1) with sum_i q_i f(w_i) ~ E f(chi2_df).
+
+    A ``_mixing_rule`` in u = log w, centred at the mode log df of the chi2
+    density in u, exp(df u / 2 - e^u / 2), with its Laplace width
+    sqrt(2 / df).
+    """
+    df = float(df)
+    if not (math.isfinite(df) and df > 0.0):
+        raise DomainError(f"chi2 mixing rule needs a finite df > 0, got {df}")
+    # df u / 2 - e^u / 2 at u = log df + v, less its value at the mode
+    v, q = _mixing_rule(lambda v: 0.5 * df * (v - np.expm1(v)), math.sqrt(2.0 / df), None,
+                        "chi2({:g}) mixing rule", df)
+    return df * np.exp(v), q
+
+
+# the t tail rule's range in log(T - a) reaches this far below its mode,
+# where the density is below e^-50 of its value at the mode
+_TAIL_REACH = 50.0
+
+
+def _t_tail_rule(df: float, a: float) -> tuple:
+    """Nodes d_i > 0 and weights q_i (summing to 1) with
+    sum_i q_i f(a + d_i) ~ E[f(T) | T > a] for T ~ t_df.
+
+    A ``_mixing_rule`` in u = log(T - a), where the density is
+    exp(u) (1 + T^2 / df)^{-(df + 1) / 2}.  Its mode T* is the positive root
+    of df T^2 - (df + 1) a T - df (taken in the form that does not cancel)
+    and its Laplace width sigma = T* sqrt((df + 1) / (df (1 + T*^2))).
+    Towards T = a the density falls only as e^u, which at a << 0 (sigma
+    ~ 1 / |a|) is slow on the scale of sigma: the rule's range, in steps of
+    ``_NODES``, reaches at least ``_TAIL_REACH`` below the mode in u.
+    """
+    df, a = float(df), float(a)
+    if not (math.isfinite(df) and df > 0.0 and math.isfinite(a)):
+        raise DomainError(f"t tail rule needs a finite df > 0 and a finite bound, got {df}, {a}")
+    root = math.sqrt(((df + 1.0) * a) ** 2 + 4.0 * df * df)
+    mode = ((df + 1.0) * a + root) / (2.0 * df) if a >= 0.0 else 2.0 * df / (root - (df + 1.0) * a)
+    d_mode = mode - a
+
+    def h(v):
+        t = a + d_mode * np.exp(v)
+        return v - 0.5 * (df + 1.0) * np.log1p(t * t / df)
+
+    sigma = mode * math.sqrt((df + 1.0) / (df * (1.0 + mode * mode)))
+    half_width = max(7.0, math.ceil(math.asinh(_TAIL_REACH / sigma)))
+    v, q = _mixing_rule(h, sigma, _node_table(half_width, 64 * int(half_width) + 1),
+                        "t({:g}) tail rule above {:g}", df, a)
+    return d_mode * np.exp(v), q
+
+
+def _rule_mean(values: np.ndarray, weight: np.ndarray) -> tuple:
+    """(values @ weight, gap): the means of ``values`` (rows) under a rule's
+    node weights (columns), and the largest distance of a mean from the
+    rule's every-other-node half, which estimates the half rule's error.
+    """
+    mean = values @ weight
+    half = values[..., ::2] @ weight[::2] / weight[::2].sum()
+    return mean, float(np.max(np.abs(mean - half), initial=0.0))
 
 
 def _softplus(u: np.ndarray, mirrored: bool = False):

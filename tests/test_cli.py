@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import re
 import warnings
@@ -355,6 +356,23 @@ class TestSimulate:
         assert any(p.suffix == ".csv" for p in out_dir.iterdir())
         assert "KS" in capsys.readouterr().out
 
+    def test_desk_sparse_beta0_runs(self, tmp_path):
+        # beta0 = e_1 at desk size: beta_p[1]'s |loc| / c is ~60, where the
+        # law's integrand over R steps too sharply for its rule and the law
+        # is evaluated over T
+        cfg = {"n": 2000, "p": 11, "k": 21, "m": 30, "beta0": [0.0, 1.0] + [0.0] * 9,
+               "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [1, 0], "root_seed": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg_path), "--regime", "sketching",
+                   "--output-dir", str(out_dir)])
+        assert rc == 0
+        tables = {t["name"]: t for t in json.loads((out_dir / "report.json").read_text())["tables"]}
+        for j in (0, 1):
+            assert 0.01 < tables[f"beta_p[{j}]"]["ks_p"] <= 1.0
+            assert len(tables[f"beta_p[{j}]"]["overlay_x"]) == 512
+
     @pytest.mark.parametrize("key,flag,regime", [
         (None, "sampling", "repeated_sample"),
         (None, None, "repeated_sketch"),
@@ -474,6 +492,55 @@ class TestSimulate:
         assert re.match(rf"error: invalid simulation config: {field} "
                         r"(takes integers only|must be >= [01]), got ", err), err
         assert not out_dir.exists()
+
+    # sigma2 and beta0 values a config can hold that are not finite reals
+    # (sigma2 also below 0); the JSON module reads NaN and Infinity
+    BAD_PARAMETERS = [("sigma2", "1"), ("sigma2", None), ("sigma2", True), ("sigma2", math.nan),
+                      ("sigma2", -1.0), ("sigma2", math.inf), ("beta0", [1.0, math.nan, -1.0]),
+                      ("beta0", [1.0, -math.inf, -1.0]), ("beta0", [1.0, None, -1.0]),
+                      ("beta0", "abc"), ("beta0", [True, False, True])]
+
+    @pytest.mark.parametrize("field,value", BAD_PARAMETERS)
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, field, value):
+        cfg = {"n": 300, "p": 3, "k": 21, "m": 2, "beta0": [1.0, 0.0, -1.0], "sigma2": 1.0,
+               "sketch_kinds": ["gaussian"], "targets": [0], "root_seed": 5, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid simulation config: {field} "), err
+        assert "Traceback" not in err and "valid sketches" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 12.5, "k takes integers only, got 12.5"),
+        ("sketch_kinds", ["fourier"], "'fourier' is not a valid SketchKind "
+                                      "(valid sketches: gaussian, hadamard, clarkson_woodruff)"),
+    ])
+    def test_sketch_hint_only_for_sketch_names(self, tmp_path, capsys, field, value, message):
+        cfg = {"n": 250, "p": 4, "k": 12, "m": 5, "beta0": [0, 0, 0, 0], "sigma2": 1.0,
+               "sketch_kinds": ["gaussian"], "targets": [0], "root_seed": 1, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid simulation config: {message}\n"
+
+    def test_rep_draws_zero_runs(self, tmp_path):
+        # rep_draws is accepted and read by nothing: the beta_p reference law is exact
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 250, "p": 4, "k": 12, "m": 5, "beta0": [2.0, -1.0, 0.0, 1.0], "sigma2": 1.0,
+            "sketch_kinds": ["gaussian"], "targets": [0, 2], "root_seed": 5, "rep_draws": 0,
+        }))
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--regime", "sketching",
+                   "--output-dir", str(out_dir)])
+        assert rc == 0
+        tables = json.loads((out_dir / "report.json").read_text())["tables"]
+        assert all(t["ks_statistic"] is not None for t in tables if t["name"].startswith("beta_p"))
 
     def test_negative_seed_option_exit_2(self, tmp_path, capsys):
         out_dir = tmp_path / "o"

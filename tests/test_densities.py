@@ -24,6 +24,10 @@ from sketch_infer.densities import (
     mvt_marginal_cdf,
     mvt_pdf,
     partial_approx_pdf,
+    partial_sketching_cdf,
+    partial_sketching_law,
+    partial_sketching_pdf,
+    partial_sketching_quantile,
     ratio_beta_law_pdf,
     ratio_law_pdf,
     sample_partial_sampling_rep,
@@ -398,6 +402,156 @@ class TestPartialSketchingRep:
         with pytest.raises(AssumptionViolated):
             sample_partial_sketching_rep(-2.0 * xty, self.full, self.gram_inv,
                                          self.k, self.p, 10, seed=0)
+
+
+def _nested_quad_cdf(law, x, k, p):
+    """P((loc + c T) / R <= x) by adaptive quadrature over R of an adaptive
+    quadrature of the t density: shares no code with partial_sketching_cdf."""
+    nu, kappa = law.df, k - p - 1
+    log_t = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
+    log_w = -math.lgamma(nu / 2) - nu / 2 * math.log(2.0)
+
+    def t_pdf(s):
+        return math.exp(log_t - (nu + 1) / 2 * math.log1p(s * s / nu))
+
+    def outer(w):  # w ~ chi2_nu, R = w / kappa
+        z = (x * w / kappa - law.loc) / law.c
+        tol = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+        # a finite range: beyond |t| = 10^3 the t_nu tail is below 1e-25 here
+        inner = (integrate.quad(t_pdf, -1e3, z, **tol)[0] if z <= 0.0
+                 else 1.0 - integrate.quad(t_pdf, z, 1e3, **tol)[0])
+        return inner * math.exp(log_w + (nu / 2 - 1) * math.log(w) - w / 2)
+
+    # the inner CDF steps where z = 0, sharply when |loc| >> c: a breakpoint there
+    ends = [0.0, nu, 20.0 * nu + 400.0]
+    if x != 0.0 and 0.0 < kappa * law.loc / x < ends[-1]:
+        ends.append(kappa * law.loc / x)
+    ends = sorted(set(ends))
+    return sum(integrate.quad(outer, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(ends, ends[1:]))
+
+
+def _ks_upper_bound(draws, cdf, stride: int) -> float:
+    """An upper bound on the KS distance of ``draws`` to ``cdf`` from the CDF at
+    every ``stride``-th order statistic only.  Between two such points g < g'
+    the empirical CDF lies in [Fn(g), Fn(g'-)] and the CDF in [F(g), F(g')],
+    both being nondecreasing, so Fn - F <= Fn(g'-) - F(g) and
+    F - Fn <= F(g') - Fn(g) there; the bound exceeds the distance by at most
+    ~stride / n."""
+    x = np.sort(draws)
+    g = x[::stride]
+    F = np.concatenate([[0.0], cdf(g), [1.0]])
+    at = np.concatenate([[0.0], np.searchsorted(x, g, side="right") / x.size, [1.0]])
+    below = np.concatenate([[0.0], np.searchsorted(x, g, side="left") / x.size, [1.0]])
+    return float(max((below[1:] - F[:-1]).max(), (F[1:] - at[:-1]).max()))
+
+
+# (n, k, p, beta, targets): the paper design, the harness tests' small one,
+# and a small one whose target 0 has |loc| / c ~ 50, a law evaluated over T
+_LAW_DESIGNS = {
+    "paper": (10_000, 21, 11, np.arange(-5.0, 6.0), (0, 5)),
+    "small": (250, 12, 4, [2.0, -1.0, 0.0, 1.0], (0, 2)),
+    "sharp": (250, 12, 4, [30.0, -1.0, 1.0, 1.0], (0,)),
+}
+
+
+class TestPartialSketchingLaw:
+    """The exact beta_p law over repeated sketches, against quadrature and draws."""
+
+    @staticmethod
+    def _laws(design):
+        n, k, p, beta, targets = _LAW_DESIGNS[design]
+        data = make_dataset(n, p, beta, seed=8)
+        full, gram_inv = fit_full(data), np.linalg.inv(data.X.T @ data.X)
+        return [(partial_sketching_law(np.eye(p)[j], full, gram_inv, k, p), k, p, full, gram_inv, j)
+                for j in targets]
+
+    @pytest.mark.parametrize("design", list(_LAW_DESIGNS))
+    def test_cdf_matches_nested_quadrature(self, design):
+        for law, k, p, *_ in self._laws(design):
+            x = [partial_sketching_quantile(law, q) for q in (1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-4)]
+            ref = [_nested_quad_cdf(law, xi, k, p) for xi in x]
+            np.testing.assert_allclose(partial_sketching_cdf(law, np.array(x)), ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("design", list(_LAW_DESIGNS))
+    def test_density_is_cdf_derivative(self, design):
+        for law, *_ in self._laws(design):
+            x = np.array([partial_sketching_quantile(law, q) for q in (0.01, 0.2, 0.5, 0.8, 0.99)])
+            h = 1e-4 * law.c
+            slope = (partial_sketching_cdf(law, x + h) - partial_sketching_cdf(law, x - h)) / (2 * h)
+            np.testing.assert_allclose(partial_sketching_pdf(law, x), slope, rtol=1e-6)
+
+    @pytest.mark.parametrize("q", [1e-6, 0.001, 0.5, 0.999])
+    def test_quantile_inverts_cdf(self, q):
+        for law, *_ in self._laws("paper"):
+            assert partial_sketching_cdf(law, partial_sketching_quantile(law, q)) == pytest.approx(
+                q, rel=1e-12)
+
+    @pytest.mark.parametrize("design", ["paper", "sharp"])
+    def test_million_draws_within_dkw_bound(self, design):
+        # the 99% Dvoretzky-Kiefer-Wolfowitz bound for 10^6 draws, set by the
+        # count alone: P(sup |Fn - F| > eps) <= 2 exp(-2 n eps^2) = 0.01
+        count = 1_000_000
+        eps = math.sqrt(math.log(2.0 / 0.01) / (2.0 * count))
+        for law, k, p, full, gram_inv, j in self._laws(design):
+            draws = sample_partial_sketching_rep(np.eye(p)[j], full, gram_inv, k, p, count, seed=41 + j)
+            assert _ks_upper_bound(draws, lambda v: partial_sketching_cdf(law, v), 50) < eps
+
+    def test_ks_upper_bound_bounds_the_distance(self):
+        rng = np.random.default_rng(5)
+        draws = rng.standard_normal(20_000)
+        exact = ks_distance(draws, stats.norm.cdf)
+        bound = _ks_upper_bound(draws, stats.norm.cdf, 50)
+        assert exact <= bound <= exact + 2 * 50 / draws.size
+
+    @pytest.mark.parametrize("table,reason", [((7.0, 29), "step too coarse"),
+                                              ((1.0, 449), "range too narrow")])
+    def test_coarse_rule_raises(self, monkeypatch, table, reason):
+        data = make_dataset(250, 4, [2.0, -1.0, 0.0, 1.0], seed=8)
+        args = (np.eye(4)[2], fit_full(data), np.linalg.inv(data.X.T @ data.X), 12, 4)
+        assert partial_sketching_law(*args).weight.size > 0
+        monkeypatch.setattr(special_fn, "_NODES", special_fn._node_table(*table))
+        with pytest.raises(ConvergenceError, match=reason):
+            partial_sketching_law(*args)
+
+    @pytest.mark.parametrize("b0", [6.0, 200.0, -200.0])
+    def test_sharp_law_is_evaluated_over_t(self, b0):
+        # |beta_F[0]| / c from ~10 to ~10^3: in log R the CDF's integrand
+        # steps over ~c / |loc|, too sharp for the chi2 rule; over T it is smooth
+        data = make_dataset(250, 4, [b0, -1.0, 1.0, 1.0], seed=8)
+        full, gram_inv = fit_full(data), np.linalg.inv(data.X.T @ data.X)
+        law = partial_sketching_law(np.eye(4)[0], full, gram_inv, 12, 4)
+        assert abs(law.loc) / law.c > 8 and law.tail is not None
+        x = np.array([partial_sketching_quantile(law, q) for q in (1e-4, 0.01, 0.5, 0.99, 1 - 1e-4)])
+        ref = [_nested_quad_cdf(law, xi, 12, 4) for xi in x]
+        np.testing.assert_allclose(partial_sketching_cdf(law, x), ref, rtol=0, atol=1e-12)
+        h = 1e-4 * law.c
+        slope = (partial_sketching_cdf(law, x + h) - partial_sketching_cdf(law, x - h)) / (2 * h)
+        np.testing.assert_allclose(partial_sketching_pdf(law, x), slope, rtol=1e-6)
+
+    def test_law_over_t_across_zero(self):
+        # loc / c ~ 1.7 at k - p = 4: evaluated over T, with 7% of the mass
+        # below 0, where the T form of the CDF changes side
+        data = make_dataset(250, 4, [1.4, -1.0, 1.0, 1.0], seed=8)
+        full, gram_inv = fit_full(data), np.linalg.inv(data.X.T @ data.X)
+        law = partial_sketching_law(np.eye(4)[0], full, gram_inv, 8, 4)
+        assert law.tail is not None and 0.05 < partial_sketching_cdf(law, 0.0) < 0.1
+        x = np.array([-1e-9, 0.0, 1e-9]) * law.c
+        np.testing.assert_allclose(partial_sketching_cdf(law, x), special_fn.dist_cdf(
+            special_fn.student_t(law.df), -law.loc / law.c), rtol=1e-8)
+        np.testing.assert_allclose(partial_sketching_pdf(law, x), partial_sketching_pdf(law, 0.0),
+                                   rtol=1e-7)
+        x = np.array([-0.5, -0.05, 0.05, 0.5]) * law.c
+        ref = [_nested_quad_cdf(law, xi, 8, 4) for xi in x]
+        np.testing.assert_allclose(partial_sketching_cdf(law, x), ref, rtol=0, atol=1e-12)
+
+    def test_checks_as_the_sampler(self):
+        data = make_dataset(300, 3, [1.0, -2.0, 0.5], seed=19)
+        full, gram_inv = fit_full(data), np.linalg.inv(data.X.T @ data.X)
+        with pytest.raises(AssumptionViolated):
+            partial_sketching_law(data.X.T @ data.y, full, gram_inv, 15, 3)
+        with pytest.raises(DomainError):
+            partial_sketching_law(np.ones(4), full, gram_inv, 15, 3)
 
 
 class TestPartialSamplingRep:

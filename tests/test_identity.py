@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sketch_infer.core_model import ModelTruth, fit_full
-from sketch_infer.densities import complete_sketching_t_params
+from sketch_infer.densities import complete_sketching_t_params, partial_sketching_law
 from sketch_infer.estimators import PartialInputs, fit_complete
 from sketch_infer.inference import Regime
 from sketch_infer.sim_study import ResultTable, SimReport, paper_config
@@ -26,6 +26,7 @@ def _instances() -> dict:
         "FullFit": full,
         "ModelTruth": ModelTruth(beta_0=np.ones(3), sigma2=1.0),
         "MultivariateTParams": complete_sketching_t_params(full, gram_inv, 10, 3),
+        "PartialSketchingLaw": partial_sketching_law(np.eye(3)[1], full, gram_inv, 10, 3),
         "SketchFit": fit_complete(sk),
         "PartialInputs": PartialInputs.of(data),
         "SketchedData": sk,

@@ -15,7 +15,12 @@ from scipy import stats
 
 from sketch_infer import sim_study
 from sketch_infer.core_model import draw_response, fit_full, response_mean
-from sketch_infer.densities import complete_sketching_t_params, sample_partial_sketching_rep
+from sketch_infer.densities import (
+    complete_sketching_t_params,
+    partial_sketching_cdf,
+    partial_sketching_law,
+    partial_sketching_pdf,
+)
 from sketch_infer.errors import (
     DegenerateSSR,
     DomainError,
@@ -74,9 +79,10 @@ class TestKsStatistic:
         with pytest.raises(EmptyInput):
             ks_statistic(np.array([]), lambda x: x)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 200, 10_000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 200, 575, 576, 10_000, 100_003])
     @pytest.mark.parametrize("law", ["t", "norm"])
     def test_equals_scipy_kstest_bit_for_bit(self, m, law):
+        # from m = 576 on (stride 4) the CDF is evaluated in blocks
         # the statistic and the asymptotic p-value scipy.stats computes, not near them
         cdf = {"t": lambda x: stats.t.cdf(x, 10), "norm": stats.norm.cdf}[law]
         rng = np.random.default_rng(m)
@@ -85,6 +91,18 @@ class TestKsStatistic:
                   np.round(rng.standard_normal(m), 1)):
             res = stats.kstest(x, cdf, method="asymp")
             assert ks_statistic(x, cdf) == (float(res.statistic), float(res.pvalue))
+
+
+    def test_blocks_evaluate_a_fraction_of_the_points(self):
+        seen = []
+
+        def cdf(v):
+            seen.append(v.size)
+            return stats.norm.cdf(v)
+
+        x = np.random.default_rng(6).standard_normal(10_000)
+        assert ks_statistic(x, cdf)[0] == float(stats.kstest(x, stats.norm.cdf).statistic)
+        assert len(seen) == 2 and sum(seen) < 2_500
 
 
 class TestTOverlay:
@@ -192,74 +210,72 @@ class TestRepeatedSketching:
             rep.table("beta_s[0]", "hadamard")
 
 
-def _sorted_reference(cfg, j):
-    """The harness's sorted beta_p reference draws for target j."""
+def _partial_law(cfg, j):
+    """The exact beta_p[j] reference law of the harness."""
     data, _ = sim_study._make_dataset(cfg)
-    gram_inv = np.linalg.inv(data.X.T @ data.X)
-    e = np.zeros(cfg.p)
-    e[j] = 1.0
-    return np.sort(sample_partial_sketching_rep(
-        e, fit_full(data), gram_inv, cfg.k, cfg.p, cfg.rep_draws,
-        derive_seed(cfg.root_seed, 2 + j),
-    ))
+    return partial_sketching_law(np.eye(cfg.p)[j], fit_full(data),
+                                 np.linalg.inv(data.X.T @ data.X), cfg.k, cfg.p)
+
+
+def _plain_table(t):
+    return json.dumps(t.to_jsonable(), sort_keys=True), t.samples.tobytes()
 
 
 class TestPartialOverlay:
-    """The windowed KDE against scipy's full sum (summation order and exp ulps only)."""
-
-    def _check(self, ref):
-        x, pdf = sim_study._partial_overlay(ref, 512)
-        pts = ref[:: max(1, ref.size // 20_000)]
-        expected = stats.gaussian_kde(pts)(x)
-        np.testing.assert_allclose(pdf, expected, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(sim_study._gaussian_kde_sorted(pts, x), expected,
-                                   rtol=1e-12, atol=0)
-        lo, hi = np.quantile(ref, [0.001, 0.999])
-        assert x[0] == lo and x[-1] == hi and x.size == 512
+    """The beta_p overlay: the exact law's density between its 0.001 and 0.999 quantiles."""
 
     def test_paper_design_reference(self):
-        ref = _sorted_reference(paper_config(Regime.REPEATED_SKETCH, m=1), 5)
-        assert ref.size == 100_000
-        self._check(ref)
-
-    def test_heavy_tailed_ratio(self):
-        rng = np.random.default_rng(11)
-        self._check(np.sort(rng.standard_normal(20_000) / rng.standard_normal(20_000)))
+        law = _partial_law(paper_config(Regime.REPEATED_SKETCH, m=1), 5)
+        x, pdf = sim_study._law_overlay(law, 512)
+        assert x.size == 512 and not (x.flags.writeable or pdf.flags.writeable)
+        np.testing.assert_allclose(partial_sketching_cdf(law, x[[0, -1]]), [0.001, 0.999],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(x, np.linspace(x[0], x[-1], 512))
+        np.testing.assert_array_equal(pdf, partial_sketching_pdf(law, x))
 
     def test_thousand_draws(self):
+        # the benchmark's set-up probe config: rep_draws is accepted and read
+        # by nothing, and the overlays have overlay_points = 8 points
         cfg = SimConfig(n=200, p=11, k=21, m=2, beta0=np.arange(-5.0, 6.0), sigma2=1.0,
                         sketch_kinds=tuple(SketchKind), regime=Regime.REPEATED_SKETCH,
-                        targets=(0, 5), root_seed=1, rep_draws=1000)
-        ref = _sorted_reference(cfg, 0)
-        assert ref.size == 1000
-        self._check(ref)
+                        targets=(0, 5), root_seed=1, rep_draws=1000, overlay_points=8)
+        rep = run_repeated_sketching(cfg)
+        assert all(t.overlay_x.size == 8 for t in rep.tables)
+        for rep_draws in (0, 100_000):
+            other = run_repeated_sketching(dataclasses.replace(cfg, rep_draws=rep_draws))
+            for t, u in zip(rep.tables, other.tables):
+                assert _plain_table(t) == _plain_table(u)
 
-    @pytest.mark.parametrize("pts", [np.ones(50), np.array([1.0])])
-    def test_zero_spread_rejected(self, pts):
-        with pytest.raises(DomainError):
-            sim_study._gaussian_kde_sorted(pts, np.linspace(0.0, 2.0, 5))
+    def test_no_overlay_points(self):
+        cfg = dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH, m=10), overlay_points=0)
+        rep = run_repeated_sketching(cfg)
+        for j in cfg.targets:
+            t = rep.table(f"beta_p[{j}]", SketchKind.GAUSSIAN)
+            assert t.overlay_x.size == t.overlay_pdf.size == 0
+            assert t.ks_statistic is not None
 
     def test_once_per_target_shared_by_kinds(self, monkeypatch):
         calls = []
-        real = sim_study._gaussian_kde_sorted
+        real = sim_study.partial_sketching_law
 
-        def counting(pts, x):
-            calls.append(pts.size)
-            return real(pts, x)
+        def counting(m_vec, *args):
+            calls.append(int(np.argmax(m_vec)))
+            return real(m_vec, *args)
 
-        monkeypatch.setattr(sim_study, "_gaussian_kde_sorted", counting)
+        monkeypatch.setattr(sim_study, "partial_sketching_law", counting)
         cfg = _small_cfg(Regime.REPEATED_SKETCH, m=10, kinds=tuple(SketchKind))
         rep = run_repeated_sketching(cfg)
-        assert len(calls) == len(cfg.targets)
+        assert calls == list(cfg.targets)
         for j in cfg.targets:
-            g = rep.table(f"beta_p[{j}]", SketchKind.GAUSSIAN)
-            x, pdf = sim_study._partial_overlay(_sorted_reference(cfg, j), cfg.overlay_points)
-            np.testing.assert_array_equal(g.overlay_x, x)
-            np.testing.assert_array_equal(g.overlay_pdf, pdf)
-            for kind in cfg.sketch_kinds[1:]:
+            law = _partial_law(cfg, j)
+            x, pdf = sim_study._law_overlay(law, cfg.overlay_points)
+            for kind in cfg.sketch_kinds:
                 t = rep.table(f"beta_p[{j}]", kind)
-                np.testing.assert_array_equal(t.overlay_x, g.overlay_x)
-                np.testing.assert_array_equal(t.overlay_pdf, g.overlay_pdf)
+                np.testing.assert_array_equal(t.overlay_x, x)
+                np.testing.assert_array_equal(t.overlay_pdf, pdf)
+                # the KS test is against the exact law, not reference draws
+                assert (t.ks_statistic, t.ks_p) == ks_statistic(
+                    t.samples, lambda v: partial_sketching_cdf(law, v))
 
 
 class TestRepeatedSampling:

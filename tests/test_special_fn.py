@@ -186,6 +186,51 @@ class TestKummerURecurrence:
         assert gap < 1e-10
 
 
+class TestChi2Rule:
+    """The chi2 mixing rule reproduces the law's moments."""
+
+    @pytest.mark.parametrize("df", [5, 11, 19, 1e4])
+    def test_moments(self, df):
+        w, q = special_fn._chi2_rule(df)
+        assert w.size <= 103
+        assert q.sum() == pytest.approx(1.0, abs=1e-15) and np.all(q > 0)
+        assert q @ w == pytest.approx(df, rel=1e-14)
+        assert q @ (w * w) == pytest.approx(df * df + 2 * df, rel=1e-14)
+        # E log chi2_df = digamma(df / 2) + log 2
+        assert q @ np.log(w) == pytest.approx(sp.digamma(df / 2) + math.log(2.0), rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, math.nan, math.inf])
+    def test_domain(self, df):
+        with pytest.raises(DomainError):
+            special_fn._chi2_rule(df)
+
+
+class TestTTailRule:
+    """The t tail rule reproduces the conditional law of T given T > a."""
+
+    @pytest.mark.parametrize("a", [-1e5, -300.0, -30.0, -2.0, 0.0, 3.0, 40.0, 1e3])
+    @pytest.mark.parametrize("df", [5, 11, 1e3])
+    def test_conditional_moments(self, df, a):
+        # in the products with P(T > a) below, a tail that underflows to 0
+        # is checked as 0 = 0
+        d, q = special_fn._t_tail_rule(df, a)
+        assert np.all(d > 0) and np.all(q > 0) and q.sum() == pytest.approx(1.0, abs=1e-15)
+        tail, t = sp.stdtr(df, -a), a + d
+        # E[T; T > a] = (df + a^2) / (df - 1) f_t(a); a + d cancels at |a| >> 1
+        mean = (df + a * a) / (df - 1) * float(special_fn._t_pdf(df, a))
+        assert q @ t * tail == pytest.approx(mean, rel=1e-12, abs=1e-14 * abs(a))
+        # (1 + T^2 / df)^-1 f_t(T) is a rescaled t_{df + 2} density
+        scale = math.sqrt((df + 2) / df)
+        moment = (float(special_fn._t_pdf(df, 0.0) / special_fn._t_pdf(df + 2, 0.0)) / scale
+                  * sp.stdtr(df + 2, -a * scale))
+        assert q @ (1.0 / (1.0 + t * t / df)) * tail == pytest.approx(moment, rel=1e-12)
+
+    @pytest.mark.parametrize("df,a", [(5, math.nan), (5, math.inf), (0.0, 1.0)])
+    def test_domain(self, df, a):
+        with pytest.raises(DomainError):
+            special_fn._t_tail_rule(df, a)
+
+
 class TestBesselK:
     def test_half_integer_closed_form(self):
         x = 3.0
