@@ -8,7 +8,6 @@ from .densities import (
     complete_sampling_pdf,
     complete_sketching_t_params,
     h_law_pdf,
-    h_law_sample,
     mvt_pdf,
     partial_approx_pdf,
     ratio_beta_law_pdf,
@@ -35,7 +34,7 @@ from .inference import (
     TestResult,
     complete_joint_f_test,
     complete_marginal_t_tests,
-    mc_calibrated_sampling_test,
+    complete_sampling_joint_test,
     partial_linear_combination_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
@@ -54,9 +53,7 @@ from .sketch_ops import (
     SketchKind,
     SketchSpec,
     SketchedData,
-    apply_clarkson_woodruff,
     apply_gaussian,
-    apply_hadamard,
     apply_sketch,
     derive_seed,
 )

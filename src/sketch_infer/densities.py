@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .special_fn import (
     _HALF_RULE_GAP,
+    _beta_rule,
     _chi2_rule,
     _t_tail_rule,
     _log_laplace_integral,
@@ -283,13 +283,6 @@ def h_law_pdf(u: float, params: HLawParams) -> float:
     return math.exp(h_law_logpdf(u, params))
 
 
-def h_law_sample(params: HLawParams, seed, count: int) -> np.ndarray:
-    """Draw from the H law by its defining gamma mixture."""
-    rng = np.random.default_rng(seed)
-    v = rng.gamma(params.lam, 2.0, count)
-    return rng.gamma(params.alpha, 2.0 * v)
-
-
 def ssr_s_law_params(n: int, k: int, p: int) -> HLawParams:
     if n <= p or k <= p:
         raise DomainError(f"requires n > p and k > p (got n={n}, k={k}, p={p})")
@@ -341,45 +334,49 @@ def ratio_law_pdf(r: float, phi: float, params: HLawParams) -> float:
     return math.exp(ratio_law_logpdf(r, phi, params))
 
 
-def ratio_beta_law_pdf(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams):
-    """Density of R = Q/(V U) on a grid, Q ~ Gamma(phi, 2), V ~ Beta(kappa, beta), U ~ H.
+def _ratio_beta(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams,
+                tail: bool) -> np.ndarray:
+    """The density of ``ratio_beta_law_pdf``'s law at every r, or with ``tail`` P(R >= r).
 
-    Evaluated by integrating the chi-square-over-H ratio density against the
-    beta weight, f(r) = int_0^1 v f_{Q/U}(r v) Beta(v) dv.  Raises
-    ConvergenceError when the quadrature fails or yields a non-finite or
-    negative value.
+    With U = W G, W ~ Gamma(lam, 2) and G ~ Gamma(alpha, 2) independent,
+    R = Z/(V W) where Z = Q/G is beta-prime(phi, alpha): f(r) =
+    E[V W f_Z(r V W)] and P(R >= r) = E[I_{1/(1+r V W)}(alpha, phi)] (the
+    tail itself, never 1 - CDF), over (V, W) on the product of
+    ``special_fn._beta_rule`` and ``_chi2_rule``.  Raises ConvergenceError
+    where the rules give a non-finite or negative value, or where the half rule on either axis is more than ``_HALF_RULE_GAP`` away,
+    relative to the density and absolute for the tail.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(r_grid <= 0):
-        raise DomainError("grid points must be positive")
-    if kappa <= 0 or beta_param <= 0:
-        raise DomainError("beta parameters must be positive")
-    lnB = special.betaln(kappa, beta_param)
+    r = np.asarray(r_grid, dtype=float).reshape(-1)
+    if not (0 < phi < math.inf and np.all(np.isfinite(r) & (r >= 0 if tail else r > 0))):
+        raise DomainError(f"ratio-beta law needs phi > 0 and finite r {'>=' if tail else '>'} 0")
+    v, qv = _beta_rule(kappa, beta_param)
+    w, qw = _chi2_rule(2.0 * params.lam)
+    a, log_b = params.alpha, special.betaln(phi, params.alpha)
+    log_vw, mean = np.add.outer(np.log(v), np.log(w)), np.empty(r.size)
+    with np.errstate(divide="ignore"):  # the tail at r = 0: log z = -inf, I_1 = 1
+        log_r = np.log(r)[:, None, None]
+    for s in range(0, r.size, 40):  # 40 points x ~2.5e4 nodes: arrays of ~8 MB
+        block = slice(s, s + 40)
+        log_z = log_r[block] + log_vw
+        if tail:
+            values = special.betainc(a, phi, special.expit(-log_z))
+        else:  # V W f_Z(z) = z^phi (1 + z)^-(phi + alpha) / (B(phi, alpha) r)
+            values = np.exp(phi * log_z - (phi + a) * _softplus(log_z) - log_b - log_r[block])
+        inner = values @ qw
+        mean[block] = m = inner @ qv
+        if not np.all(ok := np.isfinite(m) & (m >= 0.0)):  # NaN would pass the gap test below
+            raise ConvergenceError(f"ratio-beta rules give {m[~ok][0]} at r = {r[block][~ok][0]:.3g}")
+        gap = np.maximum(np.abs(inner[:, ::2] @ qv[::2] / qv[::2].sum() - m),
+                         np.abs(values[..., ::2] @ qw[::2] @ qv / qw[::2].sum() - m))
+        if np.any(bad := gap > _HALF_RULE_GAP * (1.0 if tail else m)):
+            raise ConvergenceError(f"ratio-beta rules too coarse at r = {r[block][bad][0]:.3g}")
+    return np.minimum(mean, 1.0) if tail else mean  # the weights sum to 1 only to rounding
 
-    def integrand(v, r):
-        return math.exp(
-            ratio_law_logpdf(r * v, phi, params)
-            + math.log(v) + (kappa - 1.0) * math.log(v)
-            + (beta_param - 1.0) * math.log1p(-v) - lnB
-        )
 
-    # imported here, its only use: the package loads without scipy.integrate
-    from scipy import integrate
-
-    try:
-        # quad reports a failed integral by a warning: raise it instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            vals = np.array([
-                integrate.quad(integrand, 0.0, 1.0, args=(r,), limit=200, epsabs=1e-12,
-                               epsrel=1e-9)[0]
-                for r in r_grid
-            ])
-    except (integrate.IntegrationWarning, FloatingPointError) as exc:
-        raise ConvergenceError(f"ratio-beta density quadrature failed: {exc}") from exc
-    if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):
-        raise ConvergenceError("ratio-beta density quadrature gave a non-finite or negative value")
-    return vals
+def ratio_beta_law_pdf(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams):
+    """Density of R = Q/(V U) on a grid, Q ~ Gamma(phi, 2), V ~ Beta(kappa, beta), U ~ H,
+    as a mixture over (V, W) of beta-prime densities (see ``_ratio_beta``)."""
+    return _ratio_beta(r_grid, phi, kappa, beta_param, params, tail=False)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +708,6 @@ __all__ = [
     "HLawParams",
     "h_law_pdf",
     "h_law_logpdf",
-    "h_law_sample",
     "ssr_s_law_params",
     "ssr_s_law_pdf",
     "ssr_s_law_logpdf",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _solve_triangular
-from .densities import _check_direction, h_law_sample, ssr_s_law_params
+from .densities import _check_direction, _ratio_beta, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -53,7 +53,7 @@ __all__ = [
     "partial_t_statistic",
     "wstar_exact_tests",
     "wstar_marginal_t_tests",
-    "mc_calibrated_sampling_test",
+    "complete_sampling_joint_test",
     "partial_univariate_chi2_test",
     "partial_linear_combination_test",
 ]
@@ -309,35 +309,28 @@ def wstar_marginal_t_tests(
     return _marginal_t_tests(fit, ssr_star / (n - p), n - p, hyp, level, Regime.REPEATED_SAMPLE)
 
 
-def mc_calibrated_sampling_test(
+def complete_sampling_joint_test(
     fit: SketchFit, gram, n: int, k: int, p: int, beta_hyp,
-    mc_size: int = 10_000, seed=0,
 ) -> TestResult:
-    """Joint test of beta_0 calibrated by simulating its pivot law.
+    """Joint test of beta_0 under repeated sampling, referred to its exact law.
 
-    The observed statistic (b_s - h)'(X'X)(b_s - h)/p over the unbiased
-    variance estimate SSR_s k/((n-p)(k-p)) is referred to draws of
-    V/(U R) * (n-p)(k-p)/p with V ~ chi2_p, R ~ Beta((k-p+1)/2, (n-p)/2) and
-    U the k SSR_s/sigma^2 law, independent.  The p-value is the add-one
-    smoothed upper-tail fraction (1 + #{draws >= observed})/(mc_size + 1).
+    The statistic (b_s - h)'(X'X)(b_s - h)/p over the unbiased variance
+    estimate SSR_s k/((n-p)(k-p)) has, under the null, the law mixed_f(p,
+    k-p, n-p) of V/(U R) * (n-p)(k-p)/p, V ~ chi2_p, R ~ Beta((k-p+1)/2,
+    (n-p)/2) and U the k SSR_s/sigma^2 law independent: (n-p)(k-p)/p times
+    ``densities.ratio_beta_law_pdf``'s at phi = p/2.  The p-value is its upper tail.
     """
-    _require_kind(fit, FitKind.COMPLETE, "MC-calibrated test")
+    _require_kind(fit, FitKind.COMPLETE, "joint sampling test")
     ssr = _require_ssr(fit, k)
-    if mc_size < 1:
-        raise DomainError("mc_size must be >= 1")
     if n <= p or k <= p:
         raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
     gram = np.asarray(gram, dtype=float)
     d = fit.beta - _null_vector(fit, beta_hyp)
     obs = (float(d @ gram @ d) / p) / sigma2_hat_complete(ssr, n, k, p)
-    rng = np.random.default_rng(seed)
-    v = rng.chisquare(p, mc_size)
-    r = rng.beta((k - p + 1) / 2.0, (n - p) / 2.0, mc_size)
-    u = h_law_sample(ssr_s_law_params(n, k, p), rng.integers(2**63), mc_size)
-    ref = v / (u * r) * (n - p) * (k - p) / p
-    p_val = (1.0 + float(np.count_nonzero(ref >= obs))) / (mc_size + 1.0)
-    return TestResult(statistic=obs, pivot_law=Law("mc_reference", (float(mc_size),)),
-                      p_value=p_val, regime=Regime.REPEATED_SAMPLE)
+    p_val = _ratio_beta([obs * p / ((n - p) * (k - p))], p / 2.0, (k - p + 1) / 2.0,
+                        (n - p) / 2.0, ssr_s_law_params(n, k, p), tail=True)[0]
+    return TestResult(statistic=obs, pivot_law=Law("mixed_f", (float(p), float(k - p), float(n - p))),
+                      p_value=float(p_val), regime=Regime.REPEATED_SAMPLE)
 
 
 # ---------------------------------------------------------------------------

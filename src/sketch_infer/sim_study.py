@@ -101,6 +101,10 @@ class SimConfig:
     overlay_points: int = 512
 
     def __post_init__(self):
+        for name, value in (("targets", self.targets), ("sketch_kinds", self.sketch_kinds)):
+            if isinstance(value, str) or not np.iterable(value):
+                raise DomainError(f"{name} takes a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))  # a generator is read once
         least = {"n": 1, "m": 1, "root_seed": 0, "rep_draws": 0, "overlay_points": 0}
         counts = [(f, getattr(self, f)) for f in ("p", "k", *least)]
         for name, value in counts + [("targets", t) for t in self.targets]:
@@ -122,13 +126,15 @@ class SimConfig:
             raise DomainError(f"need k > p + 3 (got k={self.k}, p={self.p})")
         if any(t < 0 or t >= self.p for t in self.targets):
             raise DomainError("target indices must lie in [0, p)")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise DomainError(f"alpha must be in (0, 1), got {self.alpha!r}")
         try:
             kinds = tuple(SketchKind(s) for s in self.sketch_kinds)
         except ValueError as exc:
             valid = ", ".join(s.value for s in SketchKind)
             raise DomainError(f"{exc} (valid sketches: {valid})") from None
+        if self.regime not in list(Regime):  # compared by ==: an unhashable value is no error
+            raise DomainError(f"regime must be one of {', '.join(Regime)}, got {self.regime!r}")
         object.__setattr__(self, "beta0", b)
         object.__setattr__(self, "sketch_kinds", kinds)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))

@@ -261,22 +261,8 @@ def apply_sketch(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> 
     return SketchedData(Xs=Xs, ys=ys, spec=spec, n=data.n, p=data.p, W_star=W)
 
 
-def _of_kind(kind: SketchKind, spec: SketchSpec) -> SketchSpec:
-    if spec.kind is not kind:
-        raise DomainError(f"spec.kind is {spec.kind}, expected {kind.value}")
-    return spec
-
-
 def apply_gaussian(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
     """``apply_sketch`` for a Gaussian ``spec``; see ``_gaussian``."""
-    return apply_sketch(data, _of_kind(SketchKind.GAUSSIAN, spec), want_w_star)
-
-
-def apply_hadamard(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
-    """``apply_sketch`` for a Hadamard ``spec``; see ``_hadamard``."""
-    return apply_sketch(data, _of_kind(SketchKind.HADAMARD, spec), want_w_star)
-
-
-def apply_clarkson_woodruff(data: DataSet, spec: SketchSpec, want_w_star: bool = False) -> SketchedData:
-    """``apply_sketch`` for a Clarkson-Woodruff ``spec``; see ``_clarkson_woodruff``."""
-    return apply_sketch(data, _of_kind(SketchKind.CLARKSON_WOODRUFF, spec), want_w_star)
+    if spec.kind is not SketchKind.GAUSSIAN:
+        raise DomainError(f"spec.kind is {spec.kind}, expected gaussian")
+    return apply_sketch(data, spec, want_w_star)

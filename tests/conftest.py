@@ -38,6 +38,14 @@ def make_dataset(n, p, beta, sigma2=1.0, seed=0, intercept=True) -> DataSet:
     return DataSet(X=X, y=y)
 
 
+def h_law_sample(params, seed, count: int) -> np.ndarray:
+    """Draws from the H law by its defining gamma mixture: U | V ~ Gamma(alpha, 2V),
+    V ~ Gamma(lam, 2)."""
+    rng = np.random.default_rng(seed)
+    v = rng.gamma(params.lam, 2.0, count)
+    return rng.gamma(params.alpha, 2.0 * v)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -494,11 +494,14 @@ class TestSimulate:
         assert not out_dir.exists()
 
     # sigma2 and beta0 values a config can hold that are not finite reals
-    # (sigma2 also below 0); the JSON module reads NaN and Infinity
+    # (sigma2 also below 0; the JSON module reads NaN and Infinity), a
+    # non-real alpha, list fields that are not lists and an unknown regime
     BAD_PARAMETERS = [("sigma2", "1"), ("sigma2", None), ("sigma2", True), ("sigma2", math.nan),
                       ("sigma2", -1.0), ("sigma2", math.inf), ("beta0", [1.0, math.nan, -1.0]),
                       ("beta0", [1.0, -math.inf, -1.0]), ("beta0", [1.0, None, -1.0]),
-                      ("beta0", "abc"), ("beta0", [True, False, True])]
+                      ("beta0", "abc"), ("beta0", [True, False, True]), ("alpha", "0.05"),
+                      ("alpha", None), ("targets", 0), ("sketch_kinds", 3),
+                      ("sketch_kinds", "gaussian"), ("regime", "sketching")]
 
     @pytest.mark.parametrize("field,value", BAD_PARAMETERS)
     def test_bad_parameter_exit_2(self, tmp_path, capsys, field, value):

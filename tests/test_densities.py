@@ -5,9 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from sketch_infer import special_fn
+from sketch_infer import densities, special_fn
 from sketch_infer.core_model import DataSet, ModelTruth, fit_full
 from sketch_infer.densities import (
     HLawParams,
@@ -20,7 +20,6 @@ from sketch_infer.densities import (
     complete_sampling_pdf,
     complete_sketching_t_params,
     h_law_pdf,
-    h_law_sample,
     mvt_marginal_cdf,
     mvt_pdf,
     partial_approx_pdf,
@@ -29,6 +28,7 @@ from sketch_infer.densities import (
     partial_sketching_pdf,
     partial_sketching_quantile,
     ratio_beta_law_pdf,
+    ratio_law_logpdf,
     ratio_law_pdf,
     sample_partial_sampling_rep,
     sample_partial_sketching_rep,
@@ -39,7 +39,7 @@ from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainErro
 from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
 from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
 
-from conftest import ecdf_callable, ks_distance, make_dataset
+from conftest import ecdf_callable, h_law_sample, ks_distance, make_dataset
 
 
 def _cdf_from_pdf(pdf, grid):
@@ -307,6 +307,33 @@ def test_overflowing_quadratic_form_raises(law):
         _law_at(law, 1e200)
 
 
+def _ratio_beta_draws(m=10_000):
+    """Draws of Q/(V U) for (phi, kappa, beta) = (1.5, 3, 2) over H(4, 6)."""
+    rng = np.random.default_rng(17)
+    q = rng.gamma(1.5, 2.0, m)
+    v = rng.beta(3.0, 2.0, m)
+    return q / (v * h_law_sample(HLawParams(alpha=4.0, lam=6.0), seed=18, count=m))
+
+
+def _quad_ratio_beta_pdf(r, phi, kappa, beta_param, params):
+    """The ratio-beta density at r by adaptive quadrature with no absolute
+    tolerance: the integral over u = logit v, split at the mode of the beta
+    weight, of v f_{Q/U}(r v) Beta(v) v (1 - v), where f_{Q/U}, the inner
+    integral over U, is the Kummer-U form of ``ratio_law_pdf``."""
+    ln_b = special.betaln(kappa, beta_param)
+
+    def f(u):
+        log_v, log_1mv = -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u)
+        return math.exp(ratio_law_logpdf(r * math.exp(log_v), phi, params)
+                        + (kappa + 1.0) * log_v + beta_param * log_1mv - ln_b)
+
+    mode = math.log(kappa / beta_param)
+    width = math.sqrt((kappa + beta_param) / (kappa * beta_param))
+    ends = [mode - 200.0 / kappa - 40.0 * width, mode, mode + 200.0 / beta_param + 40.0 * width]
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+               for lo, hi in zip(ends, ends[1:]))
+
+
 class TestRatioBetaLaw:
     def test_concentrated_beta_degenerates(self):
         params = HLawParams(alpha=4.0, lam=6.0)
@@ -318,12 +345,7 @@ class TestRatioBetaLaw:
     def test_matches_mc_draws(self):
         params = HLawParams(alpha=4.0, lam=6.0)
         phi, kappa, bparam = 1.5, 3.0, 2.0
-        rng = np.random.default_rng(17)
-        m = 10_000
-        q = rng.gamma(phi, 2.0, m)
-        v = rng.beta(kappa, bparam, m)
-        u = h_law_sample(params, seed=18, count=m)
-        draws = q / (v * u)
+        draws = _ratio_beta_draws()
         grid = np.geomspace(np.quantile(draws, 0.0005), np.quantile(draws, 0.9995), 400)
         vals = ratio_beta_law_pdf(grid, phi, kappa, bparam, params)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (vals[1:] + vals[:-1]))])
@@ -341,23 +363,53 @@ class TestRatioBetaLaw:
         total = np.trapezoid(vals, grid)
         assert abs(total - 1.0) < 1e-3
 
+    # the grids of the three tests above, thinned to every 10th (draws) and
+    # every 25th point (down from r = 400, where a quadrature over v in [0, 1]
+    # with epsabs=1e-12 is 3.6e-3 off)
+    @pytest.mark.parametrize("case", ["concentrated", "draws", "normalized"])
+    def test_matches_nested_quadrature(self, case):
+        params = HLawParams(alpha=4.0, lam=6.0)
+        if case == "concentrated":
+            grid, args = np.geomspace(0.05, 5.0, 25), (1.5, 5000.0, 1.0)
+        elif case == "draws":
+            draws = _ratio_beta_draws()
+            grid = np.geomspace(np.quantile(draws, 0.0005), np.quantile(draws, 0.9995), 400)[::10]
+            args = (1.5, 3.0, 2.0)
+        else:
+            grid, args = np.geomspace(1e-4, 400.0, 1000)[::-25], (2.5, 3.0, 2.0)
+        vals = ratio_beta_law_pdf(grid, *args, params)
+        ref = np.array([_quad_ratio_beta_pdf(r, *args, params) for r in grid])
+        np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=0.0)
+
     @pytest.mark.parametrize("outcome", ["warning", "nan", "negative"])
     def test_failed_quadrature_raises(self, monkeypatch, outcome):
-        # no fallback: a quadrature that fails, or returns a non-finite or
-        # negative value, is a ConvergenceError
-        def quad(*args, **kwargs):
-            if outcome == "warning":
-                # as scipy's quad reports a failed integral: a warning and a value
-                warnings.warn("roundoff error detected", integrate.IntegrationWarning)
-                return 0.1, 0.0
-            return (np.nan if outcome == "nan" else -1e-3), 0.0
+        # no fallback: a beta rule that fails its half-rule check, or gives a
+        # non-finite or negative value, is a ConvergenceError
+        rule = densities._beta_rule
 
-        monkeypatch.setattr(integrate, "quad", quad)
-        # warnings not turned into errors, as outside the test suite
-        with warnings.catch_warnings(), pytest.raises(ConvergenceError):
-            warnings.simplefilter("ignore")
+        def beta_rule(a, b):
+            v, q = rule(a, b)
+            if outcome == "warning":  # every 64th node: far too coarse
+                return v[::64], q[::64] / q[::64].sum()
+            if outcome == "negative":
+                return v, -q
+            q = q.copy()
+            q[q.size // 2] = np.nan
+            return v, q
+
+        monkeypatch.setattr(densities, "_beta_rule", beta_rule)
+        with pytest.raises(ConvergenceError, match="too coarse" if outcome == "warning" else "give"):
             ratio_beta_law_pdf(np.array([0.5, 1.0]), 1.5, 3.0, 2.0,
                                HLawParams(alpha=4.0, lam=6.0))
+
+    def test_rule_too_coarse_for_the_integrand_raises(self, monkeypatch):
+        # every other node of _NODES passes the beta rule's own check, but
+        # not the density's at large r, whose mass lies in V's far left tail
+        monkeypatch.setattr(special_fn, "_BETA_NODES", special_fn._NODES)
+        params = HLawParams(alpha=4.0, lam=6.0)
+        ratio_beta_law_pdf(np.array([1.0, 50.0]), 2.5, 3.0, 2.0, params)
+        with pytest.raises(ConvergenceError, match="too coarse at r = 400"):
+            ratio_beta_law_pdf(np.array([1.0, 400.0]), 2.5, 3.0, 2.0, params)
 
 
 class TestPartialSketchingRep:

@@ -1,6 +1,6 @@
-"""The package stays off scipy.stats: no module imports it, and fresh
-interpreters running the library, fit/infer and the harness load neither
-scipy.stats nor scipy.integrate."""
+"""The package stays off scipy.stats and scipy.integrate: no module imports
+either, and fresh interpreters running the library, fit/infer and the
+harness load neither."""
 
 import ast
 import json
@@ -63,16 +63,16 @@ def test_library_and_cli_stay_off_scipy_stats(tmp_path):
     assert steps == {step: [] for step in steps}
 
 
-def _imports_scipy_stats(node) -> bool:
-    """Whether an ast node is an import of scipy.stats or of a name inside it."""
+def _imports_scipy(node, module: str = "stats") -> bool:
+    """Whether an ast node is an import of scipy.<module> or of a name inside it."""
     def inside(name):
-        return name == "scipy.stats" or name.startswith("scipy.stats.")
+        return name == f"scipy.{module}" or name.startswith(f"scipy.{module}.")
 
     if isinstance(node, ast.Import):
         return any(inside(alias.name) for alias in node.names)
     if isinstance(node, ast.ImportFrom) and node.level == 0:
         return inside(node.module) or (
-            node.module == "scipy" and any(alias.name == "stats" for alias in node.names))
+            node.module == "scipy" and any(alias.name == module for alias in node.names))
     return False
 
 
@@ -88,13 +88,33 @@ def _imports_scipy_stats(node) -> bool:
     ("from .special_fn import student_t", False),
 ])
 def test_guard_sees_every_import_form(code, found):
-    assert any(map(_imports_scipy_stats, ast.walk(ast.parse(code)))) is found
+    assert any(map(_imports_scipy, ast.walk(ast.parse(code)))) is found
+
+
+@pytest.mark.parametrize("code,found", [
+    ("from scipy import integrate", True),
+    ("import scipy.integrate", True),
+    ("from scipy.integrate import quad", True),
+    ("from scipy import special, integrate", True),
+    ("def f(g):\n    from scipy import integrate\n    return integrate.quad(g, 0, 1)", True),
+    ("from scipy import stats", False),
+    ("from .densities import ratio_beta_law_pdf", False),
+])
+def test_guard_sees_every_integrate_import_form(code, found):
+    assert any(_imports_scipy(node, "integrate") for node in ast.walk(ast.parse(code))) is found
+
+
+def _offenders(module: str) -> list:
+    # function-local imports included: ast.walk reaches every nested node
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted((SRC / "sketch_infer").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _imports_scipy(node, module)]
 
 
 def test_no_module_imports_scipy_stats():
-    # function-local imports included: ast.walk reaches every nested node
-    offenders = [f"{path.name}:{node.lineno}"
-                 for path in sorted((SRC / "sketch_infer").glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if _imports_scipy_stats(node)]
-    assert offenders == []
+    assert _offenders("stats") == []
+
+
+def test_no_module_imports_scipy_integrate():
+    assert _offenders("integrate") == []

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 from sketch_infer.core_model import DataSet, fit_full
+from sketch_infer.densities import ssr_s_law_params
 from sketch_infer.errors import (
     AssumptionViolated,
     DegenerateSSR,
@@ -35,7 +36,7 @@ from sketch_infer.inference import (
     Target,
     complete_joint_f_test,
     complete_marginal_t_tests,
-    mc_calibrated_sampling_test,
+    complete_sampling_joint_test,
     partial_linear_combination_test,
     partial_univariate_chi2_test,
     wstar_exact_tests,
@@ -48,8 +49,9 @@ from sketch_infer.sketch_ops import (
     apply_sketch,
     derive_seed,
 )
+from sketch_infer.special_fn import Law
 
-from conftest import ks_distance, make_dataset
+from conftest import h_law_sample, ks_distance, make_dataset
 
 
 def _gauss(data, k, seed, want_w_star=False):
@@ -130,7 +132,7 @@ class TestCompleteMarginalT:
         with pytest.raises(DomainError, match="beta_hyp has length 1"):
             complete_joint_f_test(fit, sk, [0.5])
         with pytest.raises(DomainError, match="beta_hyp has length 2"):
-            mc_calibrated_sampling_test(fit, data.X.T @ data.X, 100, 10, 3, [0.5, 1.0])
+            complete_sampling_joint_test(fit, data.X.T @ data.X, 100, 10, 3, [0.5, 1.0])
 
     def test_statistic_helper_consistency(self):
         from sketch_infer.inference import marginal_t_statistic
@@ -351,7 +353,51 @@ class TestSamplingApproxT:
         assert ks_distance(pvals, lambda x: np.clip(x, 0.0, 1.0)) < 0.03
 
 
+# (n, k, p) designs of the joint test's differential checks
+DESIGNS = [(300, 12, 3), (100, 10, 3), (10_000, 21, 11)]
+
+
+def _joint_reference_draws(n, k, p, size, seed):
+    """Draws of the joint test's reference law V/(U R) (n-p)(k-p)/p: V ~ chi2_p,
+    R ~ Beta((k-p+1)/2, (n-p)/2) and U ~ H((k-p)/2, (n-p)/2), independent."""
+    rng = np.random.default_rng(seed)
+    v = rng.chisquare(p, size)
+    r = rng.beta((k - p + 1) / 2.0, (n - p) / 2.0, size)
+    u = h_law_sample(ssr_s_law_params(n, k, p), rng.integers(2**63), size)
+    return v / (u * r) * (n - p) * (k - p) / p
+
+
+def _quad_joint_p_value(x, n, k, p):
+    """P(V/(U R) (n-p)(k-p)/p >= x) by nested adaptive quadrature with no
+    absolute tolerance: over u = logit R (inner) and t = log W (outer),
+    W ~ chi2_{n-p} the SSR_F factor of U, of P(chi2_p/chi2_{k-p} >= z)
+    = I_{1/(1+z)}((k-p)/2, p/2) at z = x W R p/((n-p)(k-p))."""
+    a, b, lam = (k - p + 1) / 2.0, (n - p) / 2.0, (n - p) / 2.0
+    c = x * p / ((n - p) * (k - p))
+    ln_b = special.betaln(a, b)
+    ln_g = special.gammaln(lam) + lam * math.log(2.0)
+    u_mode, u_width = math.log(a / b), math.sqrt((a + b) / (a * b))
+    t_mode, t_width = math.log(2.0 * lam), math.sqrt(1.0 / lam)
+
+    def split_quad(f, ends):
+        return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+                   for lo, hi in zip(ends, ends[1:]))
+
+    def inner(t):
+        w = math.exp(t)
+        return split_quad(
+            lambda u: special.betainc((k - p) / 2.0, p / 2.0, 1.0 / (1.0 + c * special.expit(u) * w))
+            * math.exp(a * u - (a + b) * np.logaddexp(0.0, u) - ln_b),
+            [u_mode - 100.0 / a - 20.0 * u_width, u_mode, u_mode + 100.0 / b + 20.0 * u_width])
+
+    return split_quad(lambda t: inner(t) * math.exp(lam * t - math.exp(t) / 2.0 - ln_g),
+                      [t_mode - max(40.0 * t_width, 100.0 / lam), t_mode, t_mode + 40.0 * t_width])
+
+
 class TestMcCalibrated:
+    """The joint test of beta_0 (once Monte-Carlo calibrated, now exact) against its
+    null and alternatives, draws of its reference law and nested quadrature."""
+
     def test_p_values_uniform_under_null(self):
         n, p, k = 300, 3, 12
         rng = np.random.default_rng(23)
@@ -363,8 +409,7 @@ class TestMcCalibrated:
         for r in range(outer):
             y = X @ beta0 + rng.standard_normal(n)
             sk = _gauss(DataSet(X=X, y=y), k, derive_seed(501, r))
-            res = mc_calibrated_sampling_test(fit_complete(sk), gram, n, k, p, beta0,
-                                              mc_size=4000, seed=derive_seed(601, r))
+            res = complete_sampling_joint_test(fit_complete(sk), gram, n, k, p, beta0)
             pvals[r] = res.p_value
         assert ks_distance(pvals, lambda x: np.clip(x, 0, 1)) < 0.1
 
@@ -379,19 +424,63 @@ class TestMcCalibrated:
         for r in range(20):
             y = X @ beta0 + rng.standard_normal(n)
             sk = _gauss(DataSet(X=X, y=y), k, derive_seed(701, r))
-            res = mc_calibrated_sampling_test(fit_complete(sk), gram, n, k, p, far,
-                                              mc_size=4000, seed=derive_seed(801, r))
+            res = complete_sampling_joint_test(fit_complete(sk), gram, n, k, p, far)
             rejections += res.p_value < 0.01
         assert rejections >= 18
 
-    def test_single_draw_smoothing(self):
-        data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=25)
-        sk = _gauss(data, 10, 26)
-        fit = fit_complete(sk)
+    @staticmethod
+    def _test_at(n, k, p):
+        """The joint test of one Gaussian sketch of a seeded n x p dataset, as
+        a function of its statistic: nulls along one direction from b_s."""
+        data = make_dataset(n, p, np.ones(p), seed=31)
+        fit = fit_complete(_gauss(data, k, 32))
         gram = data.X.T @ data.X
-        vals = {mc_calibrated_sampling_test(fit, gram, 100, 10, 3, np.zeros(3),
-                                            mc_size=1, seed=s).p_value for s in range(40)}
-        assert vals <= {0.5, 1.0}
+        base = complete_sampling_joint_test(fit, gram, n, k, p, fit.beta + 1.0).statistic
+        return lambda x: complete_sampling_joint_test(fit, gram, n, k, p,
+                                                      fit.beta + math.sqrt(x / base))
+
+    @pytest.mark.parametrize("n,k,p", DESIGNS)
+    def test_matches_reference_draws(self, n, k, p):
+        # 10^6 draws of the reference law; at its 0.5, 0.95 and 0.995
+        # quantiles the exact p-value is within 4 binomial standard errors
+        size = 1_000_000
+        ref = np.sort(_joint_reference_draws(n, k, p, size, seed=derive_seed(901, n)))
+        test = self._test_at(n, k, p)
+        for level in (0.5, 0.95, 0.995):
+            res = test(np.quantile(ref, level))
+            tail = 1.0 - np.searchsorted(ref, res.statistic, side="left") / size
+            assert abs(res.p_value - tail) <= 4.0 * math.sqrt(res.p_value * (1.0 - res.p_value) / size)
+
+    @pytest.mark.parametrize("n,k,p", DESIGNS)
+    def test_matches_nested_quadrature(self, n, k, p):
+        # at the statistics whose p-values are 0.5, 1e-4, 1e-7 and 1e-10
+        test = self._test_at(n, k, p)
+        for level in (0.5, 1e-4, 1e-7, 1e-10):
+            lo, hi = math.log(1e-3), math.log(1e12)
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if test(math.exp(mid)).p_value > level else (lo, mid)
+            res = test(math.exp(lo))
+            assert res.p_value == pytest.approx(level, rel=1e-3)
+            assert res.p_value == pytest.approx(_quad_joint_p_value(res.statistic, n, k, p),
+                                                rel=1e-9, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_extra=st.integers(1, 12), n_extra=st.integers(0, 200), p=st.integers(1, 4),
+           scales=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2))
+    def test_p_value_property(self, k_extra, n_extra, p, scales):
+        # in [0, 1], non-increasing in the statistic, the same on a repeated call
+        k = p + k_extra
+        n = k + n_extra
+        data = make_dataset(n, p, np.ones(p), seed=n)
+        fit = fit_complete(_gauss(data, k, k))
+        gram = data.X.T @ data.X
+        a, b = sorted((complete_sampling_joint_test(fit, gram, n, k, p, fit.beta + s)
+                       for s in scales), key=lambda res: res.statistic)
+        assert 0.0 <= b.p_value <= a.p_value <= 1.0
+        again = complete_sampling_joint_test(fit, gram, n, k, p, fit.beta + scales[0])
+        assert again == complete_sampling_joint_test(fit, gram, n, k, p, fit.beta + scales[0])
+        assert a.pivot_law == Law("mixed_f", (float(p), float(k - p), float(n - p)))
 
 
 class TestPartialUnivariate:
@@ -573,9 +662,8 @@ class TestPValuesInUnitInterval:
         calls = [
             (None, lambda: [complete_joint_f_test(complete, sk, hyp)]),
             (None, lambda: list(wstar_exact_tests(star, sk, yty, hyp, 1.0))),
-            (None, lambda: [mc_calibrated_sampling_test(complete, data.X.T @ data.X, data.n,
-                                                        spec.k, p, hyp, mc_size=64,
-                                                        seed=spec.seed)]),
+            (None, lambda: [complete_sampling_joint_test(complete, data.X.T @ data.X, data.n,
+                                                         spec.k, p, hyp)]),
             (complete.beta, lambda: complete_marginal_t_tests(complete, sk, hyp, 0.95)),
             (complete.beta, lambda: complete_marginal_t_tests(complete, sk, hyp, 0.95,
                                                               Regime.REPEATED_SAMPLE)),

@@ -159,6 +159,24 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"alpha must be in \(0, 1\)"):
             dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), alpha=alpha)
 
+    # each raised a bare TypeError or ValueError, or (a bare string of
+    # sketch names, iterated letter by letter) named no field
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", "0.05"), ("alpha", None), ("targets", 0), ("sketch_kinds", 3),
+        ("sketch_kinds", "gaussian"), ("regime", "sketching"),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} "):
+            dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), **{field: value})
+
+    def test_generators_are_read_once(self):
+        # each was checked by one pass and then read empty by the next
+        cfg = dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), targets=iter([0, 2]),
+                                  sketch_kinds=(s for s in ("hadamard",)))
+        assert cfg.targets == (0, 2) and cfg.sketch_kinds == (SketchKind.HADAMARD,)
+        with pytest.raises(DomainError, match="target indices"):
+            dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), targets=iter([0, 9]))
+
     @pytest.mark.parametrize("regime", list(Regime), ids=["sketching", "sampling"])
     def test_coverage_at_one_minus_alpha(self, regime):
         # the complete pivot's interval coverage uses the rejection rate's

@@ -18,9 +18,7 @@ from sketch_infer.sketch_ops import (
     SketchSpec,
     _check_feasible,
     _split,
-    apply_clarkson_woodruff,
     apply_gaussian,
-    apply_hadamard,
     apply_sketch,
     derive_seed,
 )
@@ -130,7 +128,7 @@ class TestHadamard:
         data = DataSet(X=X, y=rng.standard_normal(n))
         vals = np.empty(4000)
         for r in range(vals.size):
-            sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, k, derive_seed(4, r)))
+            sk = apply_sketch(data, _spec(SketchKind.HADAMARD, k, derive_seed(4, r)))
             vals[r] = float(sk.Xs[:, 0] @ sk.Xs[:, 0])
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - n) < 3 * se
@@ -138,7 +136,7 @@ class TestHadamard:
     def test_padding_shapes(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # n=3 pads to 4
         data = DataSet(X=X, y=np.array([1.0, 2.0, 3.0]))
-        sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, 3, 0))
+        sk = apply_sketch(data, _spec(SketchKind.HADAMARD, 3, 0))
         assert sk.Xs.shape == (3, 2) and sk.ys.shape == (3,)
 
     @staticmethod
@@ -149,7 +147,7 @@ class TestHadamard:
         X = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
         data = DataSet(X=X, y=y)
-        sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, k, seed), want_w_star=True)
+        sk = apply_sketch(data, _spec(SketchKind.HADAMARD, k, seed), want_w_star=True)
         gen = np.random.default_rng(seed)
         signs = gen.integers(0, 2, n) * 2.0 - 1.0
         idx = gen.choice(n_pad, size=k, replace=False)
@@ -181,7 +179,7 @@ class TestHadamard:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((n, 2))
         data = DataSet(X=X, y=rng.standard_normal(n))
-        sk = apply_hadamard(data, _spec(SketchKind.HADAMARD, k, seed), want_w_star=True)
+        sk = apply_sketch(data, _spec(SketchKind.HADAMARD, k, seed), want_w_star=True)
         gen = np.random.default_rng(seed)
         signs = gen.integers(0, 2, n) * 2.0 - 1.0
         idx = gen.choice(8, size=k, replace=False)
@@ -199,7 +197,7 @@ class TestClarksonWoodruff:
     def test_single_row(self):
         X = np.array([[2.0], [0.0]])  # n=2 minimal full-rank case
         data = DataSet(X=X, y=np.array([3.0, 0.0]))
-        sk = apply_clarkson_woodruff(data, _spec(SketchKind.CLARKSON_WOODRUFF, 3, 7))
+        sk = apply_sketch(data, _spec(SketchKind.CLARKSON_WOODRUFF, 3, 7))
         nonzero = np.nonzero(sk.Xs[:, 0])[0]
         assert nonzero.size >= 1
         assert set(np.abs(sk.Xs[:, 0])) <= {0.0, 2.0}
@@ -209,13 +207,12 @@ class TestClarksonWoodruff:
         X = np.column_stack([rng.standard_normal(20), rng.standard_normal(20)])
         y = np.zeros(20)
         data = DataSet(X=X, y=y)
-        sk = apply_clarkson_woodruff(data, _spec(SketchKind.CLARKSON_WOODRUFF, 5, 3))
+        sk = apply_sketch(data, _spec(SketchKind.CLARKSON_WOODRUFF, 5, 3))
         assert np.all(sk.ys == 0.0)
 
     def test_wstar_is_bucket_occupancy(self):
         data = make_dataset(30, 2, np.ones(2), seed=8)
-        sk = apply_clarkson_woodruff(data, _spec(SketchKind.CLARKSON_WOODRUFF, 4, 11),
-                                     want_w_star=True)
+        sk = apply_sketch(data, _spec(SketchKind.CLARKSON_WOODRUFF, 4, 11), want_w_star=True)
         gen = np.random.default_rng(11)
         buckets = gen.integers(0, 4, 30)
         np.testing.assert_array_equal(np.diag(sk.W_star),
@@ -243,9 +240,7 @@ class TestSharedProperties:
         with pytest.raises(DomainError):
             apply_sketch(data, _spec(kind, 3, 0))
 
-    @pytest.mark.parametrize("apply,kind", [(apply_gaussian, SketchKind.GAUSSIAN),
-                                            (apply_hadamard, SketchKind.HADAMARD),
-                                            (apply_clarkson_woodruff, SketchKind.CLARKSON_WOODRUFF)])
+    @pytest.mark.parametrize("apply,kind", [(apply_gaussian, SketchKind.GAUSSIAN)])
     def test_operator_rejects_other_kinds(self, apply, kind):
         data = make_dataset(40, 3, np.ones(3), seed=2)
         for other in set(SketchKind) - {kind}:
