@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +144,9 @@ class FullFit:
 class ModelTruth:
     """Generative parameters: y ~ N(X beta_0, sigma2 I).
 
-    sigma2 = 0 is tolerated so the noiseless response path stays exact;
-    every density and pivot that divides by sigma2 rejects it.
+    sigma2 must be a finite real >= 0 (a bool is not one).  sigma2 = 0 is
+    tolerated so the noiseless response path stays exact; every density and
+    pivot that divides by sigma2 rejects it.
     """
 
     beta_0: np.ndarray
@@ -152,8 +155,9 @@ class ModelTruth:
     def __post_init__(self):
         b = np.asarray(self.beta_0, dtype=float).reshape(-1)
         _check_finite(b)
-        if self.sigma2 < 0:
-            raise DomainError("sigma2 must be nonnegative")
+        if (isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real)
+                or not (math.isfinite(self.sigma2) and self.sigma2 >= 0)):
+            raise DomainError(f"sigma2 must be a finite real >= 0, got {self.sigma2!r}")
         object.__setattr__(self, "beta_0", b)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _solve_triangular
-from .densities import _check_direction, _ratio_beta, ssr_s_law_params
+from .densities import _check_direction, _ratio_beta, _spd_factor, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -319,12 +319,20 @@ def complete_sampling_joint_test(
     k-p, n-p) of V/(U R) * (n-p)(k-p)/p, V ~ chi2_p, R ~ Beta((k-p+1)/2,
     (n-p)/2) and U the k SSR_s/sigma^2 law independent: (n-p)(k-p)/p times
     ``densities.ratio_beta_law_pdf``'s at phi = p/2.  The p-value is its upper tail.
+    ``gram`` (X'X) must be p x p and positive definite (DomainError; NonFinite
+    for a NaN or infinite entry).
     """
     _require_kind(fit, FitKind.COMPLETE, "joint sampling test")
     ssr = _require_ssr(fit, k)
     if n <= p or k <= p:
         raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
     gram = np.asarray(gram, dtype=float)
+    if gram.shape != (p, p):
+        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {gram.shape}")
+    try:
+        _spd_factor(gram)
+    except (DomainError, NonFinite) as exc:
+        raise type(exc)(f"Gram matrix: {exc}") from exc
     d = fit.beta - _null_vector(fit, beta_hyp)
     obs = (float(d @ gram @ d) / p) / sigma2_hat_complete(ssr, n, k, p)
     p_val = _ratio_beta([obs * p / ((n - p) * (k - p))], p / 2.0, (k - p + 1) / 2.0,

@@ -105,20 +105,18 @@ class SimConfig:
             if isinstance(value, str) or not np.iterable(value):
                 raise DomainError(f"{name} takes a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))  # a generator is read once
-        least = {"n": 1, "m": 1, "root_seed": 0, "rep_draws": 0, "overlay_points": 0}
-        counts = [(f, getattr(self, f)) for f in ("p", "k", *least)]
+        least = {"p": 1, "n": 1, "m": 1, "root_seed": 0, "rep_draws": 0, "overlay_points": 0}
+        counts = [(f, getattr(self, f)) for f in ("k", *least)]
         for name, value in counts + [("targets", t) for t in self.targets]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DomainError(f"{name} takes integers only, got {value!r}")
             if name in least and value < least[name]:
                 raise DomainError(f"{name} must be >= {least[name]}, got {value}")
-        if (isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real)
-                or not (np.isfinite(self.sigma2) and self.sigma2 >= 0)):
-            raise DomainError(f"sigma2 must be a finite real >= 0, got {self.sigma2!r}")
         b = np.asarray(self.beta0)
         if b.dtype.kind not in "iuf" or not np.all(np.isfinite(b)):
             raise DomainError(f"beta0 takes finite reals only, got {self.beta0!r}")
         b = b.astype(float).reshape(-1)
+        ModelTruth(beta_0=b, sigma2=self.sigma2)  # checks sigma2
         if b.size != self.p:
             raise DomainError(f"beta0 has length {b.size}, expected p={self.p}")
         if self.k <= self.p + 3:
@@ -133,6 +131,10 @@ class SimConfig:
         except ValueError as exc:
             valid = ", ".join(s.value for s in SketchKind)
             raise DomainError(f"{exc} (valid sketches: {valid})") from None
+        for name, values in (("targets", self.targets), ("sketch_kinds", kinds)):
+            if not values or len(set(values)) < len(values):
+                raise DomainError(f"{name} must be a nonempty list of distinct values, "
+                                  f"got {list(getattr(self, name))!r}")
         if self.regime not in list(Regime):  # compared by ==: an unhashable value is no error
             raise DomainError(f"regime must be one of {', '.join(Regime)}, got {self.regime!r}")
         object.__setattr__(self, "beta0", b)
@@ -325,29 +327,34 @@ def _make_dataset(cfg: SimConfig) -> tuple:
     return DataSet(X=X, y=y), truth
 
 
-def _t_overlay(df: int, points: int, loc: float = 0.0, scale: float = 1.0):
-    """Grid from the 0.001 to the 0.999 quantile of loc + scale t_df and its density, read-only."""
-    lo = dist_quantile(student_t(df), 0.001)
-    hi = dist_quantile(student_t(df), 0.999)
-    x = np.linspace(loc + scale * lo, loc + scale * hi, points)
-    pdf = _t_pdf(df, (x - loc) / scale) / scale
-    x.flags.writeable = pdf.flags.writeable = False
-    return x, pdf
+def _overlay(quantiles, pdf, points: int) -> tuple:
+    """``points`` grid from a law's 0.001 to its 0.999 quantile, ``quantiles``,
+    and the law's density ``pdf`` on it, both read-only."""
+    x = np.linspace(*quantiles, points)
+    y = pdf(x)
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
-def _law_overlay(law, points: int) -> tuple:
-    """Grid from the 0.001 to the 0.999 quantile of the beta_p ``law`` and its density, read-only."""
-    x = np.linspace(*partial_sketching_quantile(law, [0.001, 0.999]), points)
-    pdf = partial_sketching_pdf(law, x)
-    x.flags.writeable = pdf.flags.writeable = False
-    return x, pdf
+def _pivot_nulls(cfg: SimConfig) -> list:
+    """The null laws t_{k-p} of the complete marginal t and t_{k-p+1} of the
+    partial zero-null t, each as its critical value at level 1 - alpha, its
+    0.001 and 0.999 quantiles and its reference (CDF, overlay)."""
+    nulls = []
+    for df in (cfg.k - cfg.p, cfg.k - cfg.p + 1):
+        law = student_t(df)
+        crit, *q = (dist_quantile(law, a) for a in (1.0 - cfg.alpha / 2.0, 0.001, 0.999))
+        nulls.append((crit, q, (functools.partial(dist_cdf, law),
+                                _overlay(q, functools.partial(_t_pdf, df), cfg.overlay_points))))
+    return nulls
 
 
-def _table(name: str, kind: SketchKind, samples: np.ndarray, cdf=None,
-           overlay=(None, None), **fields) -> ResultTable:
+def _table(name: str, kind: SketchKind, samples: np.ndarray, reference=None,
+           **fields) -> ResultTable:
     """Histogrammed table of ``samples`` (one empty bin [0, 1] when there are
-    none), with its KS distance to ``cdf`` when given."""
-    t = ResultTable(name, kind.value, samples, overlay_x=overlay[0], overlay_pdf=overlay[1],
+    none), with the overlay of and KS distance to ``reference`` (CDF, overlay)."""
+    cdf, (x, pdf) = reference or (None, (None, None))
+    t = ResultTable(name, kind.value, samples, overlay_x=x, overlay_pdf=pdf,
                     bin_edges=np.array([0.0, 1.0]), counts=np.array([0]), **fields)
     if cdf is not None and samples.size >= 2:
         t.ks_statistic, t.ks_p = ks_statistic(samples, cdf)
@@ -356,30 +363,21 @@ def _table(name: str, kind: SketchKind, samples: np.ndarray, cdf=None,
     return t
 
 
-def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray) -> list:
+def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray, nulls: list) -> list:
     """One kind's pivot_complete_null[j] and pivot_partial_zero[j] tables per
     target j, each pair with the coverage of the level 1 - alpha interval that
     inverts the complete pivot, decided at the same critical value as its
-    rejections.  ``cols`` holds the kind's replicate columns (see _replicate).
-
-    The null laws are t_{k-p} for the complete marginal t and t_{k-p+1} for
-    the partial zero-null t; their critical values and overlays are computed
-    once and shared by the targets.
+    rejections.  ``cols`` holds the kind's replicate columns (see _replicate),
+    ``nulls`` the null laws as _pivot_nulls gives them.
     """
-    df = cfg.k - cfg.p
-    tq_complete = dist_quantile(student_t(df), 1.0 - cfg.alpha / 2.0)
-    tq_partial = dist_quantile(student_t(df + 1), 1.0 - cfg.alpha / 2.0)
-    overlay_complete = _t_overlay(df, cfg.overlay_points)
-    overlay_partial = _t_overlay(df + 1, cfg.overlay_points)
+    (tq_complete, _, complete), (tq_partial, _, partial) = nulls
     out = []
     for j, (null_stat, se, beta_s, _, part_all) in zip(cfg.targets, _target_series(cfg, cols)):
         part_stat = part_all[~np.isnan(part_all)]
         n_negden = part_all.size - part_stat.size
-        tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat,
-                       lambda x: dist_cdf(student_t(df), x), overlay_complete,
+        tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat, complete,
                        rejection_rate=float(np.mean(np.abs(beta_s / se) > tq_complete)))
-        tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat,
-                       lambda x: dist_cdf(student_t(df + 1), x), overlay_partial,
+        tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat, partial,
                        n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
         if part_stat.size:
             tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
@@ -563,26 +561,26 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     gram_inv = np.linalg.inv(data.X.T @ data.X)
     partial_in = PartialInputs.of(data)
     eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
-    # the reference laws of beta_s and beta_p do not depend on the sketch
-    # kind: each target's laws and overlays are computed once
-    complete_overlay, partial_law, partial_overlay = {}, {}, {}
+    nulls = _pivot_nulls(cfg)
+    references = []  # no reference law depends on the sketch kind: each is built once
     for j in cfg.targets:
-        complete_overlay[j] = _t_overlay(eq_t.df, cfg.overlay_points, eq_t.location[j],
-                                         np.sqrt(eq_t.scale_matrix[j, j]))
-        partial_law[j] = partial_sketching_law(np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p)
-        partial_overlay[j] = _law_overlay(partial_law[j], cfg.overlay_points)
+        loc, sd = eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])  # beta_s[j] ~ loc + sd t
+        law = partial_sketching_law(np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p)
+        references.append((
+            (functools.partial(mvt_marginal_cdf, eq_t, j),
+             _overlay([loc + sd * q for q in nulls[1][1]],  # t_{k-p+1}'s, the partial null
+                      lambda x: _t_pdf(eq_t.df, (x - loc) / sd) / sd, cfg.overlay_points)),
+            (functools.partial(partial_sketching_cdf, law),
+             _overlay(partial_sketching_quantile(law, [0.001, 0.999]),
+                      functools.partial(partial_sketching_pdf, law), cfg.overlay_points))))
     per_kind, workers = _run(cfg, data, full.beta_F, partial_in, None)
     tables = []
     for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        for j, (_, _, bs, bp, _), (tnull, tpart, coverage) in zip(
-                cfg.targets, _target_series(cfg, cols), _pivot_tables(cfg, kind, cols)):
-            tables += [
-                _table(f"beta_s[{j}]", kind, bs, lambda x: mvt_marginal_cdf(eq_t, j, x),
-                       complete_overlay[j], coverage=coverage),
-                _table(f"beta_p[{j}]", kind, bp, lambda x: partial_sketching_cdf(partial_law[j], x),
-                       partial_overlay[j]),
-                tnull, tpart,
-            ]
+        for j, (_, _, bs, bp, _), (tnull, tpart, coverage), (ref_s, ref_p) in zip(
+                cfg.targets, _target_series(cfg, cols), _pivot_tables(cfg, kind, cols, nulls),
+                references):
+            tables += [_table(f"beta_s[{j}]", kind, bs, ref_s, coverage=coverage),
+                       _table(f"beta_p[{j}]", kind, bp, ref_p), tnull, tpart]
     return SimReport(config=cfg, tables=tables, beta_F=full.beta_F,
                      runtime_seconds=time.perf_counter() - t_start, workers=workers)
 
@@ -601,11 +599,12 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
         raise DomainError(f"config regime must be {Regime.REPEATED_SAMPLE.value}")
     t_start = time.perf_counter()
     data, truth = _make_dataset(cfg)
+    nulls = _pivot_nulls(cfg)
     per_kind, workers = _run(cfg, data, truth.beta_0, None, response_mean(data.X, truth))
     tables = []
     for kind, cols in zip(cfg.sketch_kinds, per_kind):
         tables += [_table("ssr_s", kind, cols[0]), _table("sigma2_hat", kind, cols[1])]
-        for tnull, tpart, coverage in _pivot_tables(cfg, kind, cols):
+        for tnull, tpart, coverage in _pivot_tables(cfg, kind, cols, nulls):
             tnull.coverage = coverage
             tables += [tnull, tpart]
     return SimReport(config=cfg, tables=tables, beta_F=None,

@@ -344,11 +344,10 @@ def _log_bessel_k_debye(nu: float, x: float) -> float:
 def log_bessel_k(nu: float, x: float) -> float:
     """log K_nu(x) for x > 0, robust across magnitudes.
 
-    Delegates to the exponentially scaled routine where the value is
-    representable; falls back to the small-argument form K_nu(x) ~
-    Gamma(nu)/2 (2/x)^nu and to the uniform large-order asymptotic
-    expansion where it is not.  A non-finite order or argument raises
-    ``NonFinite``.
+    The exponentially scaled routine where its value is representable; past
+    it, the uniform large-order (Debye) expansion for nu >= 15 and the
+    small-argument form K_nu(x) ~ Gamma(nu)/2 (2/x)^nu below.  A non-finite
+    order or argument raises ``NonFinite``.
     """
     nu = abs(float(nu))
     x = float(x)
@@ -356,15 +355,11 @@ def log_bessel_k(nu: float, x: float) -> float:
         raise NonFinite(f"log K_nu needs a finite order and argument, got nu={nu}, x={x}")
     if x <= 0.0:
         raise DomainError(f"K_nu requires x > 0, got x={x}")
-    # small-argument regime: x^2 negligible against the order
-    if nu >= 1.0 and x * x <= 1e-14 * (4.0 * max(nu - 1.0, 1.0)):
-        return math.log(0.5) + special.gammaln(nu) + nu * math.log(2.0 / x)
     v = special.kve(nu, x)
     if np.isfinite(v) and v > 0.0:
         return math.log(v) - x
     if nu >= 15.0:
         return _log_bessel_k_debye(nu, x)
-    # remaining corner: tiny x with small order
     if nu > 0.0:
         return math.log(0.5) + special.gammaln(nu) + nu * math.log(2.0 / x)
     raise ConvergenceError(f"log K_nu out of range for nu={nu}, x={x}")
@@ -373,17 +368,10 @@ def log_bessel_k(nu: float, x: float) -> float:
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    The symmetry K_nu = K_{-nu} is applied structurally.  Raises
-    ``OverflowSignal`` when the value exceeds double precision; use
-    ``log_bessel_k`` in that regime.
+    ``exp(log_bessel_k(nu, x))``, so K_nu = K_{-nu} holds structurally.
+    Raises ``OverflowSignal`` beyond double precision; use ``log_bessel_k``
+    there.
     """
-    nu = abs(float(nu))
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"K_nu requires x > 0, got x={x}")
-    v = special.kv(nu, x)
-    if np.isfinite(v):
-        return float(v)
     lv = log_bessel_k(nu, x)
     if lv > _LOG_DBL_MAX:
         raise OverflowSignal(f"K_{nu}({x}) overflows double precision; use log_bessel_k")

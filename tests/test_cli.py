@@ -476,7 +476,7 @@ class TestSimulate:
                   ("rep_draws", 2000.0), ("overlay_points", 16.0), ("targets", [0.5]),
                   ("n", True), ("m", True), ("k", False), ("targets", [True]),
                   ("rep_draws", -1), ("overlay_points", -3), ("m", 0), ("n", -5),
-                  ("root_seed", -1)]
+                  ("root_seed", -1), ("p", 0)]
 
     @pytest.mark.parametrize("field,value", BAD_FIELDS)
     def test_bad_count_exit_2(self, tmp_path, capsys, field, value):
@@ -530,6 +530,23 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: invalid simulation config: {message}\n"
+
+    # an empty list ran and reported no table; a repeated one wrote 16
+    # tables to report.json and 4 CSV files, each later one over the earlier
+    @pytest.mark.parametrize("field,value", [("sketch_kinds", []), ("targets", []),
+                                             ("sketch_kinds", ["gaussian", "gaussian"]),
+                                             ("targets", [0, 0])])
+    def test_empty_or_repeated_list_exit_2(self, tmp_path, capsys, field, value):
+        cfg = {"n": 300, "p": 3, "k": 21, "m": 2, "beta0": [1.0, 0.0, -1.0], "sigma2": 1.0,
+               "sketch_kinds": ["gaussian"], "targets": [0], "root_seed": 5, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg_path), "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: invalid simulation config: {field} must be a "
+                                           f"nonempty list of distinct values, got {value!r}\n")
+        assert not out_dir.exists()
 
     def test_rep_draws_zero_runs(self, tmp_path):
         # rep_draws is accepted and read by nothing: the beta_p reference law is exact

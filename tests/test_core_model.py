@@ -1,5 +1,6 @@
 """Full-data fit and response simulation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -193,6 +194,21 @@ class TestFitFull:
             y = simulate_response(X, truth, seed=1000 + i)
             draws[i] = fit_full(DataSet(X=X, y=y)).SSR_F / truth.sigma2
         assert ks_distance(draws, lambda x: stats.chi2.cdf(x, n - p)) < 0.02
+
+
+class TestModelTruth:
+    # NaN and inf were accepted (the responses came out NaN or inf), and a
+    # string or None raised a bare TypeError
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf, -1.0, "1", None, True,
+                                        np.array([1.0])])
+    def test_sigma2_must_be_finite_real_at_least_zero(self, sigma2):
+        with pytest.raises(DomainError, match="^sigma2 must be a finite real >= 0, got "):
+            ModelTruth(beta_0=np.zeros(2), sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0, 0.0, 2, np.float32(1.5), np.int64(3)])
+    def test_sigma2_reals_accepted_as_float(self, sigma2):
+        truth = ModelTruth(beta_0=np.zeros(2), sigma2=sigma2)
+        assert type(truth.sigma2) is float and truth.sigma2 == float(sigma2)
 
 
 class TestSimulateResponse:

@@ -428,6 +428,21 @@ class TestMcCalibrated:
             rejections += res.p_value < 0.01
         assert rejections >= 18
 
+    # each raised the ratio-beta law's "phi > 0" message, numpy's bare
+    # ValueError, or (singular) returned a p-value
+    @pytest.mark.parametrize("gram,error,message", [
+        (-np.eye(3), DomainError, "Gram matrix: matrix must be positive definite"),
+        (np.diag([1.0, 1.0, 0.0]), DomainError, "Gram matrix: matrix must be positive definite"),
+        (np.full((3, 3), np.nan), NonFinite, "Gram matrix: matrix contains NaN"),
+        (np.eye(2), DomainError, r"Gram matrix must be 3 x 3, got shape \(2, 2\)"),
+        (np.ones(9), DomainError, r"Gram matrix must be 3 x 3, got shape \(9,\)"),
+    ])
+    def test_gram_checked(self, gram, error, message):
+        data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
+        fit = fit_complete(_gauss(data, 10, 6))
+        with pytest.raises(error, match=f"^{message}"):
+            complete_sampling_joint_test(fit, gram, 100, 10, 3, fit.beta)
+
     @staticmethod
     def _test_at(n, k, p):
         """The joint test of one Gaussian sketch of a seeded n x p dataset, as

@@ -20,6 +20,7 @@ from sketch_infer.densities import (
     partial_sketching_cdf,
     partial_sketching_law,
     partial_sketching_pdf,
+    partial_sketching_quantile,
 )
 from sketch_infer.errors import (
     DegenerateSSR,
@@ -110,7 +111,9 @@ class TestTOverlay:
 
     @staticmethod
     def _check(df, loc=0.0, scale=1.0):
-        x, pdf = sim_study._t_overlay(df, 512, loc, scale)
+        q = [loc + scale * dist_quantile(student_t(df), a) for a in (0.001, 0.999)]
+        x, pdf = sim_study._overlay(q, lambda v: sim_study._t_pdf(df, (v - loc) / scale) / scale,
+                                    512)
         np.testing.assert_array_equal(pdf, stats.t.pdf(x, df, loc=loc, scale=scale))
         assert not (x.flags.writeable or pdf.flags.writeable)
 
@@ -168,6 +171,22 @@ class TestConfig:
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} "):
             dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("sketch_kinds", []), ("targets", []), ("sketch_kinds", ["gaussian", "gaussian"]),
+        ("sketch_kinds", ["hadamard", SketchKind.HADAMARD]), ("targets", [2, 0, 2]),
+        ("targets", (np.int64(0), 0)),
+    ])
+    def test_empty_or_repeated_list_names_its_field(self, field, value):
+        # an empty list ran and reported nothing; a repeated one wrote each
+        # later table's CSV over the earlier one's
+        with pytest.raises(DomainError, match=f"^{field} must be a nonempty list of distinct "):
+            dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), **{field: value})
+
+    def test_p_at_least_one(self):
+        # p = 0 passed every check and failed building the dataset's intercept
+        with pytest.raises(DomainError, match="^p must be >= 1, got 0$"):
+            dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), p=0, beta0=[], targets=[0])
 
     def test_generators_are_read_once(self):
         # each was checked by one pass and then read empty by the next
@@ -235,6 +254,12 @@ def _partial_law(cfg, j):
                                  np.linalg.inv(data.X.T @ data.X), cfg.k, cfg.p)
 
 
+def _partial_overlay(law, points):
+    """The beta_p overlay: the one overlay rule on the exact law."""
+    return sim_study._overlay(partial_sketching_quantile(law, [0.001, 0.999]),
+                              lambda v: partial_sketching_pdf(law, v), points)
+
+
 def _plain_table(t):
     return json.dumps(t.to_jsonable(), sort_keys=True), t.samples.tobytes()
 
@@ -244,7 +269,7 @@ class TestPartialOverlay:
 
     def test_paper_design_reference(self):
         law = _partial_law(paper_config(Regime.REPEATED_SKETCH, m=1), 5)
-        x, pdf = sim_study._law_overlay(law, 512)
+        x, pdf = _partial_overlay(law, 512)
         assert x.size == 512 and not (x.flags.writeable or pdf.flags.writeable)
         np.testing.assert_allclose(partial_sketching_cdf(law, x[[0, -1]]), [0.001, 0.999],
                                    rtol=0, atol=1e-13)
@@ -286,7 +311,7 @@ class TestPartialOverlay:
         assert calls == list(cfg.targets)
         for j in cfg.targets:
             law = _partial_law(cfg, j)
-            x, pdf = sim_study._law_overlay(law, cfg.overlay_points)
+            x, pdf = _partial_overlay(law, cfg.overlay_points)
             for kind in cfg.sketch_kinds:
                 t = rep.table(f"beta_p[{j}]", kind)
                 np.testing.assert_array_equal(t.overlay_x, x)
@@ -294,6 +319,36 @@ class TestPartialOverlay:
                 # the KS test is against the exact law, not reference draws
                 assert (t.ks_statistic, t.ks_p) == ks_statistic(
                     t.samples, lambda v: partial_sketching_cdf(law, v))
+
+
+class TestReferencesOncePerRun:
+    """Every table's reference and both t critical values are built once per
+    run: the counts do not grow with the number of sketch kinds."""
+
+    @pytest.mark.parametrize("kinds", [(SketchKind.GAUSSIAN,), tuple(SketchKind)],
+                             ids=["one_kind", "three_kinds"])
+    @pytest.mark.parametrize("regime,overlays", [(Regime.REPEATED_SKETCH, 2 + 2),
+                                                 (Regime.REPEATED_SAMPLE, 2)],
+                             ids=["sketching", "sampling"])
+    def test_counts(self, monkeypatch, regime, overlays, kinds):
+        # t densities: the two pivot nulls' overlays, and under repeated
+        # sketching each target's beta_s overlay (targets 0 and 2); t
+        # quantiles: each null's critical value, 0.001 and 0.999 quantiles
+        calls = {"_t_pdf": 0, "dist_quantile": 0}
+
+        def counting(name):
+            real = getattr(sim_study, name)
+
+            def fn(*args):
+                calls[name] += 1
+                return real(*args)
+            return fn
+
+        for name in calls:
+            monkeypatch.setattr(sim_study, name, counting(name))
+        run = run_repeated_sketching if regime is Regime.REPEATED_SKETCH else run_repeated_sampling
+        run(_small_cfg(regime, m=10, kinds=kinds))
+        assert calls == {"_t_pdf": overlays, "dist_quantile": 6}
 
 
 class TestRepeatedSampling:
