@@ -4,7 +4,6 @@ from .core_model import DataSet, FullFit, ModelTruth, fit_full, simulate_respons
 from .densities import (
     HLawParams,
     MultivariateTParams,
-    complete_sampling_approx_t,
     complete_sampling_pdf,
     complete_sketching_t_params,
     h_law_pdf,

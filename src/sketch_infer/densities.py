@@ -1,7 +1,8 @@
 """Sampling laws of the sketched estimators and the nonstandard densities behind them.
 
-Everything here is evaluated in log space and exponentiated last: the
-normalizing constants mix gamma functions, Bessel functions and powers whose
+Everything here is evaluated in log space and exponentiated last, by
+``special_fn._exp`` (OverflowSignal past double precision): the normalizing
+constants mix gamma functions, Bessel functions and powers whose
 intermediate magnitudes overflow double precision at realistic (n, k).
 
 Conventions fixed by Monte-Carlo calibration (each is exercised by the test
@@ -38,6 +39,7 @@ from .special_fn import (
     _HALF_RULE_GAP,
     _beta_rule,
     _chi2_rule,
+    _exp,
     _t_tail_rule,
     _log_laplace_integral,
     _rule_mean,
@@ -88,6 +90,34 @@ def _spd_factor(matrix) -> tuple:
     return _cholesky(A.tobytes(), A.shape)
 
 
+def _gram_factor(gram, p: int) -> tuple:
+    """(gram, its ``_spd_factor``): the one check of a Gram matrix X'X, p x p and
+    positive definite (DomainError, or NonFinite for a NaN or inf, naming it)."""
+    gram = np.asarray(gram, dtype=float)
+    if gram.shape != (p, p):
+        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {gram.shape}")
+    try:
+        return gram, _spd_factor(gram)
+    except (DomainError, NonFinite) as exc:
+        raise type(exc)(f"Gram matrix: {exc}") from exc
+
+
+def _vector(v, p: int, what: str) -> np.ndarray:
+    """``v`` as a float vector, checked to hold p values (DomainError naming ``what``)."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size != p:
+        raise DomainError(f"{what} has length {v.size}, expected {p}")
+    return v
+
+
+def _check_truth(truth: ModelTruth, p: int) -> None:
+    """The one check of a sampling law's truth: beta_0 of length p, sigma2 > 0."""
+    if truth.beta_0.size != p:  # a vector already: ModelTruth makes it one
+        raise DomainError(f"beta_0 has length {truth.beta_0.size}, expected {p}")
+    if truth.sigma2 <= 0:
+        raise DomainError("a sampling law requires sigma2 > 0")
+
+
 # ---------------------------------------------------------------------------
 # multivariate t
 # ---------------------------------------------------------------------------
@@ -103,10 +133,12 @@ class MultivariateTParams:
     def __post_init__(self):
         loc = np.asarray(self.location, dtype=float).reshape(-1)
         S = np.asarray(self.scale_matrix, dtype=float)
-        if self.df <= 0:
-            raise DomainError("df must be positive")
+        if not 0 < self.df < math.inf:  # NaN fails both
+            raise DomainError(f"df must be finite and positive, got {self.df}")
         if S.shape != (loc.size, loc.size):
             raise DomainError("scale matrix shape inconsistent with location")
+        if not (np.isfinite(loc).all() and np.isfinite(S).all()):
+            raise NonFinite("location and scale matrix must be finite")
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "scale_matrix", S)
 
@@ -118,7 +150,7 @@ class MultivariateTParams:
 def mvt_logpdf(params: MultivariateTParams, b) -> float:
     p = params.dim
     nu = params.df
-    d = np.asarray(b, dtype=float).reshape(-1) - params.location
+    d = _vector(b, p, "b") - params.location
     L, logdet = _spd_factor(params.scale_matrix)
     w = _solve_triangular(L, d, lower=True)
     q = float(w @ w)
@@ -133,11 +165,13 @@ def mvt_logpdf(params: MultivariateTParams, b) -> float:
 
 def mvt_pdf(params: MultivariateTParams, b) -> float:
     """Multivariate t density at b."""
-    return math.exp(mvt_logpdf(params, b))
+    return _exp(mvt_logpdf(params, b), "mvt_logpdf")
 
 
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
+    if not 0 <= j < params.dim:
+        raise DomainError(f"coordinate index {j} outside [0, {params.dim})")
     sd = math.sqrt(params.scale_matrix[j, j])
     return dist_cdf(student_t(params.df), (np.asarray(x, dtype=float) - params.location[j]) / sd)
 
@@ -190,12 +224,11 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
 
 
 def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
-    if truth.sigma2 <= 0:
-        raise DomainError("sampling density requires sigma2 > 0")
+    _check_truth(truth, p)
     if n <= p or k <= p - 1:
         raise DomainError(f"requires n > p and k > p - 1 (got n={n}, k={k}, p={p})")
-    gram = np.asarray(gram, dtype=float)
-    d = np.asarray(b, dtype=float).reshape(-1) - truth.beta_0
+    gram, (_, logdet) = _gram_factor(gram, p)
+    d = _vector(b, p, "b") - truth.beta_0
     # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
     # numpy's warning for it is silenced so NonFinite alone reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,10 +237,9 @@ def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int)
         raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
-    logdet = _spd_factor(gram)[1] - p * math.log(truth.sigma2)  # of gram / sigma2
     log_const = (
         -(p / 2.0) * _LOG_2PI
-        + 0.5 * logdet
+        + 0.5 * (logdet - p * math.log(truth.sigma2))  # log det of gram / sigma2
         + special.gammaln(a + e)
         + special.gammaln(a + p / 2.0)
         - special.gammaln(a)
@@ -223,24 +255,7 @@ def complete_sampling_pdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) ->
     with Kummer-M kernel M((k+1)/2, (n+k-p+1)/2, -q/2) where q is the
     gram-weighted squared distance over sigma^2.
     """
-    return math.exp(complete_sampling_logpdf(b, truth, gram, n, k, p))
-
-
-def complete_sampling_approx_t(n: int, k: int, p: int, truth: ModelTruth, gram) -> MultivariateTParams:
-    """Large-n t approximation: t_p(k-p+1, beta_0, sigma^2 (n-p)/(k-p+1) (X'X)^{-1}).
-
-    (X'X)^{-1} = L^{-T} L^{-1} from the Cholesky factor of ``gram``, which
-    must be positive definite (DomainError; NonFinite for a NaN or infinite
-    entry).
-    """
-    df = k - p + 1
-    if df <= 0:
-        raise DomainError("requires k >= p")
-    L = _spd_factor(gram)[0]
-    L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    gram_inv = L_inv.T @ L_inv
-    scale = truth.sigma2 * (n - p) / df
-    return MultivariateTParams(df=df, location=truth.beta_0, scale_matrix=scale * gram_inv)
+    return _exp(complete_sampling_logpdf(b, truth, gram, n, k, p), "complete_sampling_logpdf")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +295,7 @@ def h_law_pdf(u: float, params: HLawParams) -> float:
     Moments: E[U^m] = 2^{2m} Gamma(m+alpha) Gamma(lam+m) / (Gamma(alpha) Gamma(lam)),
     so in particular E[U] = 4 alpha lam.
     """
-    return math.exp(h_law_logpdf(u, params))
+    return _exp(h_law_logpdf(u, params), "h_law_logpdf")
 
 
 def ssr_s_law_params(n: int, k: int, p: int) -> HLawParams:
@@ -302,7 +317,7 @@ def ssr_s_law_pdf(u: float, n: int, k: int, p: int) -> float:
     alpha = (k-p)/2, lam = (n-p)/2.  Mean (k-p)(n-p), consistent with the
     unbiased variance estimator SSR_s k / ((n-p)(k-p)).
     """
-    return math.exp(ssr_s_law_logpdf(u, n, k, p))
+    return _exp(ssr_s_law_logpdf(u, n, k, p), "ssr_s_law_logpdf")
 
 
 def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
@@ -331,7 +346,7 @@ def ratio_law_pdf(r: float, phi: float, params: HLawParams) -> float:
     lam from the lower tail of U, which pins the power (the density
     normalizes under no other exponent).
     """
-    return math.exp(ratio_law_logpdf(r, phi, params))
+    return _exp(ratio_law_logpdf(r, phi, params), "ratio_law_logpdf")
 
 
 def _ratio_beta(r_grid, phi: float, kappa: float, beta_param: float, params: HLawParams,
@@ -407,10 +422,9 @@ def _check_direction(m_vec: np.ndarray, ref: np.ndarray, what: str) -> None:
 def _partial_sketching_rep_terms(m_vec, fullfit: FullFit, gram_inv, k: int, p: int) -> tuple:
     """(loc, c) of the representation (loc + c T) / R of m' beta_p over
     repeated sketches (see sample_partial_sketching_rep)."""
-    m_vec = np.asarray(m_vec, dtype=float).reshape(-1)
-    gram_inv = np.asarray(gram_inv, dtype=float)
-    if m_vec.size != p or gram_inv.shape != (p, p):
-        raise DomainError("m and (X'X)^{-1} must match p")
+    m_vec, gram_inv = _vector(m_vec, p, "m"), np.asarray(gram_inv, dtype=float)
+    if gram_inv.shape != (p, p):
+        raise DomainError(f"(X'X)^-1 must be {p} x {p}, got shape {gram_inv.shape}")
     if k < p + 2:
         raise DomainError(f"representation requires k >= p + 2 (got k={k}, p={p})")
     xty = np.linalg.solve(gram_inv, fullfit.beta_F)
@@ -607,18 +621,15 @@ def sample_partial_sampling_rep(
     end-to-end Kolmogorov-Smirnov check by a wide margin (see tests).
     Requires p >= 2 and m not parallel to beta_0.
     """
-    m_vec = np.asarray(m_vec, dtype=float).reshape(-1)
-    gram = np.asarray(gram, dtype=float)
     if p < 2:
         raise DomainError("the orthogonal-component chi2_{p-1} term needs p >= 2")
-    if m_vec.size != p or gram.shape != (p, p):
-        raise DomainError("m and X'X must match p")
+    m_vec = _vector(m_vec, p, "m")
     if k < p + 2:
         raise DomainError(f"representation requires k >= p + 2 (got k={k}, p={p})")
-    if truth.sigma2 <= 0:
-        raise DomainError("requires sigma2 > 0")
+    _check_truth(truth, p)
+    gram, (L, _) = _gram_factor(gram, p)
     _check_direction(m_vec, truth.beta_0, "beta_0")
-    w = _solve_triangular(_spd_factor(gram)[0], m_vec, lower=True)
+    w = _solve_triangular(L, m_vec, lower=True)
     tau = float(w @ w)
     mb0 = float(m_vec @ truth.beta_0)
     ncp = (float(truth.beta_0 @ gram @ truth.beta_0) - mb0 * mb0 / tau) / truth.sigma2
@@ -638,17 +649,13 @@ def sample_partial_sampling_rep(
 # ---------------------------------------------------------------------------
 
 def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
-    if truth.sigma2 <= 0:
-        raise DomainError("requires sigma2 > 0")
+    _check_truth(truth, p)
     if k <= p + 1:
         raise DomainError(f"gamma adjustment requires k > p + 1 (got k={k}, p={p})")
-    gram = np.asarray(gram, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.size != p or gram.shape != (p, p):
-        raise DomainError("b and X'X must match p")
+    gram, (_, logdet) = _gram_factor(gram, p)
+    b = _vector(b, p, "b")
     gamma = (k - p - 1) / k
     eta = gamma * truth.sigma2
-    logdet = _spd_factor(gram)[1]
     with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
         bGb0 = float(b @ gram @ truth.beta_0)
         bGb = float(b @ gram @ b)
@@ -693,7 +700,7 @@ def partial_approx_pdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
     beta_0 = 0 it collapses exactly to a scaled t_k law; the Bessel factor is
     evaluated jointly with its power so that limit is hit without overflow.
     """
-    return math.exp(partial_approx_logpdf(b, truth, gram, k, p))
+    return _exp(partial_approx_logpdf(b, truth, gram, k, p), "partial_approx_logpdf")
 
 
 __all__ = [
@@ -704,7 +711,6 @@ __all__ = [
     "complete_sketching_t_params",
     "complete_sampling_pdf",
     "complete_sampling_logpdf",
-    "complete_sampling_approx_t",
     "HLawParams",
     "h_law_pdf",
     "h_law_logpdf",

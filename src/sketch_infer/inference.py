@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _solve_triangular
-from .densities import _check_direction, _ratio_beta, _spd_factor, ssr_s_law_params
+from .densities import _check_direction, _gram_factor, _ratio_beta, _vector, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -139,10 +139,7 @@ def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
 
 def _null_vector(fit: SketchFit, beta_hyp) -> np.ndarray:
     """``beta_hyp`` as a float vector, checked to hold one value per coefficient."""
-    hyp = np.asarray(beta_hyp, dtype=float).reshape(-1)
-    if hyp.shape != fit.beta.shape:
-        raise DomainError(f"beta_hyp has length {hyp.size}, expected {fit.beta.size}")
-    return hyp
+    return _vector(beta_hyp, fit.beta.size, "beta_hyp")
 
 
 def _roundoff_floor(k: int, total: float) -> float:
@@ -319,20 +316,14 @@ def complete_sampling_joint_test(
     k-p, n-p) of V/(U R) * (n-p)(k-p)/p, V ~ chi2_p, R ~ Beta((k-p+1)/2,
     (n-p)/2) and U the k SSR_s/sigma^2 law independent: (n-p)(k-p)/p times
     ``densities.ratio_beta_law_pdf``'s at phi = p/2.  The p-value is its upper tail.
-    ``gram`` (X'X) must be p x p and positive definite (DomainError; NonFinite
-    for a NaN or infinite entry).
+    The fit must have p coefficients, and ``gram`` (X'X) must be p x p and
+    positive definite (DomainError; NonFinite for a NaN or infinite entry).
     """
     _require_kind(fit, FitKind.COMPLETE, "joint sampling test")
     ssr = _require_ssr(fit, k)
-    if n <= p or k <= p:
-        raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (p, p):
-        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {gram.shape}")
-    try:
-        _spd_factor(gram)
-    except (DomainError, NonFinite) as exc:
-        raise type(exc)(f"Gram matrix: {exc}") from exc
+    if fit.beta.size != p:
+        raise DomainError(f"the fit has {fit.beta.size} coefficients, expected p = {p}")
+    gram = _gram_factor(gram, p)[0]
     d = fit.beta - _null_vector(fit, beta_hyp)
     obs = (float(d @ gram @ d) / p) / sigma2_hat_complete(ssr, n, k, p)
     p_val = _ratio_beta([obs * p / ((n - p) * (k - p))], p / 2.0, (k - p + 1) / 2.0,
@@ -379,9 +370,7 @@ def partial_t_statistic(
     if fit.SSM_p is None or fit.gamma is None:
         raise DomainError("partial fit is missing SSM_p/gamma")
     k, p = sk.spec.k, sk.p
-    m_vec = np.asarray(m_vec, dtype=float).reshape(-1)
-    if m_vec.size != p:
-        raise DomainError(f"m has length {m_vec.size}, expected {p}")
+    m_vec = _vector(m_vec, p, "m")
     extra = (sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
              if regime is Regime.REPEATED_SAMPLE else 0.0)
     R = fit.gram_s_factor

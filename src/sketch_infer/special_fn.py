@@ -40,6 +40,14 @@ __all__ = [
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)  # ~709.78
 
+
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value) of the log form ``what``: the one exit from log space."""
+    if log_value > _LOG_DBL_MAX:
+        raise OverflowSignal(f"exp({what}) = exp({log_value:.6g}) overflows double precision")
+    return math.exp(log_value)
+
+
 # ---------------------------------------------------------------------------
 # Kummer M (confluent hypergeometric function of the first kind)
 # ---------------------------------------------------------------------------
@@ -313,10 +321,7 @@ def kummer_u(a: float, b: float, z: float) -> float:
     Shares ``log_kummer_u``'s domain: verified for a >= 0.5; below that a
     narrow peak can raise ``ConvergenceError``.
     """
-    lv = log_kummer_u(a, b, z)
-    if lv > _LOG_DBL_MAX:
-        raise OverflowSignal("U(a, b, z) overflows; use log_kummer_u")
-    return math.exp(lv)
+    return _exp(log_kummer_u(a, b, z), "log_kummer_u")
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +377,7 @@ def bessel_k(nu: float, x: float) -> float:
     Raises ``OverflowSignal`` beyond double precision; use ``log_bessel_k``
     there.
     """
-    lv = log_bessel_k(nu, x)
-    if lv > _LOG_DBL_MAX:
-        raise OverflowSignal(f"K_{nu}({x}) overflows double precision; use log_bessel_k")
-    return math.exp(lv)
+    return _exp(log_bessel_k(nu, x), "log_bessel_k")
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +386,16 @@ def bessel_k(nu: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class Law:
-    """Tag of a classical distribution, e.g. Law('chi2', (10.0,)); parameters must be > 0."""
+    """Tag of a classical distribution, e.g. Law('chi2', (10.0,)); parameters
+    must be finite and > 0."""
 
     name: str
     params: tuple
 
     def __post_init__(self):
-        if any(p <= 0 for p in self.params):
-            raise DomainError(f"{self.name} requires positive parameters, got {self.params}")
+        if not all(0 < p < math.inf for p in self.params):  # NaN fails both
+            raise DomainError(f"{self.name} requires positive parameters, each finite, "
+                              f"got {self.params}")
 
     def __str__(self):
         # integral parameters print exactly: :g would round t(1234567) to t(1.23457e+06)

@@ -16,7 +16,6 @@ from sketch_infer.densities import (
     _cholesky,
     _log_m_neg_laplace,
     _spd_factor,
-    complete_sampling_approx_t,
     complete_sampling_pdf,
     complete_sketching_t_params,
     h_law_pdf,
@@ -35,8 +34,15 @@ from sketch_infer.densities import (
     ssr_s_law_params,
     ssr_s_law_pdf,
 )
-from sketch_infer.errors import AssumptionViolated, ConvergenceError, DomainError, NonFinite
+from sketch_infer.errors import (
+    AssumptionViolated,
+    ConvergenceError,
+    DomainError,
+    NonFinite,
+    OverflowSignal,
+)
 from sketch_infer.estimators import PartialInputs, fit_complete, fit_partial
+from sketch_infer.inference import complete_sampling_joint_test
 from sketch_infer.sketch_ops import SketchKind, SketchSpec, apply_gaussian, derive_seed
 
 from conftest import ecdf_callable, h_law_sample, ks_distance, make_dataset
@@ -140,34 +146,6 @@ class TestCompleteSamplingDensity:
         V = rng.chisquare(n - p, 10_000)
         w = U / (U + V)
         assert ks_distance(w, lambda x: stats.beta.cdf(x, (k - p + 1) / 2, (n - p) / 2)) < 0.02
-
-    def test_approximate_t_parameters(self):
-        params = complete_sampling_approx_t(10_000, 21, 11, ModelTruth(
-            beta_0=np.zeros(11), sigma2=1.0), np.eye(11))
-        assert params.df == 11
-        assert params.scale_matrix[0, 0] == pytest.approx((10_000 - 11) / 11.0)
-
-    def test_approximation_close_for_large_n(self):
-        n, k, p = 10_000, 21, 1
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((n, 1))
-        gram = X.T @ X
-        truth = ModelTruth(beta_0=np.array([0.4]), sigma2=1.0)
-        exact = complete_sampling_pdf(truth.beta_0, truth, gram, n, k, p)
-        approx = mvt_pdf(complete_sampling_approx_t(n, k, p, truth, gram), truth.beta_0)
-        assert abs(exact - approx) / exact < 0.01
-
-    @pytest.mark.parametrize("gram,error", [
-        (np.array([[1.0, 2.0], [2.0, 4.0]]), DomainError),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFinite),
-        (np.diag([1.0, -1.0]), DomainError),
-    ], ids=["singular", "nan", "indefinite"])
-    def test_approximate_t_needs_positive_definite_gram(self, gram, error):
-        truth = ModelTruth(beta_0=np.zeros(2), sigma2=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(error):
-                complete_sampling_approx_t(100, 10, 2, truth, gram)
 
 
 # (a, c) = ((k+1)/2, (n-p)/2) of the benchmark's three laws-grid designs
@@ -802,6 +780,111 @@ class TestSpdFactorCache:
         for i in range(3 * bound):
             _spd_factor((i + 1.0) * np.eye(3))
             assert _cholesky.cache_info().currsize <= bound
+
+
+# each exp-of-log wrapper at an argument past double precision: mvt_pdf,
+# complete_sampling_pdf and partial_approx_pdf raised a bare OverflowError
+# there.  ssr_s_law_pdf and ratio_law_pdf stay below it at every
+# representable argument, so their log forms are patched to a value above it.
+_TINY_TRUTH = ModelTruth(beta_0=np.zeros(11), sigma2=1e-70)
+
+
+@pytest.mark.parametrize("wrapper,args,log_form", [
+    (special_fn.kummer_u, (1.0, 100.0, 1e-10), None),
+    (special_fn.bessel_k, (200.0, 1e-6), None),
+    (mvt_pdf, (MultivariateTParams(df=5.0, location=np.zeros(11),
+                                   scale_matrix=1e-70 * np.eye(11)), np.zeros(11)), None),
+    (complete_sampling_pdf, (np.zeros(11), _TINY_TRUTH, np.eye(11), 100, 21, 11), None),
+    (partial_approx_pdf, (np.zeros(11), _TINY_TRUTH, np.eye(11), 21, 11), None),
+    (h_law_pdf, (1e-320, HLawParams(alpha=0.01, lam=1.0)), None),
+    (ssr_s_law_pdf, (100.0, 200, 12, 3), "ssr_s_law_logpdf"),
+    (ratio_law_pdf, (1.0, 1.5, HLawParams(alpha=4.0, lam=6.0)), "ratio_law_logpdf"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_exp_of_log_wrappers_raise_overflow_signal(monkeypatch, wrapper, args, log_form):
+    if log_form is not None:
+        monkeypatch.setattr(densities, log_form, lambda *_: 710.0)
+    with pytest.raises(OverflowSignal, match="overflows double precision"):
+        wrapper(*args)
+
+
+def _joint_test(gram):
+    data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
+    fit = fit_complete(apply_gaussian(data, SketchSpec(kind=SketchKind.GAUSSIAN, k=10, seed=6)))
+    return complete_sampling_joint_test(fit, gram, 100, 10, 3, fit.beta)
+
+
+# every caller of the one Gram rule at p = 3; complete_sampling_pdf
+# returned a density for a 4 x 4 Gram matrix with p = 3
+_GRAM_CALLERS = {
+    "complete_sampling_pdf": lambda gram: complete_sampling_pdf(
+        np.zeros(3), ModelTruth(np.ones(3), 1.0), gram, 100, 10, 3),
+    "partial_approx_pdf": lambda gram: partial_approx_pdf(
+        np.zeros(3), ModelTruth(np.ones(3), 1.0), gram, 10, 3),
+    "sample_partial_sampling_rep": lambda gram: sample_partial_sampling_rep(
+        np.eye(3)[0], ModelTruth(np.ones(3), 1.0), gram, 10, 3, 10, seed=0),
+    "complete_sampling_joint_test": _joint_test,
+}
+
+
+@pytest.mark.parametrize("gram", [np.eye(2), 100.0 * np.eye(4), np.ones(9)], ids=["2x2", "4x4", "flat"])
+@pytest.mark.parametrize("caller", sorted(_GRAM_CALLERS))
+def test_gram_not_p_by_p_is_named(caller, gram):
+    with pytest.raises(DomainError, match=r"^Gram matrix must be 3 x 3, got shape \("):
+        _GRAM_CALLERS[caller](gram)
+
+
+class TestSamplingLawArguments:
+    """Each sampling law checks its truth, point and index against p, naming
+    the argument; each case raised numpy's bare ValueError or IndexError, or
+    (a length-1 beta_0 or b broadcast) returned a value."""
+
+    gram, truth = 100.0 * np.eye(3), ModelTruth(beta_0=np.ones(3), sigma2=1.0)
+    short = ModelTruth(beta_0=[1.0], sigma2=1.0)
+    mvt = MultivariateTParams(df=5.0, location=np.zeros(3), scale_matrix=np.eye(3))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda s: complete_sampling_pdf(np.zeros(3), s.short, s.gram, 100, 12, 3),
+         "beta_0 has length 1, expected 3"),
+        (lambda s: partial_approx_pdf(np.zeros(3), s.short, s.gram, 12, 3),
+         "beta_0 has length 1, expected 3"),
+        (lambda s: sample_partial_sampling_rep(np.eye(3)[0], s.short, s.gram, 12, 3, 10, seed=0),
+         "beta_0 has length 1, expected 3"),
+        (lambda s: complete_sampling_pdf(np.zeros(2), s.truth, s.gram, 100, 12, 3),
+         "b has length 2, expected 3"),
+        (lambda s: complete_sampling_pdf(np.zeros(1), s.truth, s.gram, 100, 12, 3),
+         "b has length 1, expected 3"),
+        (lambda s: mvt_pdf(s.mvt, np.zeros(4)), "b has length 4, expected 3"),
+        (lambda s: mvt_pdf(s.mvt, np.zeros(1)), "b has length 1, expected 3"),
+        (lambda s: mvt_marginal_cdf(s.mvt, 7, 0.0), r"coordinate index 7 outside \[0, 3\)"),
+        (lambda s: mvt_marginal_cdf(s.mvt, -1, 0.0), r"coordinate index -1 outside \[0, 3\)"),
+    ], ids=["complete-beta_0", "partial_approx-beta_0", "partial_rep-beta_0", "complete-b2",
+            "complete-b1", "mvt-b4", "mvt-b1", "marginal-j7", "marginal-j-1"])
+    def test_named(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call(self)
+
+    @pytest.mark.parametrize("law", ["complete_sampling_pdf", "partial_approx_pdf",
+                                     "sample_partial_sampling_rep"])
+    def test_zero_sigma2(self, law):
+        truth = ModelTruth(beta_0=np.ones(3), sigma2=0.0)
+        args = {"complete_sampling_pdf": (np.zeros(3), truth, self.gram, 100, 12, 3),
+                "partial_approx_pdf": (np.zeros(3), truth, self.gram, 12, 3),
+                "sample_partial_sampling_rep": (np.eye(3)[0], truth, self.gram, 12, 3, 10, 0)}
+        with pytest.raises(DomainError, match="requires sigma2 > 0"):
+            getattr(densities, law)(*args[law])
+
+
+class TestMultivariateTParameters:
+    @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0, -1.0])
+    def test_df_finite_and_positive(self, df):
+        with pytest.raises(DomainError, match="df must be finite and positive"):
+            MultivariateTParams(df=df, location=np.zeros(2), scale_matrix=np.eye(2))
+
+    @pytest.mark.parametrize("location,scale", [
+        ([0.0, math.nan], np.eye(2)), (np.zeros(2), np.diag([1.0, math.inf]))])
+    def test_location_and_scale_finite(self, location, scale):
+        with pytest.raises(NonFinite):
+            MultivariateTParams(df=5.0, location=location, scale_matrix=scale)
 
 
 class TestSketchingLawHelper:

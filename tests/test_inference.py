@@ -443,6 +443,13 @@ class TestMcCalibrated:
         with pytest.raises(error, match=f"^{message}"):
             complete_sampling_joint_test(fit, gram, 100, 10, 3, fit.beta)
 
+    def test_fit_checked_against_p(self):
+        # a 3-coefficient fit with p = 2 raised numpy's bare ValueError
+        data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
+        fit = fit_complete(_gauss(data, 10, 6))
+        with pytest.raises(DomainError, match="^the fit has 3 coefficients, expected p = 2$"):
+            complete_sampling_joint_test(fit, np.eye(2), 100, 10, 2, np.zeros(3))
+
     @staticmethod
     def _test_at(n, k, p):
         """The joint test of one Gaussian sketch of a seeded n x p dataset, as

@@ -365,7 +365,10 @@ class TestDistributions:
 
     @pytest.mark.parametrize("make", [lambda: chi2(0), lambda: student_t(-2), lambda: f_law(3, 0),
                                       lambda: f_law(-1, 3), lambda: beta_law(0, 2),
-                                      lambda: beta_law(2, -0.5), lambda: Law("t", (0.0,))])
+                                      lambda: beta_law(2, -0.5), lambda: Law("t", (0.0,)),
+                                      # a NaN passed: dist_cdf(student_t(nan), 0.5) was NaN
+                                      lambda: student_t(math.nan), lambda: chi2(math.inf),
+                                      lambda: f_law(3, math.nan), lambda: beta_law(math.inf, 2)])
     def test_nonpositive_parameter_rejected(self, make):
         with pytest.raises(DomainError, match="requires positive parameters"):
             make()
