@@ -34,19 +34,41 @@ def _check_rank(R: np.ndarray) -> None:
     |R_jj| is the norm of column j's part orthogonal to the columns before
     it, and ||R[:j+1, j]|| = ||X_j|| its whole norm, so their ratio is the
     sine of the angle between X_j and the earlier columns' span.  It does
-    not change when a column is rescaled; each must exceed RANK_TOL.
+    not change when a column is rescaled; each must exceed RANK_TOL.  R may
+    carry leading axes (a stack of factors): then the first failing factor
+    raises its own error.
     """
-    d = np.abs(np.diag(R))
+    d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     # hypot overflows only where the norm itself does, not where its square does
     with np.errstate(over="ignore"):
-        norms = np.hypot.reduce(R[:, :d.size], axis=0)
+        norms = np.hypot.reduce(R[..., :d.shape[-1]], axis=-2)
     # written so that a NaN fails the test too, as does a non-finite norm
-    if d.size == 0 or not (d > RANK_TOL * norms).all():
-        if not np.isfinite(norms).all():
-            raise NonFinite("the QR factorization overflowed: the matrix's entries are too large")
-        sines = np.divide(d, norms, out=np.zeros_like(d), where=norms > 0.0)
-        raise RankDeficient(f"matrix is numerically rank deficient (min_j |R_jj| / ||X_j|| = "
-                            f"{sines.min() if d.size else 0.0:.3e})")
+    if d.shape[-1] and (d > RANK_TOL * norms).all():
+        return
+    if R.ndim > 2:
+        _check_rank(R.reshape(-1, *R.shape[-2:])[_first(~(d > RANK_TOL * norms).all(axis=-1))])
+    if not np.isfinite(norms).all():
+        raise NonFinite("the QR factorization overflowed: the matrix's entries are too large")
+    sines = np.divide(d, norms, out=np.zeros_like(d), where=norms > 0.0)
+    raise RankDeficient(f"matrix is numerically rank deficient (min_j |R_jj| / ||X_j|| = "
+                        f"{sines.min() if d.size else 0.0:.3e})")
+
+
+def _first(flags) -> int:
+    """The flat index of the first true entry of ``flags``: the item of a
+    stack that reports the stack's failure."""
+    return int(np.argmax(np.reshape(flags, -1)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, per item of any leading axes: each a (1 x n)
+    by (n x 1) product, which numpy takes, like a lone a @ b, to one BLAS dot."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scalar(x):
+    """``x`` as a Python float where it has no axes, else as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _qr_full_rank(X: np.ndarray):
@@ -65,9 +87,26 @@ def _solve_triangular(T: np.ndarray, b: np.ndarray, *, lower: bool = False,
     and array-API dispatch, which cost several times the LAPACK call on the
     p x p systems of a fit.  dtrtrs expects Fortran order, so a C-ordered T
     is passed transposed with ``lower`` and ``trans`` flipped.
+
+    T may carry leading axes (a stack of systems), each solved by its own
+    dtrtrs call, so every item's x is the one its lone call gives; b then
+    carries the same leading axes, or is one vector shared by every system.
     """
     if not (np.isfinite(T).all() and np.isfinite(b).all()):
         raise NonFinite("triangular system contains NaN or infinite entries")
+    if T.ndim == 2:
+        return _dtrtrs(T, b, lower, trans)
+    lead = T.shape[:-2]
+    if b.ndim == 1:
+        b = np.broadcast_to(b, lead + b.shape)
+    x = np.empty(b.shape)
+    for i in np.ndindex(lead):
+        x[i] = _dtrtrs(T[i], b[i], lower, trans)
+    return x
+
+
+def _dtrtrs(T: np.ndarray, b: np.ndarray, lower: bool, trans: bool) -> np.ndarray:
+    """One triangular system of ``_solve_triangular``."""
     if T.flags.f_contiguous:
         x, info = dtrtrs(T, b, lower=lower, trans=trans)
     else:

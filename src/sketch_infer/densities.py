@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .core_model import FullFit, ModelTruth, _solve_triangular
+from .core_model import FullFit, ModelTruth, _dot, _solve_triangular
 from .errors import (
     AssumptionViolated,
     ConvergenceError,
@@ -108,6 +109,33 @@ def _vector(v, p: int, what: str) -> np.ndarray:
     if v.size != p:
         raise DomainError(f"{what} has length {v.size}, expected {p}")
     return v
+
+
+def _check_design(k, p, k_min: int, n=None, p_min: int = 1) -> None:
+    """The one check of a law's design sizes: n (where given), k and p finite
+    integers (an integral float is one), with n > p, k >= p + ``k_min`` and
+    p >= ``p_min``.  A DomainError names the size at fault.  Plain Python
+    comparisons only, as the densities run it once per point.
+    """
+    if not (type(k) is int and type(p) is int and (n is None or type(n) is int)):
+        for name, value in (("n", n), ("k", k), ("p", p)):
+            if value is not None and not (
+                    isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value == int(value)):
+                raise DomainError(f"{name} takes a finite integer, got {value!r}")
+    if p < p_min or k < p + k_min or (n is not None and n <= p):
+        if p < p_min:
+            raise DomainError(f"p must be at least {p_min}, got {p}")
+        if k < p + k_min:
+            raise DomainError(f"k must be at least p{f' + {k_min}' if k_min else ''} "
+                              f"(got k={k}, p={p})")
+        raise DomainError(f"n must exceed p (got n={n}, p={p})")
+
+
+def _check_count(count) -> None:
+    """The one check of a sampler's draw count: an integer >= 0 (DomainError naming it)."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise DomainError(f"count takes an integer >= 0, got {count!r}")
 
 
 def _check_truth(truth: ModelTruth, p: int) -> None:
@@ -224,9 +252,8 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
 
 
 def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
+    _check_design(k, p, 0, n)
     _check_truth(truth, p)
-    if n <= p or k <= p - 1:
-        raise DomainError(f"requires n > p and k > p - 1 (got n={n}, k={k}, p={p})")
     gram, (_, logdet) = _gram_factor(gram, p)
     d = _vector(b, p, "b") - truth.beta_0
     # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
@@ -299,8 +326,7 @@ def h_law_pdf(u: float, params: HLawParams) -> float:
 
 
 def ssr_s_law_params(n: int, k: int, p: int) -> HLawParams:
-    if n <= p or k <= p:
-        raise DomainError(f"requires n > p and k > p (got n={n}, k={k}, p={p})")
+    _check_design(k, p, 1, n)
     return HLawParams(alpha=(k - p) / 2.0, lam=(n - p) / 2.0)
 
 
@@ -402,16 +428,18 @@ def _check_direction(m_vec: np.ndarray, ref: np.ndarray, what: str) -> None:
     """Reject a zero contrast m, or one parallel to ``ref`` (named ``what``).
 
     Both vectors are divided by their largest magnitude before the cosine is
-    formed, so it cannot overflow, however large their entries.
+    formed, so it cannot overflow, however large their entries.  ``ref`` may
+    carry leading axes, a stack of vectors each checked as if alone; a zero
+    one is parallel to nothing.
     """
-    sm, sr = np.abs(m_vec).max(), np.abs(ref).max()
+    sm, sr = np.abs(m_vec).max(), np.abs(ref).max(axis=-1)
     if sm == 0.0:
         raise DomainError("contrast vector m must be nonzero")
-    if sr == 0.0:
-        return
-    u, v = m_vec / sm, ref / sr
-    cos = abs(float(u @ v)) / (np.hypot.reduce(u) * np.hypot.reduce(v))
-    if cos >= 1.0 - 1e-12:
+    zero = sr == 0.0
+    u, v = m_vec / sm, ref / np.where(zero, 1.0, sr)[..., None]
+    # a zero ref's cosine is 0 / (|u| 1): under the threshold
+    cos = np.abs(_dot(u, v)) / (np.hypot.reduce(u) * np.where(zero, 1.0, np.hypot.reduce(v, axis=-1)))
+    if (cos >= 1.0 - 1e-12).any():
         raise AssumptionViolated(
             f"m is (numerically) parallel to {what}: the contrast degenerates "
             "(for m = X^T y it equals SSM_p, an inverse-gamma variable, and the "
@@ -422,11 +450,10 @@ def _check_direction(m_vec: np.ndarray, ref: np.ndarray, what: str) -> None:
 def _partial_sketching_rep_terms(m_vec, fullfit: FullFit, gram_inv, k: int, p: int) -> tuple:
     """(loc, c) of the representation (loc + c T) / R of m' beta_p over
     repeated sketches (see sample_partial_sketching_rep)."""
+    _check_design(k, p, 2)
     m_vec, gram_inv = _vector(m_vec, p, "m"), np.asarray(gram_inv, dtype=float)
     if gram_inv.shape != (p, p):
         raise DomainError(f"(X'X)^-1 must be {p} x {p}, got shape {gram_inv.shape}")
-    if k < p + 2:
-        raise DomainError(f"representation requires k >= p + 2 (got k={k}, p={p})")
     xty = np.linalg.solve(gram_inv, fullfit.beta_F)
     _check_direction(m_vec, xty, "X^T y")
     loc = float(m_vec @ fullfit.beta_F)
@@ -448,6 +475,7 @@ def sample_partial_sketching_rep(
     tests.  Requires m not parallel to X^T y.  ``partial_sketching_law``
     gives the same law exactly.
     """
+    _check_count(count)
     loc, c = _partial_sketching_rep_terms(m_vec, fullfit, gram_inv, k, p)
     rng = np.random.default_rng(seed)
     t = rng.standard_t(k - p + 1, count)
@@ -621,11 +649,10 @@ def sample_partial_sampling_rep(
     end-to-end Kolmogorov-Smirnov check by a wide margin (see tests).
     Requires p >= 2 and m not parallel to beta_0.
     """
-    if p < 2:
-        raise DomainError("the orthogonal-component chi2_{p-1} term needs p >= 2")
+    _check_count(count)
+    # p >= 2 for the orthogonal-component chi2_{p-1} term
+    _check_design(k, p, 2, p_min=2)
     m_vec = _vector(m_vec, p, "m")
-    if k < p + 2:
-        raise DomainError(f"representation requires k >= p + 2 (got k={k}, p={p})")
     _check_truth(truth, p)
     gram, (L, _) = _gram_factor(gram, p)
     _check_direction(m_vec, truth.beta_0, "beta_0")
@@ -649,9 +676,8 @@ def sample_partial_sampling_rep(
 # ---------------------------------------------------------------------------
 
 def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
+    _check_design(k, p, 2)  # the gamma adjustment needs k > p + 1
     _check_truth(truth, p)
-    if k <= p + 1:
-        raise DomainError(f"gamma adjustment requires k > p + 1 (got k={k}, p={p})")
     gram, (_, logdet) = _gram_factor(gram, p)
     b = _vector(b, p, "b")
     gamma = (k - p - 1) / k

@@ -10,12 +10,11 @@ mean correction gamma = (k - p - 1)/k that makes it unbiased.  The whitened
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DataSet, _qr_full_rank, _solve_triangular
+from .core_model import DataSet, _dot, _first, _qr_full_rank, _scalar, _solve_triangular
 from .errors import (
     DomainError,
     GammaNonpositive,
@@ -41,7 +40,8 @@ class SketchFit:
     residual sum of squares; it is populated for the partial fit as well
     because the repeated-sampling partial test uses it as a variance proxy.
     ``yty_s`` = ||y_s||^2 is the scale that SSR_s is judged against when a
-    pivot checks it for degeneracy.
+    pivot checks it for degeneracy.  The fit of a stack of sketches holds
+    every array and sum with the stack's leading axes.
     """
 
     beta: np.ndarray
@@ -55,19 +55,24 @@ class SketchFit:
 
 @dataclass(frozen=True, eq=False)
 class PartialInputs:
-    """Single-pass full-data summaries available to the partial sketch."""
+    """Single-pass full-data summaries available to the partial sketch.
+
+    An array of yty stacks the summaries of as many responses, each with its
+    row of Xty.
+    """
 
     Xty: np.ndarray
     yty: float
 
     def __post_init__(self):
-        x = np.asarray(self.Xty, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.yty):
+        yty = np.asarray(self.yty, dtype=float)
+        x = np.asarray(self.Xty, dtype=float).reshape(*yty.shape, -1)
+        if not (np.isfinite(x).all() and np.isfinite(yty).all()):
             raise NonFinite("partial inputs contain NaN or infinite entries")
-        if self.yty < 0:
+        if (yty < 0).any():
             raise DomainError("y^T y must be nonnegative")
         object.__setattr__(self, "Xty", x)
-        object.__setattr__(self, "yty", float(self.yty))
+        object.__setattr__(self, "yty", _scalar(yty))
 
     @classmethod
     def of(cls, data: DataSet) -> PartialInputs:
@@ -76,6 +81,11 @@ class PartialInputs:
         with np.errstate(over="ignore", invalid="ignore"):
             xty, yty = data.X.T @ data.y, float(data.y @ data.y)
         return cls(Xty=xty, yty=yty)
+
+    @classmethod
+    def stack(cls, inputs) -> PartialInputs:
+        """One PartialInputs whose Xty and yty stack those of ``inputs``."""
+        return cls(Xty=np.stack([q.Xty for q in inputs]), yty=np.array([q.yty for q in inputs]))
 
 
 def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -88,22 +98,34 @@ def _complete_solve(sk: SketchedData):
 
     SSR_s is the squared norm of the projection residual y_s - Q Q^T y_s,
     never the difference of two large near-equal quantities.  A sum that
-    overflows raises NonFinite.
+    overflows raises NonFinite.  The solve is made once per sketch and kept
+    with its QR, so the complete and partial fits of a sketch share it.
     """
+    solved = sk.__dict__.get("_complete_solve")
+    if solved is not None:
+        return solved
     Q, R = sk.qr
+    ys = sk.ys[..., None]
     # an overflow in Q^T y_s leaves SSR_s NaN, reported below with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        qty = Q.T @ sk.ys
-        resid = sk.ys - Q @ qty
-        ssr, yty_s = float(resid @ resid), float(sk.ys @ sk.ys)
-    if not (math.isfinite(ssr) and math.isfinite(yty_s)):
-        raise NonFinite(f"the sketched sums of squares overflow (SSR_s = {ssr}, "
-                        f"||y_s||^2 = {yty_s})")
-    return R, qty, ssr, yty_s
+        qty = Q.mT @ ys
+        resid = ys - Q @ qty
+        ssr, yty_s = _dot(resid[..., 0], resid[..., 0]), _dot(sk.ys, sk.ys)
+    bad = ~(np.isfinite(ssr) & np.isfinite(yty_s))
+    if bad.any():
+        i = _first(bad)
+        raise NonFinite(f"the sketched sums of squares overflow (SSR_s = {float(ssr.flat[i])}, "
+                        f"||y_s||^2 = {float(yty_s.flat[i])})")
+    solved = sk.__dict__["_complete_solve"] = (R, qty[..., 0], _scalar(ssr), _scalar(yty_s))
+    return solved
 
 
 def fit_complete(sk: SketchedData) -> SketchFit:
-    """Least squares on the sketched data alone."""
+    """Least squares on the sketched data alone.
+
+    A stack of sketches (``SketchedData.stack``) gives a stack of fits, each
+    bit for bit its sketch's own; it raises where any of its sketches would.
+    """
     k, p = sk.spec.k, sk.p
     if k <= p:
         raise DomainError(f"complete sketching needs k > p (got k={k}, p={p})")
@@ -123,17 +145,19 @@ def fit_partial(sk: SketchedData, partial: PartialInputs) -> SketchFit:
 
     Records SSM_p = y^T X beta_p.  SSR_s (from the complete solve on the
     same sketch, sharing its QR) is carried along so callers can form the
-    error-variance proxy without re-sketching.
+    error-variance proxy without re-sketching.  A stack of sketches takes one
+    ``partial`` for all of them or a stack of as many, and gives a stack of
+    fits, as ``fit_complete`` does.
     """
     k, p = sk.spec.k, sk.p
-    if partial.Xty.shape[0] != p:
-        raise DomainError(f"X^T y has length {partial.Xty.shape[0]}, expected {p}")
+    if partial.Xty.shape[-1] != p:
+        raise DomainError(f"X^T y has length {partial.Xty.shape[-1]}, expected {p}")
     if k <= p + 1:
         raise GammaNonpositive(f"gamma = (k-p-1)/k requires k > p+1 (got k={k}, p={p})")
     gamma = (k - p - 1) / k
     R, _, ssr, yty_s = _complete_solve(sk)
     beta = gamma * _solve_gram(R, partial.Xty)
-    ssm_p = float(partial.Xty @ beta)
+    ssm_p = _scalar(_dot(partial.Xty, beta))
     return SketchFit(
         beta=beta,
         kind=FitKind.PARTIAL,
@@ -164,10 +188,11 @@ def fit_efficient_star(sk: SketchedData) -> SketchFit:
 
 
 def sigma2_hat_complete(SSR_s: float, n: int, k: int, p: int) -> float:
-    """Unbiased error-variance estimator SSR_s * k / ((n-p)(k-p))."""
+    """Unbiased error-variance estimator SSR_s * k / ((n-p)(k-p)), elementwise
+    for an array of SSR_s."""
     if n <= p or k <= p:
         raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
-    if SSR_s < 0:
+    if np.any(SSR_s < 0):
         raise DomainError("SSR_s must be nonnegative")
     return SSR_s * k / ((n - p) * (k - p))
 

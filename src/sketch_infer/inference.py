@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import _solve_triangular
+from .core_model import _dot, _first, _scalar, _solve_triangular
 from .densities import _check_direction, _gram_factor, _ratio_beta, _vector, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
@@ -117,19 +117,20 @@ def _gram_inv_quad(R: np.ndarray, v: np.ndarray) -> float:
     where it overflows (a covariate of order 1e-185 makes it ~1e370)."""
     w = _solve_triangular(R, v, trans=True)
     with np.errstate(over="ignore"):
-        return float(w @ w)
+        return _dot(w, w)
 
 
 def _standard_error(sigma2_hat: float, R: np.ndarray, j: int) -> float:
     """sqrt(sigma2_hat [(R'R)^{-1}]_jj); NonFinite where it underflows to 0
     or overflows, as the t statistic that divides by it would not be finite."""
-    e = np.zeros(R.shape[0])
+    e = np.zeros(R.shape[-1])
     e[j] = 1.0
-    se = math.sqrt(sigma2_hat * _gram_inv_quad(R, e))
-    if se == 0.0 or se == math.inf:
+    se = np.sqrt(sigma2_hat * _gram_inv_quad(R, e))
+    bad = (se == 0.0) | (se == math.inf)
+    if bad.any():
         raise NonFinite(f"the standard error of coefficient {j} "
-                        f"{'underflows to 0' if se == 0.0 else 'overflows'}")
-    return se
+                        f"{'underflows to 0' if se.flat[_first(bad)] == 0.0 else 'overflows'}")
+    return _scalar(se)
 
 
 def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
@@ -157,21 +158,29 @@ def _roundoff_floor(k: int, total: float) -> float:
 
 
 def _require_ssr(fit: SketchFit, k: int) -> float:
-    """SSR_s, checked to exceed its roundoff floor k eps ||y_s||^2."""
-    floor = _roundoff_floor(k, fit.yty_s or 0.0)
-    if fit.SSR_s is None or fit.SSR_s <= floor:
-        raise DegenerateSSR(f"SSR_s = {fit.SSR_s} is at or below its roundoff floor "
+    """SSR_s, checked to exceed its roundoff floor k eps ||y_s||^2 (in every
+    fit of a stack; the first that does not reports)."""
+    ssr = fit.SSR_s
+    floor = _roundoff_floor(k, 0.0 if fit.yty_s is None else fit.yty_s)
+    if ssr is None:
+        raise DegenerateSSR(f"SSR_s = None is at or below its roundoff floor "
                             f"k eps ||y_s||^2 = {floor:.3e}")
-    return fit.SSR_s
+    bad = np.less_equal(ssr, floor)
+    if bad.any():
+        i = _first(bad)
+        raise DegenerateSSR(f"SSR_s = {_scalar(np.ravel(ssr)[i])} is at or below its roundoff "
+                            f"floor k eps ||y_s||^2 = {np.ravel(floor)[i]:.3e}")
+    return ssr
 
 
 def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple:
     """(b_j - h_j) / se_j and se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj): the one
-    place a marginal t statistic is formed."""
-    if not 0 <= j < fit.beta.size:
-        raise DomainError(f"coefficient index {j} outside [0, {fit.beta.size})")
+    place a marginal t statistic is formed (per fit of a stack)."""
+    p = fit.beta.shape[-1]
+    if not 0 <= j < p:
+        raise DomainError(f"coefficient index {j} outside [0, {p})")
     se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
-    return (fit.beta[j] - h_j) / se, se
+    return (fit.beta[..., j] - h_j) / se, se
 
 
 def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarray,
@@ -211,7 +220,8 @@ def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float)
     """Statistic and standard error of the complete-sketch marginal t pivot.
 
     Cheap building block (no reference-law evaluation) for the simulation
-    harness's replicate loop.
+    harness, which passes a stack of fits and sketches: each item's pair is
+    bit for bit its own call's, and the stack raises where any item would.
     """
     k, p = sk.spec.k, sk.p
     return _t_statistic(fit, _require_ssr(fit, k) / (k - p), j, hyp_j)
@@ -365,6 +375,9 @@ def partial_t_statistic(
     a non-positive value can only arise from degeneracy or roundoff; it is
     reported as NegativeDenominator rather than clamped, because clamping
     would silently distort the test's calibration.
+
+    A stack of fits and sketches gives each item's statistic bit for bit,
+    and raises where any item would (the first such item's error).
     """
     _require_kind(fit, FitKind.PARTIAL, "partial t statistic")
     if fit.SSM_p is None or fit.gamma is None:
@@ -373,18 +386,19 @@ def partial_t_statistic(
     m_vec = _vector(m_vec, p, "m")
     extra = (sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
              if regime is Regime.REPEATED_SAMPLE else 0.0)
-    R = fit.gram_s_factor
+    R, b = fit.gram_s_factor, fit.beta
     # X^T y = R'R b_p / gamma, formed from R and b_p divided by their largest
     # magnitudes: the same direction, and no overflow however large the data
-    Rn, bn = R / np.abs(R).max(), fit.beta / (np.abs(fit.beta).max() or 1.0)
-    _check_direction(m_vec, Rn.T @ (Rn @ bn), "X^T y")
-    mb = float(m_vec @ fit.beta)
+    rmax, bmax = np.abs(R).max(axis=(-2, -1)), np.abs(b).max(axis=-1)
+    Rn, bn = R / rmax[..., None, None], b / np.where(bmax == 0.0, 1.0, bmax)[..., None]
+    _check_direction(m_vec, (Rn.mT @ (Rn @ bn[..., None]))[..., 0], "X^T y")
+    mb = _dot(m_vec, b)
     bracket = fit.SSM_p * fit.gamma * _gram_inv_quad(R, m_vec) - mb * mb + extra
-    if bracket <= 0.0:
-        raise NegativeDenominator(
-            f"pivot denominator evaluated {bracket:.3e} <= 0 for this sketch realization"
-        )
-    return mb * math.sqrt((k - p + 1) / bracket)
+    bad = bracket <= 0.0
+    if bad.any():
+        raise NegativeDenominator(f"pivot denominator evaluated {np.ravel(bracket)[_first(bad)]:.3e}"
+                                  " <= 0 for this sketch realization")
+    return _scalar(mb * np.sqrt((k - p + 1) / bracket))
 
 
 def partial_linear_combination_test(

@@ -7,13 +7,15 @@ replicate; pivot histograms are compared to their approximate null laws).
 No reference law is estimated from draws: the partial estimate's under
 repeated sketching is evaluated as a one-dimensional chi-square mixture
 (``densities.partial_sketching_law``).
-Both run their replicates through one runner and one replicate function,
-which reads its regime from the config, and build their tables from one
-pivot-table function.  Replicates are independent tasks with
+Both run their replicates through one runner and one replicate-range
+function, which reads its regime from the config, and build their tables
+from one pivot-table function.  Replicates are independent tasks with
 per-replicate derived seeds, so a run is bit-reproducible from its root
 seed regardless of scheduling: each sketch kind's replicates are split into
 contiguous index ranges, one per usable CPU, run in forked workers and
-joined in index order.
+joined in index order.  Within a range the sketches are drawn one at a
+time and fitted and pivoted in stacks of a fixed size, each replicate's
+values bit for bit those of its own library calls.
 """
 
 from __future__ import annotations
@@ -61,11 +63,14 @@ from .errors import (
 )
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
-from .sketch_ops import SketchKind, SketchSpec, apply_sketch, derive_seed
+from .sketch_ops import SketchedData, SketchKind, SketchSpec, apply_sketch, derive_seed
 from .special_fn import _t_pdf, dist_cdf, dist_quantile, student_t
 
 SCHEMA = "sketch-infer/1"  # version tag of every JSON report the package writes
 PAPER_BETA = np.arange(-5.0, 6.0)  # (-5, -4, ..., 5), p = 11
+# replicates fitted and pivoted per stacked call: fixed, so that a range's
+# stacks, and the memory they take, do not grow with m
+_CHUNK = 128
 
 __all__ = [
     "SimConfig",
@@ -367,7 +372,7 @@ def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray, nulls: lis
     """One kind's pivot_complete_null[j] and pivot_partial_zero[j] tables per
     target j, each pair with the coverage of the level 1 - alpha interval that
     inverts the complete pivot, decided at the same critical value as its
-    rejections.  ``cols`` holds the kind's replicate columns (see _replicate),
+    rejections.  ``cols`` holds the kind's replicate columns (see _statistics),
     ``nulls`` the null laws as _pivot_nulls gives them.
     """
     (tq_complete, _, complete), (tq_partial, _, partial) = nulls
@@ -388,15 +393,18 @@ def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray, nulls: lis
 def _target_series(cfg: SimConfig, cols: np.ndarray) -> np.ndarray:
     """The five series of each target in ``cols``, as a (targets, 5, m) view:
     rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 5 i + q series q of
-    target i (see _replicate)."""
+    target i (see _statistics)."""
     return cols[2:].reshape(-1, 5, cfg.m)
 
 
 def _partial_or_nan(pfit, sk, m_vec, regime: Regime) -> float:
-    """The partial zero-null statistic, or NaN when its denominator is negative."""
+    """The partial zero-null statistic, or NaN when its denominator is negative.
+    A stack re-raises, so that its sketches are taken one by one."""
     try:
         return partial_t_statistic(pfit, sk, m_vec, regime)
     except NegativeDenominator:
+        if sk.ys.ndim > 1:
+            raise
         return np.nan
 
 
@@ -413,25 +421,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _replicate_range(one, width: int, lo: int, hi: int) -> tuple:
-    """Replicates lo..hi-1: a (width, hi - lo) array whose column r - lo holds
-    ``one(r)``, and the first failure as (r, SketchInferError), else None.
-    The loop stops at the first failure."""
-    out = np.empty((width, hi - lo))
-    for r in range(lo, hi):
-        try:
-            out[:, r - lo] = one(r)
-        except SketchInferError as exc:
-            return out, (r, exc)
-    return out, None
-
-
-def _worker(send, ones, width: int, lo: int, hi: int) -> None:
+def _worker(send, ranges: list, lo: int, hi: int) -> None:
     # Ctrl-C reaches the whole process group: the parent alone handles it,
     # and ends its workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for one in ones:
-        result = _replicate_range(one, width, lo, hi)
+    for replicates in ranges:
+        result = replicates(lo, hi)
         send.send(result)
         if result[1] is not None:
             break
@@ -457,9 +452,9 @@ def _receive(kind: SketchKind, proc, recv, lo: int, hi: int) -> tuple:
                            f"{proc.exitcode} before sending its results") from None
 
 
-def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) -> list:
-    """Replicates 0..m-1 of each kind: one (width, m) array per kind, whose
-    column r is ``ones[i](r)`` for kind ``kinds[i]``.
+def _run_replicates(kinds: tuple, m: int, workers: int, ranges: list) -> list:
+    """Replicates 0..m-1 of each kind: one array per kind, the columns that
+    ``ranges[i](lo, hi)`` gives for kind ``kinds[i]``, joined over the ranges.
 
     [0, m) is split into ``workers`` contiguous ranges, forked once per run.
     Range 0 runs here; every other range runs in a forked child, which sends
@@ -473,7 +468,6 @@ def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) 
     outlives the call.
     """
     bounds = [m * w // workers for w in range(workers + 1)]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
     children = []
     try:
         if workers > 1:
@@ -482,16 +476,16 @@ def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) 
             # them first, so that it cannot repeat what the parent wrote
             sys.stdout.flush()
             sys.stderr.flush()
-            for lo, hi in ranges[1:]:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_worker, args=(send, ones, width, lo, hi), daemon=True)
+                proc = ctx.Process(target=_worker, args=(send, ranges, lo, hi), daemon=True)
                 proc.start()
                 send.close()
                 children.append((proc, recv, lo, hi))
         per_kind = []
-        for kind, one in zip(kinds, ones):
+        for kind, replicates in zip(kinds, ranges):
             # in index order, so the first failure raised is the lowest
-            parts = [_columns(kind, _replicate_range(one, width, *ranges[0]))]
+            parts = [_columns(kind, replicates(*bounds[:2]))]
             for child in children:
                 parts.append(_columns(kind, _receive(kind, *child)))
             per_kind.append(parts[0] if workers == 1 else np.concatenate(parts, axis=1))
@@ -504,11 +498,8 @@ def _run_replicates(kinds: tuple, m: int, workers: int, width: int, ones: list) 
             recv.close()
 
 
-def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
-               kind_idx: int, r: int) -> list:
-    """Replicate r of kind ``cfg.sketch_kinds[kind_idx]``: SSR_s, sigma2_hat, then per
-    target j the complete pivot at ``hyp[j]``, its se, beta_s[j], beta_p[j] and
-    the partial zero-null statistic (NaN where its denominator is negative).
+def _sketch(cfg: SimConfig, data: DataSet, partial_in, mean, kind_idx: int, r: int) -> tuple:
+    """Replicate r's sketch of kind ``cfg.sketch_kinds[kind_idx]`` and its partial inputs.
 
     Seed t < d is derive_seed(root, 10_000 + d (kind_idx m + r) + t), and the
     last one seeds the sketch.  Under repeated sampling (d = 2, else 1) seed 0
@@ -518,30 +509,85 @@ def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
     seeds = [derive_seed(cfg.root_seed, 10_000 + d * (kind_idx * cfg.m + r) + t)
              for t in range(d)]
     if mean is not None:
-        y = draw_response(mean, cfg.sigma2, seeds[0])
-        data = data.with_response(y)
+        data = data.with_response(draw_response(mean, cfg.sigma2, seeds[0]))
         partial_in = PartialInputs.of(data)
     sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k, seed=seeds[-1]))
+    return sk, partial_in
+
+
+def _statistics(cfg: SimConfig, hyp: np.ndarray, sk: SketchedData, partial_in) -> list:
+    """SSR_s, sigma2_hat, then per target j the complete pivot at ``hyp[j]``, its
+    se, beta_s[j], beta_p[j] and the partial zero-null statistic (NaN where its
+    denominator is negative): of one sketch, or, per item, of a stack of them."""
     cfit = fit_complete(sk)
     pfit = fit_partial(sk, partial_in)
     values = [cfit.SSR_s, sigma2_hat_complete(cfit.SSR_s, cfg.n, cfg.k, cfg.p)]
     for j in cfg.targets:
         values += marginal_t_statistic(cfit, sk, j, hyp[j])
-        values += cfit.beta[j], pfit.beta[j], _partial_or_nan(pfit, sk, np.eye(cfg.p)[j], cfg.regime)
+        values += (cfit.beta[..., j], pfit.beta[..., j],
+                   _partial_or_nan(pfit, sk, np.eye(cfg.p)[j], cfg.regime))
     return values
 
 
+def _replicate_range(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
+                     kind_idx: int, lo: int, hi: int) -> tuple:
+    """Replicates lo..hi-1 of kind ``cfg.sketch_kinds[kind_idx]`` (see _sketch):
+    a (2 + 5 targets, hi - lo) array whose column r - lo holds replicate r's
+    _statistics, and the first failure as (r, SketchInferError), else None.
+
+    The sketches are drawn one at a time in index order, and fitted and
+    pivoted in stacks of up to _CHUNK.  A stack that raises is taken again one
+    sketch at a time, which stops where a loop over the replicates and then
+    their stages would, and gives NaN where a partial denominator is
+    negative.  A sketch that fails at r first lets the sketches before it be
+    fitted, so that an earlier replicate's failure is the one reported.
+    """
+    out = np.empty((2 + 5 * len(cfg.targets), hi - lo))
+    for start in range(lo, hi, _CHUNK):
+        drawn, failure = [], None
+        for r in range(start, min(start + _CHUNK, hi)):
+            try:
+                drawn.append(_sketch(cfg, data, partial_in, mean, kind_idx, r))
+            except SketchInferError as exc:
+                failure = (r, exc)
+                break
+        if drawn:
+            sketches, inputs = zip(*drawn)
+            try:
+                out[:, start - lo:start - lo + len(drawn)] = _statistics(
+                    cfg, hyp, SketchedData.stack(sketches), PartialInputs.stack(inputs))
+            except SketchInferError:
+                for r, (sk, one_in) in enumerate(drawn, start):
+                    try:
+                        out[:, r - lo] = _statistics(cfg, hyp, sk, one_in)
+                    except SketchInferError as exc:
+                        return out, (r, exc)
+        if failure is not None:
+            return out, failure
+    return out, None
+
+
+def _replicate(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean,
+               kind_idx: int, r: int) -> list:
+    """Replicate r of kind ``cfg.sketch_kinds[kind_idx]``, the range of one (see
+    _replicate_range): its column as a list, or its failure raised."""
+    cols, failure = _replicate_range(cfg, data, hyp, partial_in, mean, kind_idx, r, r + 1)
+    if failure is not None:
+        raise failure[1]
+    return cols[:, 0].tolist()
+
+
 def _run(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in, mean) -> tuple:
-    """cfg.m replicates of each kind on ``data``, with _replicate's ``hyp``,
-    ``partial_in`` and ``mean``: one column array per kind (see _replicate)
-    and the number of workers that ran them.  A failing replicate ends the
-    run with its error type, the message prefixed by the kind and replicate.
+    """cfg.m replicates of each kind on ``data``, with _replicate_range's ``hyp``,
+    ``partial_in`` and ``mean``: one column array per kind (see
+    _replicate_range) and the number of workers that ran them.  A failing
+    replicate ends the run with its error type, the message prefixed by the
+    kind and replicate.
     """
     workers = min(_usable_cpus(), cfg.m)
-    ones = [functools.partial(_replicate, cfg, data, hyp, partial_in, mean, kind_idx)
-            for kind_idx in range(len(cfg.sketch_kinds))]
-    width = 2 + 5 * len(cfg.targets)
-    return _run_replicates(cfg.sketch_kinds, cfg.m, workers, width, ones), workers
+    ranges = [functools.partial(_replicate_range, cfg, data, hyp, partial_in, mean, kind_idx)
+              for kind_idx in range(len(cfg.sketch_kinds))]
+    return _run_replicates(cfg.sketch_kinds, cfg.m, workers, ranges), workers
 
 
 def run_repeated_sketching(cfg: SimConfig) -> SimReport:

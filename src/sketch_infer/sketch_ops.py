@@ -70,6 +70,9 @@ class SketchedData:
 
     ``W_star`` is the k x k byproduct S S^T, populated only on request; it
     enables the exact generalized-least-squares style inference paths.
+
+    Xs and ys may carry the same leading axes, a stack of sketches of one
+    kind and size (see ``stack``), which the fits and pivots take at once.
     """
 
     Xs: np.ndarray
@@ -80,8 +83,8 @@ class SketchedData:
     W_star: np.ndarray | None = None
 
     def __post_init__(self):
-        k = self.spec.k
-        if self.Xs.shape != (k, self.p) or self.ys.shape != (k,):
+        k, lead = self.spec.k, self.ys.shape[:-1]
+        if self.Xs.shape != (*lead, k, self.p) or self.ys.shape != (*lead, k):
             raise DimensionMismatch(
                 f"sketched shapes {self.Xs.shape}/{self.ys.shape} inconsistent with (k={k}, p={self.p})"
             )
@@ -103,6 +106,15 @@ class SketchedData:
         ``Xs`` raises ``RankDeficient`` on every access (nothing is cached).
         """
         return _qr_full_rank(self.Xs)
+
+    @classmethod
+    def stack(cls, sketches) -> SketchedData:
+        """One sketch whose Xs and ys stack those of ``sketches`` (of one kind
+        and size, without W*) along a leading axis.  Its spec is the first
+        sketch's: the fits read only its k."""
+        first = sketches[0]
+        return cls(Xs=np.stack([s.Xs for s in sketches]), ys=np.stack([s.ys for s in sketches]),
+                   spec=first.spec, n=first.n, p=first.p)
 
 
 def derive_seed(root_seed: int, index: int) -> int:

@@ -874,6 +874,71 @@ class TestSamplingLawArguments:
             getattr(densities, law)(*args[law])
 
 
+class TestDesignSizes:
+    """One check of the sampling laws' n, k and p: a NaN size passed the range
+    comparisons and failed later under a misleading name (ConvergenceError
+    "at mode nan", NonFinite "Bessel argument overflows", NonFinite "log K_nu
+    needs a finite order")."""
+
+    gram, truth = 100.0 * np.eye(3), ModelTruth(beta_0=np.ones(3), sigma2=1.0)
+    laws = {
+        "complete_sampling_pdf": lambda s, n, k, p: complete_sampling_pdf(
+            np.zeros(3), s.truth, s.gram, n, k, p),
+        "partial_approx_pdf": lambda s, n, k, p: partial_approx_pdf(
+            np.zeros(3), s.truth, s.gram, k, p),
+        "ssr_s_law_pdf": lambda s, n, k, p: ssr_s_law_pdf(200.0, n, k, p),
+        "sample_partial_sampling_rep": lambda s, n, k, p: sample_partial_sampling_rep(
+            np.eye(3)[0], s.truth, s.gram, k, p, 10, seed=0),
+    }
+
+    @pytest.mark.parametrize("law,name", [(law, name) for law in laws for name in ("n", "k")
+                                          if name == "k" or law.startswith(("complete", "ssr"))])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 12.5, "12", True])
+    def test_non_integer_size_is_named(self, law, name, value):
+        sizes = {"n": 100, "k": 12, "p": 3, name: value}
+        with pytest.raises(DomainError, match=f"^{name} takes a finite integer, got "):
+            self.laws[law](self, **sizes)
+
+    @pytest.mark.parametrize("law,sizes,message", [
+        ("complete_sampling_pdf", (3, 12, 3), r"n must exceed p \(got n=3, p=3\)"),
+        ("complete_sampling_pdf", (100, 2, 3), r"k must be at least p \(got k=2, p=3\)"),
+        ("ssr_s_law_pdf", (100, 3, 3), r"k must be at least p \+ 1 \(got k=3, p=3\)"),
+        ("partial_approx_pdf", (100, 4, 3), r"k must be at least p \+ 2 \(got k=4, p=3\)"),
+        ("sample_partial_sampling_rep", (100, 12, 1), r"p must be at least 2, got 1"),
+    ])
+    def test_size_out_of_range_is_named(self, law, sizes, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            self.laws[law](self, *sizes)
+
+    def test_integral_sizes_of_any_type(self):
+        assert ssr_s_law_pdf(200.0, 100.0, np.int64(12), 3) == ssr_s_law_pdf(200.0, 100, 12, 3)
+
+
+class TestDrawCounts:
+    """Both representation samplers check their draw count with one rule: -1
+    raised numpy's bare ValueError and 2.5 a TypeError."""
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True])
+    @pytest.mark.parametrize("sampler", ["sketching", "sampling"])
+    def test_count_is_a_nonnegative_integer(self, sampler, count):
+        data = make_dataset(100, 3, [1.0, -2.0, 0.5], seed=19)
+        gram = data.X.T @ data.X
+        with pytest.raises(DomainError, match=f"^count takes an integer >= 0, got {count!r}$"):
+            if sampler == "sketching":
+                sample_partial_sketching_rep(np.eye(3)[1], fit_full(data), np.linalg.inv(gram),
+                                             12, 3, count, seed=0)
+            else:
+                sample_partial_sampling_rep(np.eye(3)[1], ModelTruth(beta_0=np.ones(3), sigma2=1.0),
+                                            gram, 12, 3, count, seed=0)
+
+    @pytest.mark.parametrize("count", [0, np.int64(3)])
+    def test_zero_and_numpy_counts(self, count):
+        gram = 100.0 * np.eye(3)
+        draws = sample_partial_sampling_rep(np.eye(3)[1], ModelTruth(beta_0=np.ones(3), sigma2=1.0),
+                                            gram, 12, 3, count, seed=0)
+        assert draws.shape == (int(count),)
+
+
 class TestMultivariateTParameters:
     @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0, -1.0])
     def test_df_finite_and_positive(self, df):

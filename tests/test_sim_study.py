@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer import sim_study
+from sketch_infer import sim_study, sketch_ops
 from sketch_infer.core_model import draw_response, fit_full, response_mean
 from sketch_infer.densities import (
     complete_sketching_t_params,
@@ -666,3 +666,83 @@ class TestAllNegativeDenominators:
             assert len(rows) == 1 + cfg.overlay_points
             assert rows[1][:3] == ["0.0", "1.0", "0"]
             assert all(r[:3] == ["", "", ""] for r in rows[2:])
+
+
+def _range_args(cfg):
+    """The data set and _replicate_range's hyp, partial_in and mean for ``cfg``."""
+    data, truth = sim_study._make_dataset(cfg)
+    if cfg.regime is Regime.REPEATED_SKETCH:
+        return data, fit_full(data).beta_F, PartialInputs.of(data), None
+    return data, truth.beta_0, None, response_mean(data.X, truth)
+
+
+class TestStackedRanges:
+    """A range's replicates are fitted and pivoted in stacks of _CHUNK sketches,
+    each replicate's values those of its own library calls."""
+
+    @pytest.mark.parametrize("regime", [Regime.REPEATED_SKETCH, Regime.REPEATED_SAMPLE],
+                             ids=["sketching", "sampling"])
+    def test_columns_do_not_depend_on_chunk_size(self, monkeypatch, regime):
+        m = 10
+        cfg = _small_cfg(regime, m=m, kinds=tuple(SketchKind))
+        data, hyp, partial_in, mean = _range_args(cfg)
+        for kind_idx in range(len(cfg.sketch_kinds)):
+            # each replicate alone: the library's calls on its one, unstacked sketch
+            alone = np.array([
+                sim_study._statistics(cfg, hyp, *sim_study._sketch(cfg, data, partial_in, mean,
+                                                                   kind_idx, r))
+                for r in range(m)]).T
+            for chunk in (1, 3, m):
+                monkeypatch.setattr(sim_study, "_CHUNK", chunk)
+                for lo in (0, 4):
+                    cols, failure = sim_study._replicate_range(cfg, data, hyp, partial_in, mean,
+                                                               kind_idx, lo, m)
+                    assert failure is None
+                    assert cols.tobytes() == alone[:, lo:].tobytes(), (kind_idx, chunk, lo)
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    @pytest.mark.parametrize("collinear,failing,expected", [
+        (3, 5, (RankDeficient, 3)), (3, 2, (NonFinite, 2))], ids=["fit-first", "sketch-first"])
+    def test_failure_where_a_serial_loop_stops(self, monkeypatch, chunk, collinear, failing,
+                                               expected):
+        # replicate ``collinear`` has a rank-deficient sketched design, so its
+        # fit fails; ``failing``'s sketch fails outright
+        cfg = _small_cfg(Regime.REPEATED_SKETCH, m=10)
+        if chunk is not None:
+            monkeypatch.setattr(sim_study, "_CHUNK", chunk)
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 1)
+        real = sim_study.apply_sketch
+        bad_fit, bad_sketch = _sketch_seed(cfg, 0, collinear), _sketch_seed(cfg, 0, failing)
+
+        def apply(data, spec, *args):
+            if spec.seed == bad_sketch:
+                raise NonFinite(f"injected at {failing}")
+            sk = real(data, spec, *args)
+            if spec.seed == bad_fit:
+                Xs = sk.Xs.copy()
+                Xs[:, 1] = Xs[:, 0]
+                sk = dataclasses.replace(sk, Xs=Xs)
+            return sk
+
+        monkeypatch.setattr(sim_study, "apply_sketch", apply)
+        error, r = expected
+        with pytest.raises(error, match=f"^gaussian replicate {r}: ") as info:
+            run_repeated_sketching(cfg)
+        assert type(info.value.__cause__) is error
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    def test_one_stacked_qr_per_chunk(self, monkeypatch, regime, run):
+        shapes = []
+        real = sketch_ops._qr_full_rank
+
+        def counting(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(sketch_ops, "_qr_full_rank", counting)
+        monkeypatch.setattr(sim_study, "_CHUNK", 4)
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 1)
+        cfg = _small_cfg(regime, m=10, kinds=(SketchKind.HADAMARD, SketchKind.GAUSSIAN))
+        run(cfg)
+        # ranges of 10 in stacks of 4, 4 and 2, per kind; none taken one by one
+        assert shapes == [(c, cfg.k, cfg.p) for c in (4, 4, 2)] * 2
