@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 
@@ -56,29 +57,40 @@ class _CliError(SketchInferError):
 # ---------------------------------------------------------------------------
 
 def _read_csv(path: str, response: str, intercept: bool):
-    """Parse a headered CSV into (X, y, names); diagnostics name row and column."""
+    """Parse a headered CSV into (X, y, names); diagnostics name row and column.
+
+    X is filled in one pass (the intercept, then the columns either side of
+    the response) and y is copied out, so the parsed block is freed on return.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except OSError as exc:
+        raise _CliError(f"cannot open input file: {exc}")
+    if not stat.S_ISREG(mode):  # a pipe cannot be read twice, and a FIFO would block
+        raise _CliError(f"input file '{path}' is not a regular file")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot open input file: {exc}")
     with fh:
         try:
-            header, r_idx, M = _read_table(fh, response)
+            header, r_idx, M = _read_table(fh, path, response)
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start:exc.start + 1].hex()
             raise _CliError(f"input file is not UTF-8 text: byte 0x{bad} "
                                         f"cannot be decoded ({exc.reason})")
-    y = M[:, r_idx]
-    X = np.delete(M, r_idx, axis=1)
-    names = [h for i, h in enumerate(header) if i != r_idx]
-    if intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-        names = ["(intercept)"] + names
+    c = int(intercept)
+    X = np.empty((M.shape[0], M.shape[1] - 1 + c))
+    X[:, :c] = 1.0
+    X[:, c:c + r_idx] = M[:, :r_idx]
+    X[:, c + r_idx:] = M[:, r_idx + 1:]
+    y = M[:, r_idx].copy()
+    names = ["(intercept)"] * c + header[:r_idx] + header[r_idx + 1:]
     return X, y, names
 
 
-def _read_table(fh, response: str):
-    """(header, response column index, data matrix) of an open CSV file."""
+def _read_table(fh, path: str, response: str):
+    """(header, response column index, data matrix) of the CSV ``fh`` opened from ``path``."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -94,7 +106,7 @@ def _read_table(fh, response: str):
             raise _CliError(f"response column '{response}' not found; columns are {header}")
         if not 0 <= r_idx < len(header):
             raise _CliError(f"response index {r_idx} outside 0..{len(header) - 1}")
-    M = _loadtxt_rows(fh, len(header))
+    M = _loadtxt_rows(fh, path, reader.line_num, len(header))
     if M is None:
         fh.seek(0)
         reader = csv.reader(fh)
@@ -106,26 +118,36 @@ def _read_table(fh, response: str):
 # numpy's number parser strips these C0 separators around a cell as
 # whitespace; float() rejects them
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# np.loadtxt decompresses a file it opens by name when the name ends in one
+# of these; the CLI reads plain text only
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
 
-def _loadtxt_rows(fh, n_cols: int):
-    """The data rows after the header in one C-level pass, streamed from ``fh``.
+def _loadtxt_rows(fh, path: str, header_lines: int, n_cols: int):
+    """The data rows after the header in one C-level pass over the file ``path``.
 
+    numpy reads a file it opens by name in chunks; from an open file it
+    would parse one line string at a time.  ``fh`` is the same file, open
+    after its first ``header_lines`` lines; the separator scan reads it to
+    its end.
     Returns None whenever the per-cell parser must decide instead: loadtxt
     fails or warns, finds no rows or the wrong column count, or the file
     holds a character that loadtxt and float() read differently.  Every
     file this accepts, ``_parse_rows`` accepts with bit-identical values.
     """
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        return None
+    # a relative name such as "http://h/a.csv" must not read as a URL to numpy
+    local = path if os.path.isabs(path) else os.path.join(os.curdir, path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            M = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
-                           quotechar='"', ndmin=2)
-    except (ValueError, Warning):
+            M = np.loadtxt(local, dtype=float, delimiter=",", comments=None, quotechar='"',
+                           ndmin=2, skiprows=header_lines, encoding="utf-8")
+    except (ValueError, Warning, OSError):  # OSError: numpy reopens the file by name
         return None
     if M.shape[0] == 0 or M.shape[1] != n_cols:
         return None
-    fh.seek(0)
     while chunk := fh.read(1 << 16):
         if any(c in chunk for c in _SEPARATORS):
             return None

@@ -16,7 +16,9 @@ import numpy as np
 
 from .core_model import DataSet, _dot, _first, _qr_full_rank, _scalar, _solve_triangular
 from .errors import (
+    DimensionMismatch,
     DomainError,
+    EmptyInput,
     GammaNonpositive,
     MissingWStar,
     NonFinite,
@@ -84,7 +86,13 @@ class PartialInputs:
 
     @classmethod
     def stack(cls, inputs) -> PartialInputs:
-        """One PartialInputs whose Xty and yty stack those of ``inputs``."""
+        """One PartialInputs whose Xty and yty stack those of ``inputs``; an
+        empty list raises ``EmptyInput``, inputs of another p ``DimensionMismatch``."""
+        if not inputs:
+            raise EmptyInput("cannot stack an empty list of partial inputs")
+        shapes = {q.Xty.shape for q in inputs}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"cannot stack partial inputs of X^T y shapes {sorted(shapes)}")
         return cls(Xty=np.stack([q.Xty for q in inputs]), yty=np.array([q.yty for q in inputs]))
 
 

@@ -28,6 +28,7 @@ from .core_model import DataSet, _qr_full_rank
 from .errors import (
     DimensionMismatch,
     DomainError,
+    EmptyInput,
     InfeasibleSketchSize,
     NonFinite,
     WStarUnavailable,
@@ -111,8 +112,18 @@ class SketchedData:
     def stack(cls, sketches) -> SketchedData:
         """One sketch whose Xs and ys stack those of ``sketches`` (of one kind
         and size, without W*) along a leading axis.  Its spec is the first
-        sketch's: the fits read only its k."""
+        sketch's: the fits read only its k.  Sketches of another kind, k, n
+        or p raise ``DimensionMismatch``; an empty list ``EmptyInput``."""
+        if not sketches:
+            raise EmptyInput("cannot stack an empty list of sketches")
         first = sketches[0]
+        shape = (first.spec.kind, first.spec.k, first.n, first.p)
+        for s in sketches:
+            if (s.spec.kind, s.spec.k, s.n, s.p) != shape:
+                raise DimensionMismatch(
+                    f"cannot stack a {s.spec.kind.value} sketch (k={s.spec.k}, n={s.n}, p={s.p}) "
+                    f"with a {first.spec.kind.value} sketch (k={first.spec.k}, n={first.n}, "
+                    f"p={first.p})")
         return cls(Xs=np.stack([s.Xs for s in sketches]), ys=np.stack([s.ys for s in sketches]),
                    spec=first.spec, n=first.n, p=first.p)
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import warnings
@@ -919,3 +920,87 @@ class TestCsvParser:
         monkeypatch.setattr(cli, "_parse_rows", per_cell)
         assert [_parse_outcome(cli._read_csv, *case) for case in cases] == expected
         assert expected[1][0] == "ok" and expected[1][2] == (40, 2)
+
+
+class TestCsvPathRead:
+    """The data rows are read by np.loadtxt from the file's name, in C-level chunks."""
+
+    def _loadtxt_calls(self, monkeypatch):
+        calls, real = [], np.loadtxt
+
+        def recording(fname, *args, **kwargs):
+            calls.append((fname, kwargs.get("skiprows")))
+            return real(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        return calls
+
+    def test_loadtxt_gets_a_path(self, data_csv, monkeypatch):
+        # numpy parses an open file one line string at a time
+        calls = self._loadtxt_calls(monkeypatch)
+        expected = _parse_outcome(_read_csv_reference, data_csv, "y", True)
+        assert _parse_outcome(cli._read_csv, data_csv, "y", True) == expected
+        assert len(calls) == 1 and isinstance(calls[0][0], str)
+        assert calls[0][1] == 1
+
+    def test_header_with_a_quoted_newline(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'"a\nb",y\r\n1.5,2\r\n-3,4e-3\r\n')
+        calls = self._loadtxt_calls(monkeypatch)
+        expected = _parse_outcome(_read_csv_reference, path, "y", False)
+        assert expected[0] == "ok" and expected[2] == (2, 1)
+        assert _parse_outcome(cli._read_csv, path, "y", False) == expected
+        assert [skip for _, skip in calls] == [2]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_text_with_a_compression_suffix(self, data_csv, tmp_path, suffix):
+        # numpy would pick a decompressor by the name's suffix
+        renamed = tmp_path / f"data{suffix}"
+        renamed.write_bytes(data_csv.read_bytes())
+        assert _parse_outcome(cli._read_csv, renamed, "y", True) == \
+            _parse_outcome(cli._read_csv, data_csv, "y", True)
+
+    def test_gzip_file_is_not_utf8(self, data_csv, tmp_path):
+        import gzip
+
+        packed = tmp_path / "data.gz"
+        packed.write_bytes(gzip.compress(data_csv.read_bytes()))
+        outcome = _parse_outcome(cli._read_csv, packed, "y", True)
+        assert outcome[:2] == ("error", 2) and "not UTF-8" in outcome[2]
+
+    def test_url_like_relative_name_is_read_locally(self, data_csv, tmp_path, monkeypatch):
+        # numpy fetches a name with a scheme and a host from the network
+        import urllib.request
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("numpy took a local file name for a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "a.csv").write_bytes(data_csv.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert _parse_outcome(cli._read_csv, "http://host/a.csv", "y", False) == \
+            _parse_outcome(cli._read_csv, data_csv, "y", False)
+
+    def test_fifo_is_refused_without_blocking(self, tmp_path, capsys):
+        import threading
+
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        argv = ["fit", "--input", str(fifo), "--response", "y", "--k", "4",
+                "--output", str(tmp_path / "o.json")]
+        result = []
+        worker = threading.Thread(target=lambda: result.append(main(argv)), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "opening the FIFO blocked"
+        assert result == [2]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(fifo) in err and "not a regular file" in err
+        assert "Traceback" not in err
+
+    def test_directory_is_refused(self, tmp_path, capsys):
+        rc = main(["fit", "--input", str(tmp_path), "--response", "y", "--k", "4",
+                   "--output", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "not a regular file" in capsys.readouterr().err

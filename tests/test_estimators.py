@@ -11,7 +11,9 @@ from sketch_infer.core_model import DataSet, fit_full
 from sketch_infer import sketch_ops
 from sketch_infer.errors import (
     DegenerateSSR,
+    DimensionMismatch,
     DomainError,
+    EmptyInput,
     GammaNonpositive,
     MissingWStar,
     RankDeficient,
@@ -49,6 +51,23 @@ def _ssr_star(sk, yty):
 
 def _partial_inputs(data):
     return PartialInputs(Xty=data.X.T @ data.y, yty=float(data.y @ data.y))
+
+
+class TestPartialInputsStack:
+    def test_stacks_rows(self):
+        a, b = PartialInputs(Xty=np.ones(3), yty=4.0), PartialInputs(Xty=np.arange(3.0), yty=9.0)
+        st_ = PartialInputs.stack([a, b])
+        np.testing.assert_array_equal(st_.Xty, [np.ones(3), np.arange(3.0)])
+        np.testing.assert_array_equal(st_.yty, [4.0, 9.0])
+
+    def test_empty_list_raises_empty_input(self):
+        with pytest.raises(EmptyInput):
+            PartialInputs.stack([])
+
+    def test_different_p_raises_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            PartialInputs.stack([PartialInputs(Xty=np.ones(3), yty=4.0),
+                                 PartialInputs(Xty=np.ones(2), yty=4.0)])
 
 
 class TestFitComplete:

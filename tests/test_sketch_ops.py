@@ -11,7 +11,14 @@ from scipy.linalg import hadamard as dense_hadamard
 
 from sketch_infer import sketch_ops
 from sketch_infer.core_model import DataSet
-from sketch_infer.errors import DomainError, InfeasibleSketchSize, NonFinite, WStarUnavailable
+from sketch_infer.errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptyInput,
+    InfeasibleSketchSize,
+    NonFinite,
+    WStarUnavailable,
+)
 from sketch_infer.sketch_ops import (
     SketchedData,
     SketchKind,
@@ -397,3 +404,31 @@ class TestMatchesReferenceOperators:
         y2 = rng.standard_normal(data.n)
         _assert_same_sketch(apply_sketch(data.with_response(y2), spec),
                             apply_sketch(DataSet(X=data.X, y=y2), spec))
+
+
+class TestStack:
+    """SketchedData.stack takes sketches of one kind and size; seeds differ by design."""
+
+    def _sketches(self, *specs):
+        data = make_dataset(64, 3, np.ones(3), seed=9)
+        return [apply_sketch(data, _spec(kind, k, seed)) for kind, k, seed in specs]
+
+    def test_seeds_may_differ(self):
+        a, b = self._sketches((SketchKind.GAUSSIAN, 8, 1), (SketchKind.GAUSSIAN, 8, 2))
+        st_ = SketchedData.stack([a, b])
+        np.testing.assert_array_equal(st_.Xs, np.stack([a.Xs, b.Xs]))
+        np.testing.assert_array_equal(st_.ys, np.stack([a.ys, b.ys]))
+
+    def test_different_k_raises_dimension_mismatch(self):
+        sketches = self._sketches((SketchKind.GAUSSIAN, 8, 1), (SketchKind.GAUSSIAN, 9, 2))
+        with pytest.raises(DimensionMismatch, match="k=9"):
+            SketchedData.stack(sketches)
+
+    def test_different_kind_raises_dimension_mismatch(self):
+        sketches = self._sketches((SketchKind.GAUSSIAN, 8, 1), (SketchKind.HADAMARD, 8, 1))
+        with pytest.raises(DimensionMismatch, match="hadamard"):
+            SketchedData.stack(sketches)
+
+    def test_empty_list_raises_empty_input(self):
+        with pytest.raises(EmptyInput):
+            SketchedData.stack([])
