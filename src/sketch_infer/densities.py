@@ -62,9 +62,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # symmetric positive definite matrices
 # ---------------------------------------------------------------------------
 
+def _content(array) -> tuple:
+    """(bytes, shape) of ``array`` as float64 in C order: a memo key of its
+    content, never of its identity, so an array changed in place keys afresh."""
+    array = np.asarray(array, dtype=float)
+    return array.tobytes(), array.shape
+
+
+def _array(content: bytes, shape: tuple) -> np.ndarray:
+    """The read-only array behind a ``_content`` key (a view of its bytes)."""
+    return np.frombuffer(content).reshape(shape)
+
+
 @functools.lru_cache(maxsize=4)
 def _cholesky(content: bytes, shape: tuple) -> tuple:
-    A = np.frombuffer(content).reshape(shape)
+    A = _array(content, shape)
     if not np.isfinite(A).all():
         raise NonFinite("matrix contains NaN or infinite entries")
     try:
@@ -78,17 +90,18 @@ def _cholesky(content: bytes, shape: tuple) -> tuple:
 def _spd_factor(matrix) -> tuple:
     """(L, log det) of a symmetric positive definite matrix, L lower Cholesky.
 
-    The per-point density kernels see the same Gram or scale matrix at every
-    point, so the factorization is memoized on the matrix's content (a
-    C-ordered float64 copy of it, never its identity: a matrix changed in
-    place is factored afresh), a few matrices at a time.  L is read-only,
+    A law's Gram or scale matrix is factored here when its constants are
+    built (``_law_constants``), and a sampler's or a test's at each call, so
+    the factorization is memoized on the matrix's content (``_content``,
+    never its identity: a matrix changed in place is factored afresh), a
+    few matrices at a time.  L is read-only,
     as every caller shares it.  Raises DomainError unless the matrix is
     square and positive definite, NonFinite on a NaN or infinite entry.
     """
-    A = np.ascontiguousarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {A.shape}")
-    return _cholesky(A.tobytes(), A.shape)
+    content, shape = _content(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {shape}")
+    return _cholesky(content, shape)
 
 
 def _gram_factor(gram, p: int) -> tuple:
@@ -138,12 +151,40 @@ def _check_count(count) -> None:
         raise DomainError(f"count takes an integer >= 0, got {count!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """The one check of a law's shape parameter: a finite real > 0, not a bool
+    (DomainError naming it)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise DomainError(f"{name} must be a finite real > 0, got {value!r}")
+
+
 def _check_truth(truth: ModelTruth, p: int) -> None:
     """The one check of a sampling law's truth: beta_0 of length p, sigma2 > 0."""
     if truth.beta_0.size != p:  # a vector already: ModelTruth makes it one
         raise DomainError(f"beta_0 has length {truth.beta_0.size}, expected {p}")
     if truth.sigma2 <= 0:
         raise DomainError("a sampling law requires sigma2 > 0")
+
+
+# ---------------------------------------------------------------------------
+# law constants, built once per law content
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _law_constants(build, *key) -> tuple:
+    """``build(*key)``: the checked, read-only constants of one law, memoized.
+
+    A density is evaluated point by point at one law, so everything that
+    does not depend on the point (its Gram check, gamma functions, logs and
+    beta_0'X'X beta_0) is built once for each distinct law content, up to
+    32 laws at a time, and each point does only its own work.  Keys hold
+    scalars and ``_content`` pairs, typed (12 and 12.0 key apart), so the
+    constants are always those built from the values given.  Each density
+    runs its scalar checks (design sizes, truth, parameters) before it
+    asks.  An error is raised afresh on every call, as lru_cache stores no
+    exception.
+    """
+    return build(*key)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +216,26 @@ class MultivariateTParams:
         return self.location.size
 
 
-def mvt_logpdf(params: MultivariateTParams, b) -> float:
-    p = params.dim
-    nu = params.df
-    d = _vector(b, p, "b") - params.location
-    L, logdet = _spd_factor(params.scale_matrix)
-    w = _solve_triangular(L, d, lower=True)
-    q = float(w @ w)
-    return (
+def _mvt_constants(nu, content: bytes, shape: tuple) -> tuple:
+    """(L, log constant) of ``mvt_logpdf``'s law, L the scale matrix's Cholesky factor."""
+    L, logdet = _spd_factor(_array(content, shape))
+    p = shape[0]
+    return L, float(
         special.gammaln((nu + p) / 2.0)
         - special.gammaln(nu / 2.0)
         - (p / 2.0) * math.log(nu * math.pi)
         - 0.5 * logdet
-        - (nu + p) / 2.0 * math.log1p(q / nu)
     )
+
+
+def mvt_logpdf(params: MultivariateTParams, b) -> float:
+    p = params.dim
+    nu = params.df
+    d = _vector(b, p, "b") - params.location
+    L, log_const = _law_constants(_mvt_constants, nu, *_content(params.scale_matrix))
+    w = _solve_triangular(L, d, lower=True)
+    q = float(w @ w)
+    return log_const - (nu + p) / 2.0 * math.log1p(q / nu)
 
 
 def mvt_pdf(params: MultivariateTParams, b) -> float:
@@ -198,6 +245,8 @@ def mvt_pdf(params: MultivariateTParams, b) -> float:
 
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise DomainError(f"coordinate index takes an integer, got {j!r}")
     if not 0 <= j < params.dim:
         raise DomainError(f"coordinate index {j} outside [0, {params.dim})")
     sd = math.sqrt(params.scale_matrix[j, j])
@@ -244,35 +293,48 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
     t = 2.0 * a / (x + a + c + root)
     sigma = 1.0 / math.sqrt(root * t * (1.0 - t))  # -h''(logit t) = root t (1-t)
 
-    def h(u):
+    def h(u):  # -x expit(u) - a minus - c plus, in place on the ufuncs' own buffers
         plus, minus = _softplus(u, mirrored=True)
-        return -x * special.expit(u) - a * minus - c * plus
+        value = special.expit(u)
+        value *= -x
+        minus *= a
+        value -= minus
+        plus *= c
+        value -= plus
+        return value
 
     return _log_laplace_integral(h, math.log(t) - math.log1p(-t), sigma) - special.betaln(a, c)
 
 
-def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
-    _check_design(k, p, 0, n)
-    _check_truth(truth, p)
-    gram, (_, logdet) = _gram_factor(gram, p)
-    d = _vector(b, p, "b") - truth.beta_0
-    # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
-    # numpy's warning for it is silenced so NonFinite alone reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = float(d @ gram @ d) / truth.sigma2
-    if not math.isfinite(q):
-        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
+def _complete_constants(n, k, p, sigma2, content: bytes, shape: tuple) -> tuple:
+    """(gram, log constant, (a + p/2, e)) of ``complete_sampling_logpdf``'s law."""
+    gram, (_, logdet) = _gram_factor(_array(content, shape), p)
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
     log_const = (
         -(p / 2.0) * _LOG_2PI
-        + 0.5 * (logdet - p * math.log(truth.sigma2))  # log det of gram / sigma2
+        + 0.5 * (logdet - p * math.log(sigma2))  # log det of gram / sigma2
         + special.gammaln(a + e)
         + special.gammaln(a + p / 2.0)
         - special.gammaln(a)
         - special.gammaln(a + e + p / 2.0)
     )
-    return log_const + _log_m_neg(a + p / 2.0, e, q / 2.0)
+    return gram, float(log_const), (a + p / 2.0, e)
+
+
+def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
+    _check_design(k, p, 0, n)
+    _check_truth(truth, p)
+    gram, log_const, kummer = _law_constants(_complete_constants, n, k, p, truth.sigma2,
+                                             *_content(gram))
+    d = _vector(b, p, "b") - truth.beta_0
+    # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
+    # numpy's warning for it is silenced so NonFinite alone reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(d.dot(gram).dot(d)) / truth.sigma2
+    if not math.isfinite(q):
+        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
+    return log_const + _log_m_neg(*kummer, q / 2.0)
 
 
 def complete_sampling_pdf(b, truth: ModelTruth, gram, n: int, k: int, p: int) -> float:
@@ -297,8 +359,14 @@ class HLawParams:
     lam: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.lam <= 0:
-            raise DomainError("alpha and lam must be positive")
+        _check_positive("alpha", self.alpha)
+        _check_positive("lam", self.lam)
+
+
+def _h_constants(a, lam) -> tuple:
+    """(log constant, power of u, order of K) of ``h_law_logpdf``'s law."""
+    log_const = (1.0 - (lam + a)) * math.log(2.0) - special.gammaln(a) - special.gammaln(lam)
+    return float(log_const), (lam + a) / 2.0 - 1.0, a - lam
 
 
 def h_law_logpdf(u: float, params: HLawParams) -> float:
@@ -306,14 +374,8 @@ def h_law_logpdf(u: float, params: HLawParams) -> float:
         raise NonFinite(f"density evaluation point is not finite: {u}")
     if u <= 0:
         raise DomainError("the H law is supported on (0, inf)")
-    a, lam = params.alpha, params.lam
-    return (
-        (1.0 - (lam + a)) * math.log(2.0)
-        - special.gammaln(a)
-        - special.gammaln(lam)
-        + ((lam + a) / 2.0 - 1.0) * math.log(u)
-        + log_bessel_k(a - lam, math.sqrt(u))
-    )
+    log_const, power, order = _law_constants(_h_constants, params.alpha, params.lam)
+    return log_const + power * math.log(u) + log_bessel_k(order, math.sqrt(u))
 
 
 def h_law_pdf(u: float, params: HLawParams) -> float:
@@ -327,7 +389,7 @@ def h_law_pdf(u: float, params: HLawParams) -> float:
 
 def ssr_s_law_params(n: int, k: int, p: int) -> HLawParams:
     _check_design(k, p, 1, n)
-    return HLawParams(alpha=(k - p) / 2.0, lam=(n - p) / 2.0)
+    return _law_constants(HLawParams, (k - p) / 2.0, (n - p) / 2.0)  # frozen: shared safely
 
 
 def ssr_s_law_logpdf(u: float, n: int, k: int, p: int) -> float:
@@ -346,14 +408,8 @@ def ssr_s_law_pdf(u: float, n: int, k: int, p: int) -> float:
     return _exp(ssr_s_law_logpdf(u, n, k, p), "ssr_s_law_logpdf")
 
 
-def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
-    if not math.isfinite(r):
-        raise NonFinite(f"density evaluation point is not finite: {r}")
-    if r <= 0:
-        raise DomainError("the ratio law is supported on (0, inf)")
-    if phi <= 0:
-        raise DomainError("phi must be positive")
-    a, lam = params.alpha, params.lam
+def _ratio_constants(phi, a, lam) -> tuple:
+    """(log constant, power of 1/r, (a, b) of U) of ``ratio_law_logpdf``'s law."""
     log_const = (
         special.gammaln(a + phi)
         + special.gammaln(lam + phi)
@@ -362,7 +418,17 @@ def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
         - special.gammaln(a)
         - special.gammaln(lam)
     )
-    return log_const - (lam + 1.0) * math.log(r) + log_kummer_u(lam + phi, lam - a + 1.0, 1.0 / (2.0 * r))
+    return float(log_const), lam + 1.0, (lam + phi, lam - a + 1.0)
+
+
+def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
+    if not math.isfinite(r):
+        raise NonFinite(f"density evaluation point is not finite: {r}")
+    if r <= 0:
+        raise DomainError("the ratio law is supported on (0, inf)")
+    _check_positive("phi", phi)
+    log_const, power, kummer = _law_constants(_ratio_constants, phi, params.alpha, params.lam)
+    return log_const - power * math.log(r) + log_kummer_u(*kummer, 1.0 / (2.0 * r))
 
 
 def ratio_law_pdf(r: float, phi: float, params: HLawParams) -> float:
@@ -675,23 +741,15 @@ def sample_partial_sampling_rep(
 # approximate partial density over repeated samples
 # ---------------------------------------------------------------------------
 
-def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
-    _check_design(k, p, 2)  # the gamma adjustment needs k > p + 1
-    _check_truth(truth, p)
-    gram, (_, logdet) = _gram_factor(gram, p)
-    b = _vector(b, p, "b")
+def _partial_constants(k, p, sigma2, beta_content: bytes, beta_shape: tuple,
+                       gram_content: bytes, gram_shape: tuple) -> tuple:
+    """(gram, log constant, k gamma beta_0'X'X beta_0 / sigma2, k eta, nu, the
+    Bessel factor's s -> 0 limit) of ``partial_approx_logpdf``'s law."""
+    gram, (_, logdet) = _gram_factor(_array(gram_content, gram_shape), p)
+    beta_0 = _array(beta_content, beta_shape)
     gamma = (k - p - 1) / k
-    eta = gamma * truth.sigma2
-    with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
-        bGb0 = float(b @ gram @ truth.beta_0)
-        bGb = float(b @ gram @ b)
-    if not math.isfinite(bGb):
-        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
-    b0Gb0 = float(truth.beta_0 @ gram @ truth.beta_0)
-    q = bGb0 / truth.sigma2  # squared after the division: sigma2**2 can overflow
-    s = q * q + k * gamma * b0Gb0 / truth.sigma2
-    if not math.isfinite(s):
-        raise NonFinite(f"Bessel argument overflows at sigma2={truth.sigma2} (b'X'X beta_0={bGb0})")
+    eta = gamma * sigma2
+    b0Gb0 = float(beta_0.dot(gram).dot(beta_0))
     nu = (k + 2 - p) / 2.0  # |(p - k - 2)/2|
     log_const = (
         (p - k) / 2.0 * math.log(2.0)
@@ -704,15 +762,34 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
     )
     # combined Bessel-and-power factor K_nu(sqrt(s)) * s^{nu/2}; finite limit
     # Gamma(nu) 2^{nu-1} as s -> 0 (the beta_0 = 0 degeneration)
+    bess_0 = special.gammaln(nu) + (nu - 1.0) * math.log(2.0)
+    return gram, float(log_const), k * gamma * b0Gb0 / sigma2, k * eta, nu, float(bess_0)
+
+
+def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
+    _check_design(k, p, 2)  # the gamma adjustment needs k > p + 1
+    _check_truth(truth, p)
+    gram, log_const, tilt, k_eta, nu, bess_0 = _law_constants(
+        _partial_constants, k, p, truth.sigma2, *_content(truth.beta_0), *_content(gram))
+    b = _vector(b, p, "b")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
+        bG = b.dot(gram)
+        bGb0 = float(bG.dot(truth.beta_0))
+        bGb = float(bG.dot(b))
+    if not math.isfinite(bGb):
+        raise NonFinite(f"density evaluation point {b} gives a non-finite quadratic form")
+    q = bGb0 / truth.sigma2  # squared after the division: sigma2**2 can overflow
+    s = q * q + tilt
+    if not math.isfinite(s):
+        raise NonFinite(f"Bessel argument overflows at sigma2={truth.sigma2} (b'X'X beta_0={bGb0})")
     if s <= 0.0 or math.sqrt(s) < 1e-10:
-        bess = special.gammaln(nu) + (nu - 1.0) * math.log(2.0)
+        bess = bess_0
     else:
-        x = math.sqrt(s)
-        bess = log_bessel_k(nu, x) + (nu / 2.0) * math.log(s)
+        bess = log_bessel_k(nu, math.sqrt(s)) + (nu / 2.0) * math.log(s)
     return (
         log_const
         + bGb0 / truth.sigma2
-        - (k + 1) / 2.0 * math.log1p(bGb / (k * eta))
+        - (k + 1) / 2.0 * math.log1p(bGb / k_eta)
         + bess
     )
 

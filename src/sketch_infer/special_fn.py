@@ -102,22 +102,25 @@ _HALF_RULE_GAP = 1e-7
 def _trapezoid_terms(h: np.ndarray, weight: np.ndarray, what: str, *args) -> tuple:
     """(terms, total, top): the terms exp(h - top) * weight of a trapezoid rule
     whose integrand has the exponent values ``h`` on its nodes, top = max h,
-    and their sum.  Never returns an unconverged rule: raises
-    ConvergenceError naming ``what.format(*args)`` (formatted only then)
-    when the sum is not finite and positive, when an end term exceeds
-    ``_END_SHARE`` of it (range too narrow) or when the half rule is more
-    than ``_HALF_RULE_GAP`` away (step too coarse).
+    and their sum.  The terms are formed in place: ``h`` is overwritten.
+    Never returns an unconverged rule: raises ConvergenceError naming
+    ``what.format(*args)`` (formatted only then) when the sum is not finite
+    and positive, when an end term exceeds ``_END_SHARE`` of it (range too
+    narrow) or when the half rule is more than ``_HALF_RULE_GAP`` away (step
+    too coarse).
     """
-    top = h.max()
-    terms = np.exp(h - top) * weight
-    total = terms.sum()
+    top = np.maximum.reduce(h)
+    terms = np.subtract(h, top, out=h)
+    np.exp(terms, out=terms)
+    terms *= weight
+    total = np.add.reduce(terms)
     if not (math.isfinite(total) and total > 0.0):
         raise ConvergenceError(f"{what.format(*args)}: trapezoid sum is {total}")
     end = max(terms[0], terms[-1]) / total
     if end > _END_SHARE:
         raise ConvergenceError(f"{what.format(*args)}: trapezoid range too narrow, "
                                f"an end term is {end:.1e} of the sum")
-    gap = abs(2.0 * terms[::2].sum() / total - 1.0)
+    gap = abs(2.0 * np.add.reduce(terms[::2]) / total - 1.0)
     if gap > _HALF_RULE_GAP:
         raise ConvergenceError(f"{what.format(*args)}: trapezoid step too coarse, "
                                f"the half rule is {gap:.1e} away")
@@ -132,8 +135,9 @@ def _log_laplace_integral(h, mode: float, sigma: float) -> float:
     unconverged value: the rule is checked by ``_trapezoid_terms``.
     """
     shift, weight = _NODES
-    _, total, top = _trapezoid_terms(h(mode + sigma * shift), weight,
-                                     "at mode {}, width {}", mode, sigma)
+    u = shift * sigma
+    u += mode
+    _, total, top = _trapezoid_terms(h(u), weight, "at mode {}, width {}", mode, sigma)
     return float(top) + math.log(sigma * total)
 
 
@@ -256,12 +260,21 @@ def _softplus(u: np.ndarray, mirrored: bool = False):
     one sign costs ~70% of one ``logaddexp``, both signs under half of two.
     softplus(-u) is not formed as softplus(u) - u, which cancels at large u.
     The U integrand needs one sign, the M integrand (in ``densities``) both.
+    Each ufunc after the first writes into its own buffer (``out=...``
+    makes that buffer an array even for a number u, which then gives a 0-d
+    array).
     """
-    s = np.log1p(np.exp(-np.abs(u)))
-    plus = s + np.maximum(u, 0.0)
+    s = np.copysign(u, -1.0, out=...)  # -|u|
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    plus = np.maximum(u, 0.0, out=...)
+    plus += s
     if not mirrored:
         return plus
-    return plus, s + np.maximum(-u, 0.0)
+    minus = np.negative(u, out=...)
+    np.maximum(minus, 0.0, out=minus)
+    minus += s
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +317,15 @@ def log_kummer_u(a: float, b: float, z: float) -> float:
     sigma = 1.0 / math.sqrt(curv)
     c = b - a - 1.0
 
-    def h(u):
+    def h(u):  # a u + c softplus(u) - z e^u, in place on the ufuncs' own buffers
         with np.errstate(over="ignore"):  # e^u -> inf is a zero term
-            return a * u + c * _softplus(u) - z * np.exp(u)
+            value = _softplus(u)
+            value *= c
+            value += a * u
+            e_u = np.exp(u)
+            e_u *= z
+            value -= e_u
+            return value
 
     return _log_laplace_integral(h, math.log(t), sigma) - special.gammaln(a)
 

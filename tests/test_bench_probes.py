@@ -38,3 +38,16 @@ def test_setup_probe_exits_0(monkeypatch, tmp_path, name):
     res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_laws_grid_values_match_their_reference(monkeypatch, tmp_path):
+    # the laws-grid workload's own check of its tiny grids (every 16th point
+    # of each of the 12 grids, 384 densities) against laws_reference.json:
+    # a density change that would fail the benchmark fails here first
+    calls = _workloads(monkeypatch).LawsWorkload(1, tmp_path, tiny=True).cycle(0)
+    assert len(calls) == 12
+    for call in calls:
+        vals = call.run()
+        assert vals.size == 32
+        failed, problems = call.check(vals)
+        assert failed == 0, problems

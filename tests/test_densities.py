@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from sketch_infer import densities, special_fn
@@ -14,13 +16,18 @@ from sketch_infer.densities import (
     MultivariateTParams,
     _check_direction,
     _cholesky,
+    _law_constants,
     _log_m_neg_laplace,
     _spd_factor,
+    complete_sampling_logpdf,
     complete_sampling_pdf,
     complete_sketching_t_params,
+    h_law_logpdf,
     h_law_pdf,
+    mvt_logpdf,
     mvt_marginal_cdf,
     mvt_pdf,
+    partial_approx_logpdf,
     partial_approx_pdf,
     partial_sketching_cdf,
     partial_sketching_law,
@@ -31,6 +38,7 @@ from sketch_infer.densities import (
     ratio_law_pdf,
     sample_partial_sampling_rep,
     sample_partial_sketching_rep,
+    ssr_s_law_logpdf,
     ssr_s_law_params,
     ssr_s_law_pdf,
 )
@@ -181,6 +189,14 @@ class TestHLaw:
                                 limit=500, epsabs=1e-12, epsrel=1e-12)
         assert abs(val - target) / target < 1e-8
 
+    @pytest.mark.parametrize("field", ["alpha", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "3"])
+    def test_parameter_finite_real_and_positive(self, field, value):
+        # alpha = inf passed the check, warned "invalid value encountered in
+        # scalar add" and raised NonFinite naming log K_nu's order
+        with pytest.raises(DomainError, match=f"^{field} must be a finite real > 0, got "):
+            HLawParams(**{"alpha": 3.0, "lam": 3.0, field: value})
+
     def test_sampler_matches_pdf(self):
         params = HLawParams(alpha=5.0, lam=9.5)
         draws = h_law_sample(params, seed=3, count=10_000)
@@ -240,6 +256,14 @@ class TestRatioLaw:
         grid = np.geomspace(np.quantile(draws, 0.0005), np.quantile(draws, 0.9995), 301)
         cdf = _cdf_from_pdf_positive(lambda r: ratio_law_pdf(r, phi, params), grid)
         assert ks_distance(draws, cdf) < 0.02
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0, -1.5, True, "1.5"])
+    def test_phi_finite_real_and_positive(self, phi):
+        # phi = nan raised NonFinite naming log_kummer_u's a, phi = inf
+        # warned "invalid value encountered in scalar subtract", and phi = True
+        # was taken as 1
+        with pytest.raises(DomainError, match="^phi must be a finite real > 0, got "):
+            ratio_law_logpdf(1.0, phi, HLawParams(alpha=4.0, lam=6.0))
 
     def test_sketching_instance_normalizes(self):
         # the instance used by the error-variance pivot: phi = p/2 with the
@@ -782,6 +806,129 @@ class TestSpdFactorCache:
             assert _cholesky.cache_info().currsize <= bound
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLawConstantsMemo:
+    """The per-point densities take their law constants from one memo,
+    ``densities._law_constants``, keyed on the law's content: an array
+    changed in place keys afresh, an error is never held, and what it holds
+    is read-only and bounded in count."""
+
+    truth = ModelTruth(beta_0=np.array([1.0, -0.5, 0.25]), sigma2=1.5)
+    b = np.array([1.05, -0.45, 0.3])
+
+    def setup_method(self):
+        X = np.random.default_rng(73).standard_normal((200, 3))
+        self.gram = X.T @ X
+
+    def _complete(self, gram, truth=None):
+        return complete_sampling_logpdf(self.b, truth or self.truth, gram, 200, 12, 3)
+
+    def _partial(self, gram, truth=None):
+        return partial_approx_logpdf(self.b, truth or self.truth, gram, 12, 3)
+
+    @pytest.mark.parametrize("law", ["_complete", "_partial"])
+    def test_in_place_change_to_gram_is_seen(self, law):
+        pdf = getattr(self, law)
+        want = pdf(2.0 * self.gram)
+        first = pdf(self.gram)
+        self.gram *= 2.0
+        assert pdf(self.gram) == want != first
+
+    @pytest.mark.parametrize("law", ["_complete", "_partial"])
+    def test_in_place_change_to_beta_0_is_seen(self, law):
+        pdf = getattr(self, law)
+        truth = ModelTruth(beta_0=self.truth.beta_0.copy(), sigma2=1.5)
+        want = pdf(self.gram, ModelTruth(beta_0=2.0 * truth.beta_0, sigma2=1.5))
+        first = pdf(self.gram, truth)
+        truth.beta_0[:] *= 2.0  # in place: the frozen truth holds the same array
+        assert pdf(self.gram, truth) == want != first
+
+    def test_failing_law_raises_on_every_call(self):
+        indefinite, broken = np.diag([-1.0, 1.0, 1.0]), self.gram.copy()
+        broken[1, 1] = math.nan
+        size = _law_constants.cache_info().currsize
+        for _ in range(3):
+            for pdf in (self._complete, self._partial):
+                with pytest.raises(DomainError, match="positive definite"):
+                    pdf(indefinite)
+                with pytest.raises(NonFinite, match="^Gram matrix: "):
+                    pdf(broken)
+        assert _law_constants.cache_info().currsize == size
+        broken[1, 1] = self.gram[1, 1]  # mended in place: its law is built and held
+        assert self._complete(broken) == self._complete(self.gram)
+
+    def test_cached_arrays_are_read_only(self):
+        gram_key = densities._content(self.gram)
+        beta_key = densities._content(self.truth.beta_0)
+        for build, key in [(densities._complete_constants, (200, 12, 3, 1.5, *gram_key)),
+                           (densities._partial_constants, (12, 3, 1.5, *beta_key, *gram_key)),
+                           (densities._mvt_constants, (5.0, *gram_key))]:
+            constants = _law_constants(build, *key)
+            assert _law_constants(build, *key) is constants
+            arrays = [c for c in constants if isinstance(c, np.ndarray)]
+            assert arrays
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        bound = _law_constants.cache_info().maxsize
+        assert bound == 32
+        for i in range(3 * bound):
+            self._complete((i + 1.0) * self.gram)
+            assert _law_constants.cache_info().currsize <= bound
+
+    def test_keys_are_typed(self):
+        # an int and a float parameter of equal value key two laws, so each
+        # law's constants are built from the values it was given
+        _law_constants.cache_clear()
+        values = [h_law_logpdf(50.0, HLawParams(alpha=a, lam=l)) for a, l in [(3, 4), (3.0, 4.0)]]
+        assert _law_constants.cache_info().currsize == 2
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("law", ["_complete", "_partial"])
+    def test_layout_and_dtype_give_equal_bits(self, law):
+        gram = np.round(self.gram)  # integral, so an integer copy is exact
+        vals = []
+        for copy in (gram, np.asfortranarray(gram), gram.astype(np.int64), gram.tolist()):
+            _law_constants.cache_clear()
+            vals.append(getattr(self, law)(copy))
+        assert [v.hex() for v in vals] == [vals[0].hex()] * 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6), k_extra=st.integers(2, 30),
+           n_extra=st.integers(1, 2000), sigma2=st.floats(0.1, 10.0),
+           log_scale=st.floats(0.0, 4.0), shape=st.tuples(*[st.floats(0.5, 60.0)] * 3),
+           spread=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)))
+    def test_warm_value_equals_cold_value(self, data, p, k_extra, n_extra, sigma2, log_scale,
+                                          shape, spread):
+        def vector(lo, hi, size):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+        k, n = p + k_extra, p + k_extra + n_extra
+        A = vector(-3.0, 3.0, (p + 2) * p).reshape(p + 2, p)
+        # a larger scale takes the complete law's Kummer M to its Laplace route
+        gram = 10.0 ** log_scale * (A.T @ A + np.eye(p))
+        truth = ModelTruth(beta_0=vector(-5.0, 5.0, p), sigma2=sigma2)
+        b = truth.beta_0 + vector(-1.0, 1.0, p) / math.sqrt(10.0 ** log_scale)
+        alpha, lam, phi = shape
+        params = HLawParams(alpha=alpha, lam=lam)
+        laws = [
+            lambda g: complete_sampling_logpdf(b, truth, g, n, k, p),
+            lambda g: partial_approx_logpdf(b, truth, g, k, p),
+            lambda g: mvt_logpdf(MultivariateTParams(df=k - p + 1, location=truth.beta_0,
+                                                     scale_matrix=g), b),
+            lambda g: h_law_logpdf(4.0 * alpha * lam * spread[0], params),
+            lambda g: ssr_s_law_logpdf((k - p) * (n - p) * spread[0], n, k, p),
+            lambda g: ratio_law_logpdf(phi / (alpha * lam) * spread[1], phi, params),
+        ]
+        for law in laws:
+            law(gram.copy())  # an equal copy fills the memo: the key is content
+            warm = law(gram)
+            _law_constants.cache_clear()
+            assert warm.hex() == law(gram).hex()
+
+
 # each exp-of-log wrapper at an argument past double precision: mvt_pdf,
 # complete_sampling_pdf and partial_approx_pdf raised a bare OverflowError
 # there.  ssr_s_law_pdf and ratio_law_pdf stay below it at every
@@ -857,8 +1004,13 @@ class TestSamplingLawArguments:
         (lambda s: mvt_pdf(s.mvt, np.zeros(1)), "b has length 1, expected 3"),
         (lambda s: mvt_marginal_cdf(s.mvt, 7, 0.0), r"coordinate index 7 outside \[0, 3\)"),
         (lambda s: mvt_marginal_cdf(s.mvt, -1, 0.0), r"coordinate index -1 outside \[0, 3\)"),
+        (lambda s: mvt_marginal_cdf(s.mvt, 1.5, 0.0), "coordinate index takes an integer, got 1.5"),
+        (lambda s: mvt_marginal_cdf(s.mvt, 1.0, 0.0), "coordinate index takes an integer, got 1.0"),
+        (lambda s: mvt_marginal_cdf(s.mvt, True, 0.0),
+         "coordinate index takes an integer, got True"),
     ], ids=["complete-beta_0", "partial_approx-beta_0", "partial_rep-beta_0", "complete-b2",
-            "complete-b1", "mvt-b4", "mvt-b1", "marginal-j7", "marginal-j-1"])
+            "complete-b1", "mvt-b4", "mvt-b1", "marginal-j7", "marginal-j-1", "marginal-j1.5",
+            "marginal-j1.0", "marginal-jTrue"])
     def test_named(self, call, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call(self)

@@ -150,6 +150,19 @@ class TestSoftplus:
         np.testing.assert_array_equal(alone, plus)
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("x", [-800.0, -3.5, -0.0, 0.0, 1e-300, 2.5, 745.2])
+def test_softplus_of_a_number_has_the_bits_of_a_one_element_array(x, mirrored):
+    # _beta_rule calls _softplus(mode) on a float, and the ufuncs after the
+    # first write into their own buffers, which must then be arrays too
+    want = special_fn._softplus(np.array([x]), mirrored)
+    for u in (x, np.float64(x), np.array(x)):
+        got = special_fn._softplus(u, mirrored)
+        for g, w in (zip(got, want) if mirrored else [(got, want)]):
+            assert np.shape(g) == ()
+            assert np.asarray(g).reshape(1).view(np.int64) == w.view(np.int64)
+
+
 def _u_recurrence_gap(a, b, z):
     """|log U(a,b,z) - log(a U(a+1,b,z) + U(a,b-1,z))|, DLMF 13.3.10.
 
