@@ -90,13 +90,14 @@ def _cholesky(content: bytes, shape: tuple) -> tuple:
 def _spd_factor(matrix) -> tuple:
     """(L, log det) of a symmetric positive definite matrix, L lower Cholesky.
 
-    A law's Gram or scale matrix is factored here when its constants are
-    built (``_law_constants``), and a sampler's or a test's at each call, so
-    the factorization is memoized on the matrix's content (``_content``,
-    never its identity: a matrix changed in place is factored afresh), a
-    few matrices at a time.  L is read-only,
-    as every caller shares it.  Raises DomainError unless the matrix is
-    square and positive definite, NonFinite on a NaN or infinite entry.
+    The factorization is memoized on the matrix's content (``_cholesky``
+    keyed on ``_content``, never its identity: a matrix changed in place is
+    factored afresh), a few matrices at a time.  A law's constants
+    (``_law_constants``) hand their key's bytes to ``_cholesky`` directly,
+    and ``_gram_cholesky`` checks a Gram matrix the same way.  L is
+    read-only, as every caller shares it.  Raises DomainError unless the
+    matrix is square and positive definite, NonFinite on a NaN or infinite
+    entry.
     """
     content, shape = _content(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -104,16 +105,22 @@ def _spd_factor(matrix) -> tuple:
     return _cholesky(content, shape)
 
 
-def _gram_factor(gram, p: int) -> tuple:
-    """(gram, its ``_spd_factor``): the one check of a Gram matrix X'X, p x p and
-    positive definite (DomainError, or NonFinite for a NaN or inf, naming it)."""
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (p, p):
-        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {gram.shape}")
+def _gram_cholesky(content: bytes, shape: tuple, p: int) -> tuple:
+    """(L, log det) of the Gram matrix X'X behind a ``_content`` key: the one
+    check of a Gram matrix, p x p and positive definite (DomainError, or
+    NonFinite for a NaN or inf, naming it)."""
+    if shape != (p, p):
+        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {shape}")
     try:
-        return gram, _spd_factor(gram)
+        return _cholesky(content, shape)
     except (DomainError, NonFinite) as exc:
         raise type(exc)(f"Gram matrix: {exc}") from exc
+
+
+def _gram_factor(gram, p: int) -> tuple:
+    """(gram, its ``_gram_cholesky``): a Gram matrix given as an array, checked."""
+    gram = np.asarray(gram, dtype=float)
+    return gram, _gram_cholesky(*_content(gram), p)
 
 
 def _vector(v, p: int, what: str) -> np.ndarray:
@@ -153,8 +160,10 @@ def _check_count(count) -> None:
 
 def _check_positive(name: str, value) -> None:
     """The one check of a law's shape parameter: a finite real > 0, not a bool
-    (DomainError naming it)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    (DomainError naming it).  A float skips the slower abstract type check,
+    as it runs at every point of the ratio law."""
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and 0 < value < math.inf):
         raise DomainError(f"{name} must be a finite real > 0, got {value!r}")
 
 
@@ -170,19 +179,23 @@ def _check_truth(truth: ModelTruth, p: int) -> None:
 # law constants, built once per law content
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=4, typed=True)
 def _law_constants(build, *key) -> tuple:
     """``build(*key)``: the checked, read-only constants of one law, memoized.
 
     A density is evaluated point by point at one law, so everything that
     does not depend on the point (its Gram check, gamma functions, logs and
-    beta_0'X'X beta_0) is built once for each distinct law content, up to
-    32 laws at a time, and each point does only its own work.  Keys hold
-    scalars and ``_content`` pairs, typed (12 and 12.0 key apart), so the
-    constants are always those built from the values given.  Each density
-    runs its scalar checks (design sizes, truth, parameters) before it
-    asks.  An error is raised afresh on every call, as lru_cache stores no
-    exception.
+    beta_0'X'X beta_0) is built once for each distinct law content, and
+    each point does only its own work.  A grid is evaluated point after
+    point at one law, so a few laws at a time suffice, as for
+    ``_cholesky``; each law holds a p x p copy of its matrix (the key's
+    bytes, viewed read-only by its constants).  Keys hold scalars and
+    ``_content`` pairs, typed (12 and 12.0 key apart), so the constants are
+    always those built from the values given.  A builder hands the key's
+    bytes to ``_cholesky`` itself, so a law's matrix is copied and hashed
+    once.  Each density runs its scalar checks (design sizes, truth,
+    parameters) before it asks.  An error is raised afresh on every call, as
+    lru_cache stores no exception.
     """
     return build(*key)
 
@@ -217,8 +230,9 @@ class MultivariateTParams:
 
 
 def _mvt_constants(nu, content: bytes, shape: tuple) -> tuple:
-    """(L, log constant) of ``mvt_logpdf``'s law, L the scale matrix's Cholesky factor."""
-    L, logdet = _spd_factor(_array(content, shape))
+    """(L, log constant) of ``mvt_logpdf``'s law, L the scale matrix's Cholesky
+    factor (``MultivariateTParams`` has checked it square)."""
+    L, logdet = _cholesky(content, shape)
     p = shape[0]
     return L, float(
         special.gammaln((nu + p) / 2.0)
@@ -308,7 +322,8 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
 
 def _complete_constants(n, k, p, sigma2, content: bytes, shape: tuple) -> tuple:
     """(gram, log constant, (a + p/2, e)) of ``complete_sampling_logpdf``'s law."""
-    gram, (_, logdet) = _gram_factor(_array(content, shape), p)
+    _, logdet = _gram_cholesky(content, shape, p)
+    gram = _array(content, shape)
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
     log_const = (
@@ -389,7 +404,7 @@ def h_law_pdf(u: float, params: HLawParams) -> float:
 
 def ssr_s_law_params(n: int, k: int, p: int) -> HLawParams:
     _check_design(k, p, 1, n)
-    return _law_constants(HLawParams, (k - p) / 2.0, (n - p) / 2.0)  # frozen: shared safely
+    return HLawParams(alpha=(k - p) / 2.0, lam=(n - p) / 2.0)
 
 
 def ssr_s_law_logpdf(u: float, n: int, k: int, p: int) -> float:
@@ -745,7 +760,8 @@ def _partial_constants(k, p, sigma2, beta_content: bytes, beta_shape: tuple,
                        gram_content: bytes, gram_shape: tuple) -> tuple:
     """(gram, log constant, k gamma beta_0'X'X beta_0 / sigma2, k eta, nu, the
     Bessel factor's s -> 0 limit) of ``partial_approx_logpdf``'s law."""
-    gram, (_, logdet) = _gram_factor(_array(gram_content, gram_shape), p)
+    _, logdet = _gram_cholesky(gram_content, gram_shape, p)
+    gram = _array(gram_content, gram_shape)
     beta_0 = _array(beta_content, beta_shape)
     gamma = (k - p - 1) / k
     eta = gamma * sigma2

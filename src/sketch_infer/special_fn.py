@@ -260,21 +260,12 @@ def _softplus(u: np.ndarray, mirrored: bool = False):
     one sign costs ~70% of one ``logaddexp``, both signs under half of two.
     softplus(-u) is not formed as softplus(u) - u, which cancels at large u.
     The U integrand needs one sign, the M integrand (in ``densities``) both.
-    Each ufunc after the first writes into its own buffer (``out=...``
-    makes that buffer an array even for a number u, which then gives a 0-d
-    array).
     """
-    s = np.copysign(u, -1.0, out=...)  # -|u|
-    np.exp(s, out=s)
-    np.log1p(s, out=s)
-    plus = np.maximum(u, 0.0, out=...)
-    plus += s
+    s = np.log1p(np.exp(-np.abs(u)))
+    plus = s + np.maximum(u, 0.0)
     if not mirrored:
         return plus
-    minus = np.negative(u, out=...)
-    np.maximum(minus, 0.0, out=minus)
-    minus += s
-    return plus, minus
+    return plus, s + np.maximum(-u, 0.0)
 
 
 # ---------------------------------------------------------------------------

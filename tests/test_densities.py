@@ -873,7 +873,6 @@ class TestLawConstantsMemo:
 
     def test_cache_is_bounded(self):
         bound = _law_constants.cache_info().maxsize
-        assert bound == 32
         for i in range(3 * bound):
             self._complete((i + 1.0) * self.gram)
             assert _law_constants.cache_info().currsize <= bound

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy import special as sp
 
-from sketch_infer import special_fn
+from sketch_infer import densities, special_fn
 from sketch_infer.errors import ConvergenceError, DomainError, NonFinite, OverflowSignal
 from sketch_infer.special_fn import (
     Law,
@@ -153,14 +153,49 @@ class TestSoftplus:
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("x", [-800.0, -3.5, -0.0, 0.0, 1e-300, 2.5, 745.2])
 def test_softplus_of_a_number_has_the_bits_of_a_one_element_array(x, mirrored):
-    # _beta_rule calls _softplus(mode) on a float, and the ufuncs after the
-    # first write into their own buffers, which must then be arrays too
+    # _beta_rule calls _softplus(mode) on a float: a number, a numpy scalar
+    # and a 0-d array each give a 0-d result with the bits of an array's
     want = special_fn._softplus(np.array([x]), mirrored)
     for u in (x, np.float64(x), np.array(x)):
         got = special_fn._softplus(u, mirrored)
         for g, w in (zip(got, want) if mirrored else [(got, want)]):
             assert np.shape(g) == ()
             assert np.asarray(g).reshape(1).view(np.int64) == w.view(np.int64)
+
+
+def _integrand_at_nodes(monkeypatch, module, fn, *args):
+    """(h, its nodes u) of the one ``_log_laplace_integral`` call of fn(*args)."""
+    seen = []
+    real = special_fn._log_laplace_integral
+
+    def spy(h, mode, sigma):
+        seen.append((h, mode, sigma))
+        return real(h, mode, sigma)
+
+    monkeypatch.setattr(module, "_log_laplace_integral", spy)
+    fn(*args)
+    (h, mode, sigma), = seen
+    return h, mode + sigma * special_fn._NODES[0]
+
+
+@pytest.mark.parametrize("a,b,z", [(3.0, -1.5, 0.7), (0.8, 2.5, 40.0), (12.0, 30.0, 1e-3),
+                                   (5000.0, 6000.0, 7.5)])
+def test_u_integrand_has_the_bits_of_its_plain_formula(monkeypatch, a, b, z):
+    # log_kummer_u forms its integrand in place on its ufuncs' buffers: at
+    # every node it must give the bits of the expression it stands for
+    h, u = _integrand_at_nodes(monkeypatch, special_fn, log_kummer_u, a, b, z)
+    with np.errstate(over="ignore"):
+        want = a * u + (b - a - 1.0) * special_fn._softplus(u) - z * np.exp(u)
+    np.testing.assert_array_equal(h(u.copy()).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("a,c,x", [(6.5, 94.5, 300.0), (0.7, 2.0, 55.0), (4000.0, 5.0, 9e4)])
+def test_m_integrand_has_the_bits_of_its_plain_formula(monkeypatch, a, c, x):
+    # the same for the Laplace route of Kummer M in densities
+    h, u = _integrand_at_nodes(monkeypatch, densities, densities._log_m_neg_laplace, a, c, x)
+    plus, minus = special_fn._softplus(u, mirrored=True)
+    want = -x * sp.expit(u) - a * minus - c * plus
+    np.testing.assert_array_equal(h(u.copy()).view(np.int64), want.view(np.int64))
 
 
 def _u_recurrence_gap(a, b, z):
