@@ -74,9 +74,11 @@ def _array(content: bytes, shape: tuple) -> np.ndarray:
     return np.frombuffer(content).reshape(shape)
 
 
-@functools.lru_cache(maxsize=4)
-def _cholesky(content: bytes, shape: tuple) -> tuple:
-    A = _array(content, shape)
+def _cholesky(A: np.ndarray) -> tuple:
+    """(L, log det) of a symmetric positive definite float array, L lower
+    Cholesky and read-only, as a law's memoized constants share it.  Raises
+    NonFinite on a NaN or infinite entry, DomainError unless A is positive
+    definite."""
     if not np.isfinite(A).all():
         raise NonFinite("matrix contains NaN or infinite entries")
     try:
@@ -87,40 +89,16 @@ def _cholesky(content: bytes, shape: tuple) -> tuple:
     return L, 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def _spd_factor(matrix) -> tuple:
-    """(L, log det) of a symmetric positive definite matrix, L lower Cholesky.
-
-    The factorization is memoized on the matrix's content (``_cholesky``
-    keyed on ``_content``, never its identity: a matrix changed in place is
-    factored afresh), a few matrices at a time.  A law's constants
-    (``_law_constants``) hand their key's bytes to ``_cholesky`` directly,
-    and ``_gram_cholesky`` checks a Gram matrix the same way.  L is
-    read-only, as every caller shares it.  Raises DomainError unless the
-    matrix is square and positive definite, NonFinite on a NaN or infinite
-    entry.
-    """
-    content, shape = _content(matrix)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {shape}")
-    return _cholesky(content, shape)
-
-
-def _gram_cholesky(content: bytes, shape: tuple, p: int) -> tuple:
-    """(L, log det) of the Gram matrix X'X behind a ``_content`` key: the one
-    check of a Gram matrix, p x p and positive definite (DomainError, or
-    NonFinite for a NaN or inf, naming it)."""
-    if shape != (p, p):
-        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {shape}")
+def _gram_cholesky(gram: np.ndarray, p: int) -> tuple:
+    """(L, log det) of the Gram matrix X'X, a float array: the one check of a
+    Gram matrix, p x p and positive definite (DomainError, or NonFinite for a
+    NaN or inf, naming it)."""
+    if gram.shape != (p, p):
+        raise DomainError(f"Gram matrix must be {p} x {p}, got shape {gram.shape}")
     try:
-        return _cholesky(content, shape)
+        return _cholesky(gram)
     except (DomainError, NonFinite) as exc:
         raise type(exc)(f"Gram matrix: {exc}") from exc
-
-
-def _gram_factor(gram, p: int) -> tuple:
-    """(gram, its ``_gram_cholesky``): a Gram matrix given as an array, checked."""
-    gram = np.asarray(gram, dtype=float)
-    return gram, _gram_cholesky(*_content(gram), p)
 
 
 def _vector(v, p: int, what: str) -> np.ndarray:
@@ -187,12 +165,12 @@ def _law_constants(build, *key) -> tuple:
     does not depend on the point (its Gram check, gamma functions, logs and
     beta_0'X'X beta_0) is built once for each distinct law content, and
     each point does only its own work.  A grid is evaluated point after
-    point at one law, so a few laws at a time suffice, as for
-    ``_cholesky``; each law holds a p x p copy of its matrix (the key's
-    bytes, viewed read-only by its constants).  Keys hold scalars and
+    point at one law, so a few laws at a time suffice; each law holds a
+    p x p copy of its matrix (the key's bytes, viewed read-only by its
+    constants) and its Cholesky factor.  Keys hold scalars and
     ``_content`` pairs, typed (12 and 12.0 key apart), so the constants are
-    always those built from the values given.  A builder hands the key's
-    bytes to ``_cholesky`` itself, so a law's matrix is copied and hashed
+    always those built from the values given.  A builder factors the array
+    behind its key's bytes itself, so a law's matrix is copied and hashed
     once.  Each density runs its scalar checks (design sizes, truth,
     parameters) before it asks.  An error is raised afresh on every call, as
     lru_cache stores no exception.
@@ -215,8 +193,9 @@ class MultivariateTParams:
     def __post_init__(self):
         loc = np.asarray(self.location, dtype=float).reshape(-1)
         S = np.asarray(self.scale_matrix, dtype=float)
-        if not 0 < self.df < math.inf:  # NaN fails both
-            raise DomainError(f"df must be finite and positive, got {self.df}")
+        real = isinstance(self.df, numbers.Real) and not isinstance(self.df, bool)
+        if not (real and 0 < self.df < math.inf):  # NaN fails both
+            raise DomainError(f"df must be finite and positive, got {self.df!r}")
         if S.shape != (loc.size, loc.size):
             raise DomainError("scale matrix shape inconsistent with location")
         if not (np.isfinite(loc).all() and np.isfinite(S).all()):
@@ -232,7 +211,7 @@ class MultivariateTParams:
 def _mvt_constants(nu, content: bytes, shape: tuple) -> tuple:
     """(L, log constant) of ``mvt_logpdf``'s law, L the scale matrix's Cholesky
     factor (``MultivariateTParams`` has checked it square)."""
-    L, logdet = _cholesky(content, shape)
+    L, logdet = _cholesky(_array(content, shape))
     p = shape[0]
     return L, float(
         special.gammaln((nu + p) / 2.0)
@@ -269,12 +248,13 @@ def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
 
 def complete_sketching_t_params(fullfit: FullFit, gram_inv: np.ndarray, k: int, p: int) -> MultivariateTParams:
     """Law of the complete-sketch estimator over repeated sketches of one dataset:
-    t_p(k-p+1, beta_F, (X'X)^{-1} SSR_F / (k-p+1))."""
+    t_p(k-p+1, beta_F, (X'X)^{-1} SSR_F / (k-p+1)), for integer k >= p and a
+    fit of p coefficients."""
+    _check_design(k, p, 0)
     df = k - p + 1
-    if df <= 0:
-        raise DomainError("requires k >= p")
     return MultivariateTParams(
-        df=df, location=fullfit.beta_F, scale_matrix=np.asarray(gram_inv) * fullfit.SSR_F / df
+        df=df, location=_vector(fullfit.beta_F, p, "beta_F"),
+        scale_matrix=np.asarray(gram_inv) * fullfit.SSR_F / df
     )
 
 
@@ -322,8 +302,8 @@ def _log_m_neg_laplace(a: float, c: float, x: float) -> float:
 
 def _complete_constants(n, k, p, sigma2, content: bytes, shape: tuple) -> tuple:
     """(gram, log constant, (a + p/2, e)) of ``complete_sampling_logpdf``'s law."""
-    _, logdet = _gram_cholesky(content, shape, p)
     gram = _array(content, shape)
+    _, logdet = _gram_cholesky(gram, p)
     a = (k - p + 1) / 2.0
     e = (n - p) / 2.0
     log_const = (
@@ -735,7 +715,8 @@ def sample_partial_sampling_rep(
     _check_design(k, p, 2, p_min=2)
     m_vec = _vector(m_vec, p, "m")
     _check_truth(truth, p)
-    gram, (L, _) = _gram_factor(gram, p)
+    gram = np.asarray(gram, dtype=float)
+    L, _ = _gram_cholesky(gram, p)
     _check_direction(m_vec, truth.beta_0, "beta_0")
     w = _solve_triangular(L, m_vec, lower=True)
     tau = float(w @ w)
@@ -760,8 +741,8 @@ def _partial_constants(k, p, sigma2, beta_content: bytes, beta_shape: tuple,
                        gram_content: bytes, gram_shape: tuple) -> tuple:
     """(gram, log constant, k gamma beta_0'X'X beta_0 / sigma2, k eta, nu, the
     Bessel factor's s -> 0 limit) of ``partial_approx_logpdf``'s law."""
-    _, logdet = _gram_cholesky(gram_content, gram_shape, p)
     gram = _array(gram_content, gram_shape)
+    _, logdet = _gram_cholesky(gram, p)
     beta_0 = _array(beta_content, beta_shape)
     gamma = (k - p - 1) / k
     eta = gamma * sigma2

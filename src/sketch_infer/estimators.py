@@ -102,17 +102,18 @@ def _solve_gram(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _complete_solve(sk: SketchedData):
-    """R of the sketch's shared QR, Q^T y_s, the complete residual SSR_s and ||y_s||^2.
+    """R of the rank-checked QR of Xs, Q^T y_s, the complete residual SSR_s and ||y_s||^2.
 
     SSR_s is the squared norm of the projection residual y_s - Q Q^T y_s,
     never the difference of two large near-equal quantities.  A sum that
     overflows raises NonFinite.  The solve is made once per sketch and kept
-    with its QR, so the complete and partial fits of a sketch share it.
+    with it, so the complete and partial fits of a sketch share one QR; a
+    rank-deficient Xs raises RankDeficient on every call (nothing is kept).
     """
     solved = sk.__dict__.get("_complete_solve")
     if solved is not None:
         return solved
-    Q, R = sk.qr
+    Q, R = _qr_full_rank(sk.Xs)
     ys = sk.ys[..., None]
     # an overflow in Q^T y_s leaves SSR_s NaN, reported below with no warning
     with np.errstate(over="ignore", invalid="ignore"):

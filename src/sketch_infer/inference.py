@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _dot, _first, _scalar, _solve_triangular
-from .densities import _check_direction, _gram_factor, _ratio_beta, _vector, ssr_s_law_params
+from .densities import _check_direction, _gram_cholesky, _ratio_beta, _vector, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -173,6 +173,22 @@ def _require_ssr(fit: SketchFit, k: int) -> float:
     return ssr
 
 
+def _finite(compute, what: str) -> float:
+    """``compute()``, a joint statistic or its quadratic form, as a float;
+    NonFinite naming ``what``, with no numpy warning, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} overflows")
+    return value
+
+
+def _numerator(fit: SketchFit, hyp: np.ndarray, what: str) -> float:
+    """||R(b - h)||^2 with R ``fit``'s Gram factor: a joint F numerator,
+    checked by ``_finite``."""
+    return _finite(lambda: np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2), what)
+
+
 def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple:
     """(b_j - h_j) / se_j and se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj): the one
     place a marginal t statistic is formed (per fit of a stack)."""
@@ -206,14 +222,14 @@ def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarra
 # ---------------------------------------------------------------------------
 
 def complete_joint_f_test(fit: SketchFit, sk: SketchedData, beta_hyp) -> TestResult:
-    """Joint F pivot: (b_s - h)'(Xs'Xs)(b_s - h)/p / (SSR_s/(k-p)) ~ F_{p, k-p}."""
+    """Joint F pivot: (b_s - h)'(Xs'Xs)(b_s - h)/p / (SSR_s/(k-p)) ~ F_{p, k-p}.
+    A statistic that overflows raises NonFinite."""
     _require_kind(fit, FitKind.COMPLETE, "joint F test")
     k, p = sk.spec.k, sk.p
     ssr = _require_ssr(fit, k)
-    d = fit.beta - _null_vector(fit, beta_hyp)
-    quad = float(np.sum((fit.gram_s_factor @ d) ** 2))
-    return _result((quad / p) / (ssr / (k - p)), f_law(p, k - p), Regime.REPEATED_SKETCH,
-                   two_sided=False)
+    quad = _numerator(fit, _null_vector(fit, beta_hyp), "the F numerator ||R(b_s - h)||^2")
+    stat = _finite(lambda: (quad / p) / (ssr / (k - p)), "the joint F statistic")
+    return _result(stat, f_law(p, k - p), Regime.REPEATED_SKETCH, two_sided=False)
 
 
 def marginal_t_statistic(fit: SketchFit, sk: SketchedData, j: int, hyp_j: float):
@@ -263,10 +279,7 @@ def _wstar_ssr(fit: SketchFit, sk: SketchedData, yty: float, hyp: np.ndarray):
         raise MissingWStar("operation requires the W* = S S^T byproduct; re-sketch with want_w_star=True")
     if not math.isfinite(yty):
         raise NonFinite(f"the null-centered sum of squares ||y - X h||^2 = {yty} overflows")
-    with np.errstate(over="ignore"):
-        num = float(np.sum((fit.gram_s_factor @ (fit.beta - hyp)) ** 2))
-    if not math.isfinite(num):
-        raise NonFinite("the F numerator ||R(b* - h)||^2 overflows")
+    num = _numerator(fit, hyp, "the F numerator ||R(b* - h)||^2")
     ssr_star = float(yty - num)
     floor = _roundoff_floor(sk.spec.k, yty)
     if ssr_star <= floor:
@@ -328,14 +341,18 @@ def complete_sampling_joint_test(
     ``densities.ratio_beta_law_pdf``'s at phi = p/2.  The p-value is its upper tail.
     The fit must have p coefficients, and ``gram`` (X'X) must be p x p and
     positive definite (DomainError; NonFinite for a NaN or infinite entry).
+    A statistic that overflows raises NonFinite.
     """
     _require_kind(fit, FitKind.COMPLETE, "joint sampling test")
     ssr = _require_ssr(fit, k)
     if fit.beta.size != p:
         raise DomainError(f"the fit has {fit.beta.size} coefficients, expected p = {p}")
-    gram = _gram_factor(gram, p)[0]
-    d = fit.beta - _null_vector(fit, beta_hyp)
-    obs = (float(d @ gram @ d) / p) / sigma2_hat_complete(ssr, n, k, p)
+    gram = np.asarray(gram, dtype=float)
+    _gram_cholesky(gram, p)
+    hyp = _null_vector(fit, beta_hyp)
+    quad = _finite(lambda: (fit.beta - hyp) @ gram @ (fit.beta - hyp),
+                   "the joint statistic's quadratic form (b_s - h)'X'X(b_s - h)")
+    obs = _finite(lambda: (quad / p) / sigma2_hat_complete(ssr, n, k, p), "the joint statistic")
     p_val = _ratio_beta([obs * p / ((n - p) * (k - p))], p / 2.0, (k - p + 1) / 2.0,
                         (n - p) / 2.0, ssr_s_law_params(n, k, p), tail=True)[0]
     return TestResult(statistic=obs, pivot_law=Law("mixed_f", (float(p), float(k - p), float(n - p))),

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core_model import DataSet, _qr_full_rank
+from .core_model import DataSet
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -98,15 +97,6 @@ class SketchedData:
                 raise DimensionMismatch(f"W_star has shape {W.shape}, expected ({k}, {k})")
             if not np.allclose(W, W.T, atol=1e-10 * max(1.0, np.abs(W).max())):
                 raise DomainError("W_star is not symmetric")
-
-    @cached_property
-    def qr(self):
-        """Rank-checked economy QR (Q, R) of ``Xs``, factored once per sketch.
-
-        The complete and partial fits of one sketch share it.  A rank-deficient
-        ``Xs`` raises ``RankDeficient`` on every access (nothing is cached).
-        """
-        return _qr_full_rank(self.Xs)
 
     @classmethod
     def stack(cls, sketches) -> SketchedData:

@@ -15,10 +15,8 @@ from sketch_infer.densities import (
     HLawParams,
     MultivariateTParams,
     _check_direction,
-    _cholesky,
     _law_constants,
     _log_m_neg_laplace,
-    _spd_factor,
     complete_sampling_logpdf,
     complete_sampling_pdf,
     complete_sketching_t_params,
@@ -759,52 +757,6 @@ class TestPositiveDefinite:
         with pytest.raises(DomainError, match="positive definite"):
             sample_partial_sampling_rep(np.eye(11)[0], self.truth, gram, 21, 11, 10, seed=0)
 
-    def test_non_finite_or_non_square_matrix(self):
-        with pytest.raises(NonFinite):
-            _spd_factor(np.diag([1.0, np.inf]))
-        with pytest.raises(DomainError, match="square"):
-            _spd_factor(np.ones((2, 3)))
-
-
-class TestSpdFactorCache:
-    def setup_method(self):
-        rng = np.random.default_rng(71)
-        self.X = rng.standard_normal((200, 3))
-        self.truth = ModelTruth(beta_0=np.array([1.0, -0.5, 0.25]), sigma2=1.0)
-        self.b = self.truth.beta_0 + 0.05
-
-    def _pdf(self, gram):
-        return complete_sampling_pdf(self.b, self.truth, gram, 200, 12, 3)
-
-    def test_in_place_change_is_seen(self):
-        gram = self.X.T @ self.X
-        _cholesky.cache_clear()
-        want = self._pdf(2.0 * gram)
-        _cholesky.cache_clear()
-        first = self._pdf(gram)
-        gram *= 2.0
-        assert self._pdf(gram) == want != first
-
-    def test_layout_and_dtype_share_one_factor(self):
-        gram = np.round(self.X.T @ self.X)  # integral, so an integer copy is exact
-        copies = [gram, np.asfortranarray(gram), gram.astype(np.int64)]
-        factors = [_spd_factor(g) for g in copies]
-        assert all(f[0] is factors[0][0] and f[1] == factors[0][1] for f in factors)
-        vals = [self._pdf(g) for g in copies]
-        assert vals[1] == vals[0] and vals[2] == vals[0]
-
-    def test_factor_is_read_only(self):
-        L, _ = _spd_factor(self.X.T @ self.X)
-        with pytest.raises(ValueError):
-            L[0, 0] = 0.0
-
-    def test_cache_is_bounded(self):
-        bound = _cholesky.cache_info().maxsize
-        assert bound == 4
-        for i in range(3 * bound):
-            _spd_factor((i + 1.0) * np.eye(3))
-            assert _cholesky.cache_info().currsize <= bound
-
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLawConstantsMemo:
@@ -979,6 +931,19 @@ def test_gram_not_p_by_p_is_named(caller, gram):
         _GRAM_CALLERS[caller](gram)
 
 
+@pytest.mark.parametrize("caller", ["sample_partial_sampling_rep", "complete_sampling_joint_test"])
+def test_gram_layout_and_dtype_give_equal_bits(caller):
+    # the draws and p-values of C-ordered, F-ordered, integer and list copies
+    # of one Gram matrix agree bit for bit
+    X = np.random.default_rng(79).standard_normal((200, 3))
+    gram = np.round(X.T @ X)  # integral, so an integer copy is exact
+    outs = [_GRAM_CALLERS[caller](copy) for copy in
+            (gram, np.asfortranarray(gram), gram.astype(np.int64), gram.tolist())]
+    if caller == "complete_sampling_joint_test":
+        outs = [np.array([out.statistic, out.p_value]) for out in outs]
+    assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+
 class TestSamplingLawArguments:
     """Each sampling law checks its truth, point and index against p, naming
     the argument; each case raised numpy's bare ValueError or IndexError, or
@@ -1091,7 +1056,7 @@ class TestDrawCounts:
 
 
 class TestMultivariateTParameters:
-    @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0, -1.0, True, "5"])
     def test_df_finite_and_positive(self, df):
         with pytest.raises(DomainError, match="df must be finite and positive"):
             MultivariateTParams(df=df, location=np.zeros(2), scale_matrix=np.eye(2))
@@ -1104,6 +1069,19 @@ class TestMultivariateTParameters:
 
 
 class TestSketchingLawHelper:
+    @pytest.mark.parametrize("k,p,message", [
+        (21.5, 3, "k takes a finite integer, got 21.5"),
+        (True, 3, "k takes a finite integer, got True"),
+        (12, 5, "beta_F has length 3, expected 5"),
+        (2, 3, r"k must be at least p \(got k=2, p=3\)"),
+    ], ids=["fractional_k", "bool_k", "p_not_the_fits", "k_below_p"])
+    def test_design_is_checked(self, k, p, message):
+        # a fractional k gave df 19.5, a p of 5 for a 3-coefficient fit df 17,
+        # and k = True was taken for 1
+        data = make_dataset(200, 3, [1.0, 0.5, -0.5], seed=61)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            complete_sketching_t_params(fit_full(data), np.linalg.inv(data.X.T @ data.X), k, p)
+
     def test_marginal_matches_construction(self):
         data = make_dataset(200, 3, [1.0, 0.5, -0.5], seed=61)
         full = fit_full(data)

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 
 from sketch_infer.core_model import DataSet, fit_full
-from sketch_infer import sketch_ops
+from sketch_infer import estimators
 from sketch_infer.errors import (
     DegenerateSSR,
     DimensionMismatch,
@@ -182,13 +182,13 @@ class TestFitPartial:
 class TestSharedQR:
     def test_one_factorization_per_sketch(self, monkeypatch):
         calls = []
-        real = sketch_ops._qr_full_rank
+        real = estimators._qr_full_rank
 
         def counting(A):
             calls.append(A.shape)
             return real(A)
 
-        monkeypatch.setattr(sketch_ops, "_qr_full_rank", counting)
+        monkeypatch.setattr(estimators, "_qr_full_rank", counting)
         data = make_dataset(100, 3, [1.0, 2.0, -1.0], seed=30)
         sk = _gauss(data, 10, 5)
         fit_complete(sk)

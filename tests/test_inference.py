@@ -113,6 +113,38 @@ class TestCompleteJointF:
             complete_joint_f_test(degenerate, sk, fit.beta)
 
 
+def _overflow_case(scale):
+    """A fit whose design has entries of order 10^scale and response of order
+    10^-scale, with its data and sketch."""
+    data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=1)
+    data = DataSet(X=data.X * 10.0 ** scale, y=data.y * 10.0 ** -scale)
+    sk = _gauss(data, 10, 2)
+    return fit_complete(sk), sk, data
+
+
+def _f_test(fit, sk, data, hyp):
+    return complete_joint_f_test(fit, sk, hyp)
+
+
+def _sampling_test(fit, sk, data, hyp):
+    return complete_sampling_joint_test(fit, data.X.T @ data.X, data.n, sk.spec.k, sk.p, hyp)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("test,scale,hyp,overflowing", [
+    (_f_test, 0, 1e200, "||R(b_s - h)||^2"),
+    (_sampling_test, 0, 1e200, "(b_s - h)'X'X(b_s - h)"),
+    (_f_test, 100, 1e50, "the joint F statistic"),
+    (_sampling_test, 100, 1e50, "the joint statistic"),
+], ids=["f_quadratic_form", "sampling_quadratic_form", "f_statistic", "sampling_statistic"])
+def test_joint_statistic_overflow_is_non_finite(test, scale, hyp, overflowing):
+    # both joint tests leaked numpy's overflow warning at a far null or
+    # returned a non-finite statistic: the F test as inf (p-value 0), the
+    # sampling test as a DomainError naming its law
+    with pytest.raises(NonFinite, match=f"{re.escape(overflowing)} overflows"):
+        test(*_overflow_case(scale), np.full(3, hyp))
+
+
 class TestCompleteMarginalT:
     def test_point_null_at_estimate(self):
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer import sim_study, sketch_ops
+from sketch_infer import estimators, sim_study
 from sketch_infer.core_model import draw_response, fit_full, response_mean
 from sketch_infer.densities import (
     complete_sketching_t_params,
@@ -733,13 +733,13 @@ class TestStackedRanges:
     @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
     def test_one_stacked_qr_per_chunk(self, monkeypatch, regime, run):
         shapes = []
-        real = sketch_ops._qr_full_rank
+        real = estimators._qr_full_rank
 
         def counting(A):
             shapes.append(A.shape)
             return real(A)
 
-        monkeypatch.setattr(sketch_ops, "_qr_full_rank", counting)
+        monkeypatch.setattr(estimators, "_qr_full_rank", counting)
         monkeypatch.setattr(sim_study, "_CHUNK", 4)
         monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 1)
         cfg = _small_cfg(regime, m=10, kinds=(SketchKind.HADAMARD, SketchKind.GAUSSIAN))
