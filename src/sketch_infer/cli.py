@@ -183,7 +183,7 @@ def _fit_csv(args):
     """Read the CSV, sketch it and fit it in ``args.mode``: (names, data, sketch, fit)."""
     X, y, names = _read_csv(args.input, args.response, args.intercept)
     data = DataSet(X=X, y=y)
-    spec = SketchSpec(kind=SketchKind(args.sketch), k=args.k, seed=args.seed)
+    spec = SketchSpec(kind=args.sketch, k=args.k, seed=args.seed)
     sk = apply_sketch(data, spec, want_w_star=(args.mode == "efficient"))
     if args.mode == "complete":
         fit = fit_complete(sk)
@@ -206,10 +206,14 @@ def _report_head(args, data: DataSet, sk, **after_mode) -> dict:
 def _write_report(args, report: dict, table: str, csv_header: list) -> int:
     """Write the report to ``args.output`` as JSON, or its ``table`` rows as CSV
     with the columns ``csv_header`` names; exit 0."""
-    if args.format == "json":
-        write_json(args.output, report)
-    else:
-        write_csv(args.output, csv_header, ([row[h] for h in csv_header] for row in report[table]))
+    try:
+        if args.format == "json":
+            write_json(args.output, report)
+        else:
+            write_csv(args.output, csv_header,
+                      ([row[h] for h in csv_header] for row in report[table]))
+    except OSError as exc:  # a missing directory, or a directory or file in the way
+        raise _CliError(f"cannot write output file: {exc}")
     return 0
 
 
@@ -338,8 +342,11 @@ def cmd_simulate(args) -> int:
         if cfg.regime is Regime.REPEATED_SKETCH
         else run_repeated_sampling
     )
+    try:  # before the run, so that a bad path costs no replicate
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot create output directory: {exc}")
     report = runner(cfg)
-    os.makedirs(args.output_dir, exist_ok=True)
     report.write_json(os.path.join(args.output_dir, "report.json"))
     report.write_csvs(args.output_dir)
     for line in report.summary_lines():

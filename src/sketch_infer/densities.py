@@ -109,6 +109,14 @@ def _vector(v, p: int, what: str) -> np.ndarray:
     return v
 
 
+def _check_index(j, p: int, what: str) -> None:
+    """The one check of a ``what`` index j: an integer (not a bool) in [0, p)."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise DomainError(f"{what} index takes an integer, got {j!r}")
+    if not 0 <= j < p:
+        raise DomainError(f"{what} index {j} outside [0, {p})")
+
+
 def _check_design(k, p, k_min: int, n=None, p_min: int = 1) -> None:
     """The one check of a law's design sizes: n (where given), k and p finite
     integers (an integral float is one), with n > p, k >= p + ``k_min`` and
@@ -238,10 +246,7 @@ def mvt_pdf(params: MultivariateTParams, b) -> float:
 
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-        raise DomainError(f"coordinate index takes an integer, got {j!r}")
-    if not 0 <= j < params.dim:
-        raise DomainError(f"coordinate index {j} outside [0, {params.dim})")
+    _check_index(j, params.dim, "coordinate")
     sd = math.sqrt(params.scale_matrix[j, j])
     return dist_cdf(student_t(params.df), (np.asarray(x, dtype=float) - params.location[j]) / sd)
 

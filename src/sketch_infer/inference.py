@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _dot, _first, _scalar, _solve_triangular
-from .densities import _check_direction, _gram_cholesky, _ratio_beta, _vector, ssr_s_law_params
+from .densities import (
+    _check_direction,
+    _check_index,
+    _gram_cholesky,
+    _ratio_beta,
+    _vector,
+    ssr_s_law_params,
+)
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -192,9 +199,7 @@ def _numerator(fit: SketchFit, hyp: np.ndarray, what: str) -> float:
 def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple:
     """(b_j - h_j) / se_j and se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj): the one
     place a marginal t statistic is formed (per fit of a stack)."""
-    p = fit.beta.shape[-1]
-    if not 0 <= j < p:
-        raise DomainError(f"coefficient index {j} outside [0, {p})")
+    _check_index(j, fit.beta.shape[-1], "coefficient")
     se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
     return (fit.beta[..., j] - h_j) / se, se
 

@@ -9,11 +9,11 @@ repeated sketching is evaluated as a one-dimensional chi-square mixture
 (``densities.partial_sketching_law``).
 Both run their replicates through one runner and one replicate-range
 function, which reads its regime from the config, and build their tables
-from one pivot-table function.  Replicates are independent tasks with
-per-replicate derived seeds, so a run is bit-reproducible from its root
-seed regardless of scheduling: each sketch kind's replicates are split into
-contiguous index ranges, one per usable CPU, run in forked workers and
-joined in index order.  Within a range the sketches are drawn one at a
+from one reference builder and one table builder.  Replicates are
+independent tasks with per-replicate derived seeds, so a run is
+bit-reproducible from its root seed regardless of scheduling: each sketch
+kind's replicates are split into contiguous index ranges, one per usable
+CPU, run in forked workers and joined in index order.  Within a range the sketches are drawn one at a
 time and fitted and pivoted in stacks of a fixed size, each replicate's
 values bit for bit those of its own library calls.
 """
@@ -63,7 +63,7 @@ from .errors import (
 )
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
-from .sketch_ops import SketchedData, SketchKind, SketchSpec, apply_sketch, derive_seed
+from .sketch_ops import SketchedData, SketchKind, SketchSpec, _sketch_kind, apply_sketch, derive_seed
 from .special_fn import _t_pdf, dist_cdf, dist_quantile, student_t
 
 SCHEMA = "sketch-infer/1"  # version tag of every JSON report the package writes
@@ -121,7 +121,7 @@ class SimConfig:
         if b.dtype.kind not in "iuf" or not np.all(np.isfinite(b)):
             raise DomainError(f"beta0 takes finite reals only, got {self.beta0!r}")
         b = b.astype(float).reshape(-1)
-        ModelTruth(beta_0=b, sigma2=self.sigma2)  # checks sigma2
+        sigma2 = ModelTruth(beta_0=b, sigma2=self.sigma2).sigma2  # checked, as a float
         if b.size != self.p:
             raise DomainError(f"beta0 has length {b.size}, expected p={self.p}")
         if self.k <= self.p + 3:
@@ -131,11 +131,7 @@ class SimConfig:
             raise DomainError("target indices must lie in [0, p)")
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        try:
-            kinds = tuple(SketchKind(s) for s in self.sketch_kinds)
-        except ValueError as exc:
-            valid = ", ".join(s.value for s in SketchKind)
-            raise DomainError(f"{exc} (valid sketches: {valid})") from None
+        kinds = tuple(_sketch_kind(s) for s in self.sketch_kinds)
         for name, values in (("targets", self.targets), ("sketch_kinds", kinds)):
             if not values or len(set(values)) < len(values):
                 raise DomainError(f"{name} must be a nonempty list of distinct values, "
@@ -143,6 +139,8 @@ class SimConfig:
         if self.regime not in list(Regime):  # compared by ==: an unhashable value is no error
             raise DomainError(f"regime must be one of {', '.join(Regime)}, got {self.regime!r}")
         object.__setattr__(self, "beta0", b)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "sketch_kinds", kinds)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(self, "regime", Regime(self.regime))
@@ -341,17 +339,35 @@ def _overlay(quantiles, pdf, points: int) -> tuple:
     return x, y
 
 
-def _pivot_nulls(cfg: SimConfig) -> list:
-    """The null laws t_{k-p} of the complete marginal t and t_{k-p+1} of the
-    partial zero-null t, each as its critical value at level 1 - alpha, its
-    0.001 and 0.999 quantiles and its reference (CDF, overlay)."""
+def _references(cfg: SimConfig, full=None, gram_inv=None) -> tuple:
+    """The run's reference laws, built once: none depends on the sketch kind.
+
+    Returns ((crit, reference) of t_{k-p}, the complete marginal t's null; the
+    same of t_{k-p+1}, the partial zero-null t's; exact), where crit is the
+    law's quantile 1 - alpha/2 and a reference is (CDF, overlay).  Given the
+    full fit and (X'X)^{-1}, ``exact`` holds each target's beta_s and beta_p
+    references under repeated sketching; else it is empty.
+    """
     nulls = []
     for df in (cfg.k - cfg.p, cfg.k - cfg.p + 1):
         law = student_t(df)
         crit, *q = (dist_quantile(law, a) for a in (1.0 - cfg.alpha / 2.0, 0.001, 0.999))
-        nulls.append((crit, q, (functools.partial(dist_cdf, law),
-                                _overlay(q, functools.partial(_t_pdf, df), cfg.overlay_points))))
-    return nulls
+        nulls.append((crit, (functools.partial(dist_cdf, law),
+                             _overlay(q, functools.partial(_t_pdf, df), cfg.overlay_points))))
+    exact = []
+    if full is not None:
+        eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
+        for j in cfg.targets:
+            loc, sd = eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])  # beta_s[j] ~ loc + sd t
+            law = partial_sketching_law(np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p)
+            exact.append((
+                (functools.partial(mvt_marginal_cdf, eq_t, j),
+                 _overlay([loc + sd * x for x in q],  # q: t_{k-p+1}'s, the last null's
+                          lambda x: _t_pdf(eq_t.df, (x - loc) / sd) / sd, cfg.overlay_points)),
+                (functools.partial(partial_sketching_cdf, law),
+                 _overlay(partial_sketching_quantile(law, [0.001, 0.999]),
+                          functools.partial(partial_sketching_pdf, law), cfg.overlay_points))))
+    return (*nulls, exact)
 
 
 def _table(name: str, kind: SketchKind, samples: np.ndarray, reference=None,
@@ -368,33 +384,34 @@ def _table(name: str, kind: SketchKind, samples: np.ndarray, reference=None,
     return t
 
 
-def _pivot_tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray, nulls: list) -> list:
-    """One kind's pivot_complete_null[j] and pivot_partial_zero[j] tables per
-    target j, each pair with the coverage of the level 1 - alpha interval that
-    inverts the complete pivot, decided at the same critical value as its
-    rejections.  ``cols`` holds the kind's replicate columns (see _statistics),
-    ``nulls`` the null laws as _pivot_nulls gives them.
+def _tables(cfg: SimConfig, kind: SketchKind, cols: np.ndarray, refs: tuple) -> list:
+    """One kind's tables from its replicate columns ``cols`` (see _statistics)
+    and the run's ``refs`` (see _references), in order: ssr_s and sigma2_hat
+    when sampling, then per target j beta_s[j] and beta_p[j] when sketching,
+    pivot_complete_null[j] and pivot_partial_zero[j].  The coverage of the
+    level 1 - alpha interval that inverts the complete pivot, decided at the
+    critical value of its rejections, goes on beta_s[j] when sketching, else
+    on pivot_complete_null[j].
     """
-    (tq_complete, _, complete), (tq_partial, _, partial) = nulls
-    out = []
-    for j, (null_stat, se, beta_s, _, part_all) in zip(cfg.targets, _target_series(cfg, cols)):
+    (tq_complete, complete), (tq_partial, partial), exact = refs
+    sketching = cfg.regime is Regime.REPEATED_SKETCH
+    out = [] if sketching else [_table("ssr_s", kind, cols[0]), _table("sigma2_hat", kind, cols[1])]
+    for i, j in enumerate(cfg.targets):
+        null_stat, se, beta_s, beta_p, part_all = cols[2 + 5 * i:7 + 5 * i]
+        coverage = float(np.mean(np.abs(null_stat) <= tq_complete))
+        if sketching:
+            out += [_table(f"beta_s[{j}]", kind, beta_s, exact[i][0], coverage=coverage),
+                    _table(f"beta_p[{j}]", kind, beta_p, exact[i][1])]
         part_stat = part_all[~np.isnan(part_all)]
         n_negden = part_all.size - part_stat.size
-        tnull = _table(f"pivot_complete_null[{j}]", kind, null_stat, complete,
-                       rejection_rate=float(np.mean(np.abs(beta_s / se) > tq_complete)))
-        tpart = _table(f"pivot_partial_zero[{j}]", kind, part_stat, partial,
-                       n_error=n_negden, negative_denominator_rate=n_negden / part_all.size)
-        if part_stat.size:
-            tpart.rejection_rate = float(np.mean(np.abs(part_stat) > tq_partial))
-        out.append((tnull, tpart, float(np.mean(np.abs(null_stat) <= tq_complete))))
+        out += [_table(f"pivot_complete_null[{j}]", kind, null_stat, complete,
+                       rejection_rate=float(np.mean(np.abs(beta_s / se) > tq_complete)),
+                       coverage=None if sketching else coverage),
+                _table(f"pivot_partial_zero[{j}]", kind, part_stat, partial, n_error=n_negden,
+                       negative_denominator_rate=n_negden / part_all.size,
+                       rejection_rate=float(np.mean(np.abs(part_stat) > tq_partial))
+                       if part_stat.size else None)]
     return out
-
-
-def _target_series(cfg: SimConfig, cols: np.ndarray) -> np.ndarray:
-    """The five series of each target in ``cols``, as a (targets, 5, m) view:
-    rows 0 and 1 hold SSR_s and sigma2_hat, row 2 + 5 i + q series q of
-    target i (see _statistics)."""
-    return cols[2:].reshape(-1, 5, cfg.m)
 
 
 def _partial_or_nan(pfit, sk, m_vec, regime: Regime) -> float:
@@ -604,29 +621,10 @@ def run_repeated_sketching(cfg: SimConfig) -> SimReport:
     t_start = time.perf_counter()
     data, _ = _make_dataset(cfg)
     full = fit_full(data)
-    gram_inv = np.linalg.inv(data.X.T @ data.X)
-    partial_in = PartialInputs.of(data)
-    eq_t = complete_sketching_t_params(full, gram_inv, cfg.k, cfg.p)
-    nulls = _pivot_nulls(cfg)
-    references = []  # no reference law depends on the sketch kind: each is built once
-    for j in cfg.targets:
-        loc, sd = eq_t.location[j], np.sqrt(eq_t.scale_matrix[j, j])  # beta_s[j] ~ loc + sd t
-        law = partial_sketching_law(np.eye(cfg.p)[j], full, gram_inv, cfg.k, cfg.p)
-        references.append((
-            (functools.partial(mvt_marginal_cdf, eq_t, j),
-             _overlay([loc + sd * q for q in nulls[1][1]],  # t_{k-p+1}'s, the partial null
-                      lambda x: _t_pdf(eq_t.df, (x - loc) / sd) / sd, cfg.overlay_points)),
-            (functools.partial(partial_sketching_cdf, law),
-             _overlay(partial_sketching_quantile(law, [0.001, 0.999]),
-                      functools.partial(partial_sketching_pdf, law), cfg.overlay_points))))
-    per_kind, workers = _run(cfg, data, full.beta_F, partial_in, None)
-    tables = []
-    for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        for j, (_, _, bs, bp, _), (tnull, tpart, coverage), (ref_s, ref_p) in zip(
-                cfg.targets, _target_series(cfg, cols), _pivot_tables(cfg, kind, cols, nulls),
-                references):
-            tables += [_table(f"beta_s[{j}]", kind, bs, ref_s, coverage=coverage),
-                       _table(f"beta_p[{j}]", kind, bp, ref_p), tnull, tpart]
+    refs = _references(cfg, full, np.linalg.inv(data.X.T @ data.X))
+    per_kind, workers = _run(cfg, data, full.beta_F, PartialInputs.of(data), None)
+    tables = [t for kind, cols in zip(cfg.sketch_kinds, per_kind)
+              for t in _tables(cfg, kind, cols, refs)]
     return SimReport(config=cfg, tables=tables, beta_F=full.beta_F,
                      runtime_seconds=time.perf_counter() - t_start, workers=workers)
 
@@ -645,13 +643,9 @@ def run_repeated_sampling(cfg: SimConfig) -> SimReport:
         raise DomainError(f"config regime must be {Regime.REPEATED_SAMPLE.value}")
     t_start = time.perf_counter()
     data, truth = _make_dataset(cfg)
-    nulls = _pivot_nulls(cfg)
+    refs = _references(cfg)
     per_kind, workers = _run(cfg, data, truth.beta_0, None, response_mean(data.X, truth))
-    tables = []
-    for kind, cols in zip(cfg.sketch_kinds, per_kind):
-        tables += [_table("ssr_s", kind, cols[0]), _table("sigma2_hat", kind, cols[1])]
-        for tnull, tpart, coverage in _pivot_tables(cfg, kind, cols, nulls):
-            tnull.coverage = coverage
-            tables += [tnull, tpart]
+    tables = [t for kind, cols in zip(cfg.sketch_kinds, per_kind)
+              for t in _tables(cfg, kind, cols, refs)]
     return SimReport(config=cfg, tables=tables, beta_F=None,
                      runtime_seconds=time.perf_counter() - t_start, workers=workers)

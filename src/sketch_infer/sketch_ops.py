@@ -51,17 +51,37 @@ class SketchKind(str, enum.Enum):
     CLARKSON_WOODRUFF = "clarkson_woodruff"
 
 
+def _sketch_kind(value) -> SketchKind:
+    """``value`` as a SketchKind; a DomainError lists the valid kinds."""
+    try:
+        return SketchKind(value)
+    except ValueError as exc:
+        valid = ", ".join(s.value for s in SketchKind)
+        raise DomainError(f"{exc} (valid sketches: {valid})") from None
+
+
 @dataclass(frozen=True)
 class SketchSpec:
-    """Description of a k x n random projection: kind, target rows, seed."""
+    """Description of a k x n random projection: kind, target rows, seed.
+
+    ``kind`` may be a SketchKind or its value.  The checks are plain
+    isinstance tests, as the harness builds one spec per replicate.
+    """
 
     kind: SketchKind
     k: int
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _sketch_kind(self.kind))
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"sketch {name} takes an integer, got {value!r}")
         if self.k < 1:
             raise InfeasibleSketchSize(f"sketch size k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise DomainError(f"sketch seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

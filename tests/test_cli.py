@@ -152,6 +152,50 @@ class TestFit:
               "--k", "10", "--seed", "5", "--output", str(out)])
         assert [p.name for p in out_dir.iterdir()] == ["fit.json"]
 
+    def test_negative_seed_exit_2(self, data_csv, tmp_path, capsys):
+        # numpy's bare ValueError at the first draw (exit 1)
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--input", str(data_csv), "--response", "y",
+                   "--k", "10", "--seed", "-1", "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sketch seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 with one error line; each
+    case was a traceback (exit 1), and simulate found out after its run."""
+
+    @staticmethod
+    def _paths(tmp_path):
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        return {"missing_dir": tmp_path / "no_such_dir" / "out", "a_dir": tmp_path / "a_dir",
+                "a_file": tmp_path / "a_file", "under_a_file": tmp_path / "a_file" / "out"}
+
+    @pytest.mark.parametrize("case", ["missing_dir", "a_dir", "under_a_file"])
+    @pytest.mark.parametrize("command,fmt", [("fit", "json"), ("infer", "csv")])
+    def test_report_file(self, data_csv, tmp_path, capsys, command, fmt, case):
+        out = self._paths(tmp_path)[case]
+        rc = main([command, "--input", str(data_csv), "--response", "y", "--k", "10",
+                   "--format", fmt, "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("case", ["a_file", "under_a_file"])
+    def test_simulate_output_dir_before_the_run(self, tmp_path, capsys, monkeypatch, case):
+        def not_called(cfg):
+            raise AssertionError("the runner ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_repeated_sketching", not_called)
+        out_dir = self._paths(tmp_path)[case]
+        rc = main(["simulate", "--preset", "desk", "--m", "2", "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory: ") and err.count("\n") == 1
+
 
 class TestInfer:
     def test_complete_mode_reports_cis(self, data_csv, tmp_path):

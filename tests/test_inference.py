@@ -178,13 +178,17 @@ class TestCompleteMarginalT:
         assert (ci.upper - ci.lower) / 2 == pytest.approx(
             se * stats.t.ppf(0.975, 7), rel=1e-12)
 
-    @pytest.mark.parametrize("j", [3, -1])
+    # True was taken as an all-ones contrast and returned a (3, 1) array;
+    # 1.5 raised a bare IndexError
+    @pytest.mark.parametrize("j", [3, -1, True, 1.5, 1.0])
     def test_statistic_index_outside_range(self, j):
         from sketch_infer.inference import marginal_t_statistic
 
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=5)
         sk = _gauss(data, 10, 6)
-        with pytest.raises(DomainError, match=re.escape(f"coefficient index {j} outside [0, 3)")):
+        message = (f"coefficient index {j} outside [0, 3)" if type(j) is int
+                   else f"coefficient index takes an integer, got {j!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             marginal_t_statistic(fit_complete(sk), sk, j, 0.0)
 
     def test_f_equals_mean_square_t_for_diagonal_gram(self):

@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,17 @@ class TestConfig:
         assert cfg.targets == (0, 2) and cfg.sketch_kinds == (SketchKind.HADAMARD,)
         with pytest.raises(DomainError, match="target indices"):
             dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), targets=iter([0, 9]))
+
+    @pytest.mark.parametrize("alpha,sigma2", [(Fraction(1, 20), Fraction(3, 2)), (0.05, 1)],
+                             ids=["fractions", "integer_sigma2"])
+    def test_alpha_and_sigma2_stored_as_floats(self, alpha, sigma2):
+        # a Fraction passed every check, and the finished run's report then
+        # raised a bare TypeError in write_json
+        cfg = dataclasses.replace(_small_cfg(Regime.REPEATED_SKETCH), alpha=alpha, sigma2=sigma2)
+        assert (type(cfg.alpha), type(cfg.sigma2)) == (float, float)
+        assert (cfg.alpha, cfg.sigma2) == (float(alpha), float(sigma2))
+        doc = sim_study.SimReport(config=cfg, tables=[], beta_F=None, runtime_seconds=0.0)
+        assert '"sigma2": ' + repr(float(sigma2)) in json_text(doc.to_jsonable())
 
     @pytest.mark.parametrize("regime", list(Regime), ids=["sketching", "sampling"])
     def test_coverage_at_one_minus_alpha(self, regime):
@@ -666,6 +678,46 @@ class TestAllNegativeDenominators:
             assert len(rows) == 1 + cfg.overlay_points
             assert rows[1][:3] == ["0.0", "1.0", "0"]
             assert all(r[:3] == ["", "", ""] for r in rows[2:])
+
+
+_FIELDS = ("coverage", "rejection_rate", "negative_denominator_rate", "n_error", "ks_statistic")
+_PARTIAL_ZERO = {"rejection_rate", "negative_denominator_rate", "n_error", "ks_statistic"}
+
+
+def _fields_set(t):
+    """The fields of _FIELDS that table ``t`` sets: n_error where it is
+    nonzero, the others where they are not None."""
+    return {f for f in _FIELDS if (t.n_error != 0 if f == "n_error" else getattr(t, f) is not None)}
+
+
+class TestTableLayout:
+    """Each regime's tables in report order, and which of _FIELDS each sets."""
+
+    @pytest.mark.parametrize("regime,run,head,per_target", [
+        (Regime.REPEATED_SKETCH, run_repeated_sketching, [],
+         [("beta_s", {"coverage", "ks_statistic"}), ("beta_p", {"ks_statistic"}),
+          ("pivot_complete_null", {"rejection_rate", "ks_statistic"}),
+          ("pivot_partial_zero", _PARTIAL_ZERO)]),
+        (Regime.REPEATED_SAMPLE, run_repeated_sampling, [("ssr_s", set()), ("sigma2_hat", set())],
+         [("pivot_complete_null", {"coverage", "rejection_rate", "ks_statistic"}),
+          ("pivot_partial_zero", _PARTIAL_ZERO)]),
+    ], ids=["sketching", "sampling"])
+    def test_order_and_fields(self, monkeypatch, regime, run, head, per_target):
+        real = sim_study.partial_t_statistic
+
+        def some_negative(fit, sk, m_vec, regime):
+            # a stack is then taken one sketch at a time; about half are NaN
+            if sk.ys.ndim > 1 or sk.ys[0] > 0:
+                raise NegativeDenominator("injected")
+            return real(fit, sk, m_vec, regime)
+
+        monkeypatch.setattr(sim_study, "partial_t_statistic", some_negative)
+        kinds = (SketchKind.GAUSSIAN, SketchKind.HADAMARD)
+        rep = run(_small_cfg(regime, m=20, kinds=kinds))
+        got = [(t.sketch, t.name, _fields_set(t)) for t in rep.tables]
+        assert got == [(kind.value, name, fields) for kind in kinds
+                       for name, fields in head + [(f"{series}[{j}]", f) for j in (0, 2)
+                                                   for series, f in per_target]]
 
 
 def _range_args(cfg):

@@ -264,6 +264,26 @@ class TestSharedProperties:
             apply_sketch(data, _spec(SketchKind.CLARKSON_WOODRUFF, 11, 0), want_w_star=True)
         assert [e.value.exit_code for e in (small, at_p, wstar)] == [3, 3, 4]
 
+    # a bare TypeError or KeyError, numpy's ValueError at the first draw, or
+    # (k = True) a one-row sketch
+    @pytest.mark.parametrize("fields,message", [
+        ({"kind": "nope"}, r"^'nope' is not a valid SketchKind \(valid sketches: gaussian, "
+                           r"hadamard, clarkson_woodruff\)$"),
+        ({"k": 21.5}, r"^sketch k takes an integer, got 21\.5$"),
+        ({"k": True}, r"^sketch k takes an integer, got True$"),
+        ({"seed": 1.0}, r"^sketch seed takes an integer, got 1\.0$"),
+        ({"seed": False}, r"^sketch seed takes an integer, got False$"),
+        ({"seed": -1}, r"^sketch seed must be >= 0, got -1$"),
+    ], ids=["kind", "k-float", "k-bool", "seed-float", "seed-bool", "seed-negative"])
+    def test_spec_checks_its_fields(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            SketchSpec(**{"kind": SketchKind.GAUSSIAN, "k": 8, "seed": 0, **fields})
+
+    def test_spec_takes_kind_values_and_numpy_integers(self):
+        spec = SketchSpec(kind="hadamard", k=np.int64(8), seed=np.uint64(2**63))
+        assert spec.kind is SketchKind.HADAMARD
+        assert apply_sketch(make_dataset(40, 3, np.ones(3), seed=2), spec).Xs.shape == (8, 3)
+
     # a 6 x 2 design of order 5e307: its QR is finite, the sketched sums
     # overflow (Hadamard at every seed, the others at these)
     @pytest.mark.parametrize("kind,seed", [(SketchKind.HADAMARD, s) for s in range(4)]
