@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .core_model import DataSet
-from .errors import NegativeDenominator, SketchInferError, ZeroEstimate
+from .errors import NegativeDenominator, SketchInferError, ZeroEstimate, _probability
 from .estimators import (
     PartialInputs,
     fit_complete,
@@ -266,8 +266,7 @@ def _coef_row(j: int, name: str, estimate, null, test=None, ci=None, flag=None) 
 
 
 def cmd_infer(args) -> int:
-    if not 0.0 < args.alpha < 1.0:  # NaN fails too
-        raise _CliError(f"--alpha must be in (0, 1), got {args.alpha}")
+    _probability("--alpha", args.alpha)
     names, data, sk, fit = _fit_csv(args)
     nulls = _parse_nulls(args.null, data.p)
     level = 1.0 - args.alpha
@@ -344,8 +343,11 @@ def cmd_simulate(args) -> int:
     )
     try:  # before the run, so that a bad path costs no replicate
         os.makedirs(args.output_dir, exist_ok=True)
+        used = os.listdir(args.output_dir)
     except OSError as exc:
         raise _CliError(f"cannot create output directory: {exc}")
+    if used:  # this run's CSV files would sit beside another run's under one report.json
+        raise _CliError(f"output directory is not empty: {args.output_dir}")
     report = runner(cfg)
     report.write_json(os.path.join(args.output_dir, "report.json"))
     report.write_csvs(args.output_dir)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import DomainError, NonFinite, RankDeficient
+from .errors import DomainError, NonFinite, RankDeficient, _float_vector, _real
 
 # Smallest |R_jj| / ||X_j|| that still counts as full rank.
 RANK_TOL = 1e-10
@@ -132,13 +130,11 @@ class DataSet:
 
     def __post_init__(self):
         X = _as_matrix(self.X)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        _check_finite(X, y)
         n, p = X.shape
+        y = _float_vector("y", self.y, n)
+        _check_finite(X, y)
         if n <= p:
             raise DomainError(f"need n > p, got n={n}, p={p}")
-        if y.shape[0] != n:
-            raise DomainError(f"y has length {y.shape[0]}, expected {n}")
         # RankDeficient if X is not full column rank; R alone, without Q, is
         # the R of the economy QR (one dgeqrf) at half its cost or less
         _check_rank(np.linalg.qr(X, mode="r"))
@@ -158,10 +154,8 @@ class DataSet:
         The copy's stack is this one's with y written over the first column:
         one contiguous copy costs about half of stacking y and X afresh.
         """
-        y = np.asarray(y, dtype=float).reshape(-1)
+        y = _float_vector("y", y, self.n)
         _check_finite(y)
-        if y.shape[0] != self.n:
-            raise DomainError(f"y has length {y.shape[0]}, expected {self.n}")
         yX = self.yX.copy()
         yX[:, 0] = y
         yX.flags.writeable = False
@@ -194,11 +188,8 @@ class ModelTruth:
     def __post_init__(self):
         b = np.asarray(self.beta_0, dtype=float).reshape(-1)
         _check_finite(b)
-        if (isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real)
-                or not (math.isfinite(self.sigma2) and self.sigma2 >= 0)):
-            raise DomainError(f"sigma2 must be a finite real >= 0, got {self.sigma2!r}")
         object.__setattr__(self, "beta_0", b)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", _real("sigma2", self.sigma2, nonnegative=True))
 
 
 def fit_full(data: DataSet) -> FullFit:

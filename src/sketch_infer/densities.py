@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
     NegativeVariance,
     NonFinite,
 )
+from .errors import _float_vector, _index, _integer, _real
 from .special_fn import (
     _HALF_RULE_GAP,
     _beta_rule,
@@ -101,34 +101,14 @@ def _gram_cholesky(gram: np.ndarray, p: int) -> tuple:
         raise type(exc)(f"Gram matrix: {exc}") from exc
 
 
-def _vector(v, p: int, what: str) -> np.ndarray:
-    """``v`` as a float vector, checked to hold p values (DomainError naming ``what``)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != p:
-        raise DomainError(f"{what} has length {v.size}, expected {p}")
-    return v
-
-
-def _check_index(j, p: int, what: str) -> None:
-    """The one check of a ``what`` index j: an integer (not a bool) in [0, p)."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-        raise DomainError(f"{what} index takes an integer, got {j!r}")
-    if not 0 <= j < p:
-        raise DomainError(f"{what} index {j} outside [0, {p})")
-
-
 def _check_design(k, p, k_min: int, n=None, p_min: int = 1) -> None:
-    """The one check of a law's design sizes: n (where given), k and p finite
-    integers (an integral float is one), with n > p, k >= p + ``k_min`` and
-    p >= ``p_min``.  A DomainError names the size at fault.  Plain Python
-    comparisons only, as the densities run it once per point.
-    """
+    """The one check of a law's design sizes: n (where given), k and p integers, with
+    n > p, k >= p + ``k_min`` and p >= ``p_min``; a DomainError names the size at fault.
+    All-int sizes skip the type checks, as the densities run this once per point."""
     if not (type(k) is int and type(p) is int and (n is None or type(n) is int)):
         for name, value in (("n", n), ("k", k), ("p", p)):
-            if value is not None and not (
-                    isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value == int(value)):
-                raise DomainError(f"{name} takes a finite integer, got {value!r}")
+            if value is not None:
+                _integer(name, value)
     if p < p_min or k < p + k_min or (n is not None and n <= p):
         if p < p_min:
             raise DomainError(f"p must be at least {p_min}, got {p}")
@@ -136,21 +116,6 @@ def _check_design(k, p, k_min: int, n=None, p_min: int = 1) -> None:
             raise DomainError(f"k must be at least p{f' + {k_min}' if k_min else ''} "
                               f"(got k={k}, p={p})")
         raise DomainError(f"n must exceed p (got n={n}, p={p})")
-
-
-def _check_count(count) -> None:
-    """The one check of a sampler's draw count: an integer >= 0 (DomainError naming it)."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-        raise DomainError(f"count takes an integer >= 0, got {count!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    """The one check of a law's shape parameter: a finite real > 0, not a bool
-    (DomainError naming it).  A float skips the slower abstract type check,
-    as it runs at every point of the ratio law."""
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    if not (real and 0 < value < math.inf):
-        raise DomainError(f"{name} must be a finite real > 0, got {value!r}")
 
 
 def _check_truth(truth: ModelTruth, p: int) -> None:
@@ -201,9 +166,7 @@ class MultivariateTParams:
     def __post_init__(self):
         loc = np.asarray(self.location, dtype=float).reshape(-1)
         S = np.asarray(self.scale_matrix, dtype=float)
-        real = isinstance(self.df, numbers.Real) and not isinstance(self.df, bool)
-        if not (real and 0 < self.df < math.inf):  # NaN fails both
-            raise DomainError(f"df must be finite and positive, got {self.df!r}")
+        object.__setattr__(self, "df", _real("df", self.df))
         if S.shape != (loc.size, loc.size):
             raise DomainError("scale matrix shape inconsistent with location")
         if not (np.isfinite(loc).all() and np.isfinite(S).all()):
@@ -232,7 +195,7 @@ def _mvt_constants(nu, content: bytes, shape: tuple) -> tuple:
 def mvt_logpdf(params: MultivariateTParams, b) -> float:
     p = params.dim
     nu = params.df
-    d = _vector(b, p, "b") - params.location
+    d = _float_vector("b", b, p) - params.location
     L, log_const = _law_constants(_mvt_constants, nu, *_content(params.scale_matrix))
     w = _solve_triangular(L, d, lower=True)
     q = float(w @ w)
@@ -246,7 +209,7 @@ def mvt_pdf(params: MultivariateTParams, b) -> float:
 
 def mvt_marginal_cdf(params: MultivariateTParams, j: int, x) -> np.ndarray:
     """CDF of coordinate j, a scaled-shifted t with the same df."""
-    _check_index(j, params.dim, "coordinate")
+    j = _index("coordinate index", j, params.dim)
     sd = math.sqrt(params.scale_matrix[j, j])
     return dist_cdf(student_t(params.df), (np.asarray(x, dtype=float) - params.location[j]) / sd)
 
@@ -258,7 +221,7 @@ def complete_sketching_t_params(fullfit: FullFit, gram_inv: np.ndarray, k: int, 
     _check_design(k, p, 0)
     df = k - p + 1
     return MultivariateTParams(
-        df=df, location=_vector(fullfit.beta_F, p, "beta_F"),
+        df=df, location=_float_vector("beta_F", fullfit.beta_F, p),
         scale_matrix=np.asarray(gram_inv) * fullfit.SSR_F / df
     )
 
@@ -327,7 +290,7 @@ def complete_sampling_logpdf(b, truth: ModelTruth, gram, n: int, k: int, p: int)
     _check_truth(truth, p)
     gram, log_const, kummer = _law_constants(_complete_constants, n, k, p, truth.sigma2,
                                              *_content(gram))
-    d = _vector(b, p, "b") - truth.beta_0
+    d = _float_vector("b", b, p) - truth.beta_0
     # a NaN or infinite b, or one whose q overflows, leaves q non-finite;
     # numpy's warning for it is silenced so NonFinite alone reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,8 +322,8 @@ class HLawParams:
     lam: float
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
-        _check_positive("lam", self.lam)
+        _real("alpha", self.alpha)
+        _real("lam", self.lam)
 
 
 def _h_constants(a, lam) -> tuple:
@@ -426,7 +389,7 @@ def ratio_law_logpdf(r: float, phi: float, params: HLawParams) -> float:
         raise NonFinite(f"density evaluation point is not finite: {r}")
     if r <= 0:
         raise DomainError("the ratio law is supported on (0, inf)")
-    _check_positive("phi", phi)
+    phi = _real("phi", phi)
     log_const, power, kummer = _law_constants(_ratio_constants, phi, params.alpha, params.lam)
     return log_const - power * math.log(r) + log_kummer_u(*kummer, 1.0 / (2.0 * r))
 
@@ -453,9 +416,10 @@ def _ratio_beta(r_grid, phi: float, kappa: float, beta_param: float, params: HLa
     where the rules give a non-finite or negative value, or where the half rule on either axis is more than ``_HALF_RULE_GAP`` away,
     relative to the density and absolute for the tail.
     """
+    phi = _real("phi", phi)
     r = np.asarray(r_grid, dtype=float).reshape(-1)
-    if not (0 < phi < math.inf and np.all(np.isfinite(r) & (r >= 0 if tail else r > 0))):
-        raise DomainError(f"ratio-beta law needs phi > 0 and finite r {'>=' if tail else '>'} 0")
+    if not np.all(np.isfinite(r) & (r >= 0 if tail else r > 0)):
+        raise DomainError(f"ratio-beta law needs finite r {'>=' if tail else '>'} 0")
     v, qv = _beta_rule(kappa, beta_param)
     w, qw = _chi2_rule(2.0 * params.lam)
     a, log_b = params.alpha, special.betaln(phi, params.alpha)
@@ -517,7 +481,7 @@ def _partial_sketching_rep_terms(m_vec, fullfit: FullFit, gram_inv, k: int, p: i
     """(loc, c) of the representation (loc + c T) / R of m' beta_p over
     repeated sketches (see sample_partial_sketching_rep)."""
     _check_design(k, p, 2)
-    m_vec, gram_inv = _vector(m_vec, p, "m"), np.asarray(gram_inv, dtype=float)
+    m_vec, gram_inv = _float_vector("m", m_vec, p), np.asarray(gram_inv, dtype=float)
     if gram_inv.shape != (p, p):
         raise DomainError(f"(X'X)^-1 must be {p} x {p}, got shape {gram_inv.shape}")
     xty = np.linalg.solve(gram_inv, fullfit.beta_F)
@@ -541,7 +505,7 @@ def sample_partial_sketching_rep(
     tests.  Requires m not parallel to X^T y.  ``partial_sketching_law``
     gives the same law exactly.
     """
-    _check_count(count)
+    count = _integer("count", count, 0)
     loc, c = _partial_sketching_rep_terms(m_vec, fullfit, gram_inv, k, p)
     rng = np.random.default_rng(seed)
     t = rng.standard_t(k - p + 1, count)
@@ -715,10 +679,10 @@ def sample_partial_sampling_rep(
     end-to-end Kolmogorov-Smirnov check by a wide margin (see tests).
     Requires p >= 2 and m not parallel to beta_0.
     """
-    _check_count(count)
+    count = _integer("count", count, 0)
     # p >= 2 for the orthogonal-component chi2_{p-1} term
     _check_design(k, p, 2, p_min=2)
-    m_vec = _vector(m_vec, p, "m")
+    m_vec = _float_vector("m", m_vec, p)
     _check_truth(truth, p)
     gram = np.asarray(gram, dtype=float)
     L, _ = _gram_cholesky(gram, p)
@@ -773,7 +737,7 @@ def partial_approx_logpdf(b, truth: ModelTruth, gram, k: int, p: int) -> float:
     _check_truth(truth, p)
     gram, log_const, tilt, k_eta, nu, bess_0 = _law_constants(
         _partial_constants, k, p, truth.sigma2, *_content(truth.beta_0), *_content(gram))
-    b = _vector(b, p, "b")
+    b = _float_vector("b", b, p)
     with np.errstate(over="ignore", invalid="ignore"):  # as in complete_sampling_logpdf
         bG = b.dot(gram)
         bGb0 = float(bG.dot(truth.beta_0))

@@ -29,14 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import _dot, _first, _scalar, _solve_triangular
-from .densities import (
-    _check_direction,
-    _check_index,
-    _gram_cholesky,
-    _ratio_beta,
-    _vector,
-    ssr_s_law_params,
-)
+from .densities import _check_direction, _gram_cholesky, _ratio_beta, ssr_s_law_params
 from .errors import (
     DegenerateSSR,
     DomainError,
@@ -45,6 +38,7 @@ from .errors import (
     NonFinite,
     ZeroEstimate,
 )
+from .errors import _float_vector, _index, _probability, _real
 from .estimators import FitKind, SketchFit, sigma2_hat_complete
 from .sketch_ops import SketchedData
 from .special_fn import Law, chi2, dist_cdf, dist_quantile, f_law, student_t
@@ -103,8 +97,7 @@ class ConfidenceInterval:
     def __post_init__(self):
         if self.lower > self.upper:
             raise DomainError("interval bounds are reversed")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError("level must be in (0, 1)")
+        object.__setattr__(self, "level", _probability("level", self.level))
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
@@ -147,7 +140,7 @@ def _require_kind(fit: SketchFit, kind: FitKind, op: str) -> None:
 
 def _null_vector(fit: SketchFit, beta_hyp) -> np.ndarray:
     """``beta_hyp`` as a float vector, checked to hold one value per coefficient."""
-    return _vector(beta_hyp, fit.beta.size, "beta_hyp")
+    return _float_vector("beta_hyp", beta_hyp, fit.beta.size)
 
 
 def _roundoff_floor(k: int, total: float) -> float:
@@ -199,7 +192,7 @@ def _numerator(fit: SketchFit, hyp: np.ndarray, what: str) -> float:
 def _t_statistic(fit: SketchFit, sigma2_hat: float, j: int, h_j: float) -> tuple:
     """(b_j - h_j) / se_j and se_j = sqrt(sigma2_hat [(R'R)^{-1}]_jj): the one
     place a marginal t statistic is formed (per fit of a stack)."""
-    _check_index(j, fit.beta.shape[-1], "coefficient")
+    j = _index("coefficient index", j, fit.beta.shape[-1])
     se = _standard_error(sigma2_hat, fit.gram_s_factor, j)
     return (fit.beta[..., j] - h_j) / se, se
 
@@ -209,8 +202,7 @@ def _marginal_t_tests(fit: SketchFit, sigma2_hat: float, df: int, hyp: np.ndarra
     """Per-coefficient t tests and intervals: (b_j - h_j) / se_j ~ t_df,
     inverted to b_j +- t_{df,(1+level)/2} se_j.  One ``(TestResult,
     ConfidenceInterval)`` pair per coefficient."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
+    level = _probability("level", level)
     law = student_t(df)
     tq = dist_quantile(law, (1.0 + level) / 2.0)
     pairs = []
@@ -303,17 +295,16 @@ def wstar_exact_tests(
     is what keeps the residual statistic free of the unknown signal, since
     the sketch row space spans only a k-dimensional slice of it.  Returns
     ``(f_test, chi2_test)`` where the F form is sigma^2-free and the chi2
-    form is present only when sigma2 is supplied.
+    form is present only when sigma2, a finite real > 0, is supplied.
     """
     _require_kind(fit, FitKind.EFFICIENT_STAR, "W* exact tests")
+    sigma2 = None if sigma2 is None else _real("sigma2", sigma2)
     n, p = sk.n, sk.p
     num, ssr_star = _wstar_ssr(fit, sk, yty, _null_vector(fit, beta_hyp))
     f_res = _result((num / p) / (ssr_star / (n - p)), f_law(p, n - p), Regime.REPEATED_SAMPLE,
                     two_sided=False)
     if sigma2 is None:
         return f_res, None
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
     return f_res, _result(num / sigma2, chi2(p), Regime.REPEATED_SAMPLE, two_sided=False)
 
 
@@ -360,7 +351,7 @@ def complete_sampling_joint_test(
     obs = _finite(lambda: (quad / p) / sigma2_hat_complete(ssr, n, k, p), "the joint statistic")
     p_val = _ratio_beta([obs * p / ((n - p) * (k - p))], p / 2.0, (k - p + 1) / 2.0,
                         (n - p) / 2.0, ssr_s_law_params(n, k, p), tail=True)[0]
-    return TestResult(statistic=obs, pivot_law=Law("mixed_f", (float(p), float(k - p), float(n - p))),
+    return TestResult(statistic=obs, pivot_law=Law("mixed_f", (p, k - p, n - p)),
                       p_value=float(p_val), regime=Regime.REPEATED_SAMPLE)
 
 
@@ -405,7 +396,7 @@ def partial_t_statistic(
     if fit.SSM_p is None or fit.gamma is None:
         raise DomainError("partial fit is missing SSM_p/gamma")
     k, p = sk.spec.k, sk.p
-    m_vec = _vector(m_vec, p, "m")
+    m_vec = _float_vector("m", m_vec, p)
     extra = (sigma2_hat_complete(_require_ssr(fit, k), sk.n, k, p)
              if regime is Regime.REPEATED_SAMPLE else 0.0)
     R, b = fit.gram_s_factor, fit.beta
@@ -434,7 +425,7 @@ def partial_linear_combination_test(
     unobservable beta_0 direction.  Coefficient j's test takes m = e_j.
     """
     k, p = sk.spec.k, sk.p
-    m_arr = np.asarray(m_vec, dtype=float).reshape(-1)
+    m_arr = _float_vector("m", m_vec, p)
     if regime is Regime.REPEATED_SAMPLE and p >= 2:
         _check_direction(m_arr, fit.beta, "beta_p")
     return _result(partial_t_statistic(fit, sk, m_arr, regime), student_t(k - p + 1), regime)

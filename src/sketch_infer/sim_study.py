@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import multiprocessing
-import numbers
 import os
 import signal
 import sys
@@ -61,6 +60,7 @@ from .errors import (
     SketchInferError,
     WorkerFailed,
 )
+from .errors import _float_vector, _index, _integer, _probability, _real
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
 from .sketch_ops import SketchedData, SketchKind, SketchSpec, _sketch_kind, apply_sketch, derive_seed
@@ -110,39 +110,28 @@ class SimConfig:
             if isinstance(value, str) or not np.iterable(value):
                 raise DomainError(f"{name} takes a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))  # a generator is read once
-        least = {"p": 1, "n": 1, "m": 1, "root_seed": 0, "rep_draws": 0, "overlay_points": 0}
-        counts = [(f, getattr(self, f)) for f in ("k", *least)]
-        for name, value in counts + [("targets", t) for t in self.targets]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} takes integers only, got {value!r}")
-            if name in least and value < least[name]:
-                raise DomainError(f"{name} must be >= {least[name]}, got {value}")
-        b = np.asarray(self.beta0)
-        if b.dtype.kind not in "iuf" or not np.all(np.isfinite(b)):
-            raise DomainError(f"beta0 takes finite reals only, got {self.beta0!r}")
-        b = b.astype(float).reshape(-1)
-        sigma2 = ModelTruth(beta_0=b, sigma2=self.sigma2).sigma2  # checked, as a float
-        if b.size != self.p:
-            raise DomainError(f"beta0 has length {b.size}, expected p={self.p}")
+        # each field's checker and its arguments after (name, value); p is checked first
+        for name, check, *args in (
+                ("k", _integer), ("p", _integer, 1), ("n", _integer, 1), ("m", _integer, 1),
+                ("root_seed", _integer, 0), ("rep_draws", _integer, 0),
+                ("overlay_points", _integer, 0), ("sigma2", _real, True), ("alpha", _probability),
+                ("beta0", _float_vector, self.p)):
+            object.__setattr__(self, name, check(name, getattr(self, name), *args))
+        if not np.isfinite(self.beta0).all():
+            raise DomainError(f"beta0 takes finite reals only, got {self.beta0.tolist()!r}")
         if self.k <= self.p + 3:
             # partial paths need positive (k-p)(k-p-3) variance denominators
             raise DomainError(f"need k > p + 3 (got k={self.k}, p={self.p})")
-        if any(t < 0 or t >= self.p for t in self.targets):
-            raise DomainError("target indices must lie in [0, p)")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        targets = tuple(_index("targets", t, self.p) for t in self.targets)
         kinds = tuple(_sketch_kind(s) for s in self.sketch_kinds)
-        for name, values in (("targets", self.targets), ("sketch_kinds", kinds)):
+        for name, values in (("targets", targets), ("sketch_kinds", kinds)):
             if not values or len(set(values)) < len(values):
                 raise DomainError(f"{name} must be a nonempty list of distinct values, "
                                   f"got {list(getattr(self, name))!r}")
         if self.regime not in list(Regime):  # compared by ==: an unhashable value is no error
             raise DomainError(f"regime must be one of {', '.join(Regime)}, got {self.regime!r}")
-        object.__setattr__(self, "beta0", b)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "sketch_kinds", kinds)
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(self, "regime", Regime(self.regime))
 
 

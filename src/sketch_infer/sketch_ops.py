@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleSketchSize,
     NonFinite,
     WStarUnavailable,
+    _integer,
 )
 
 # columns of a Gaussian sketch drawn at once; fixed so that the draws (and
@@ -64,8 +65,8 @@ def _sketch_kind(value) -> SketchKind:
 class SketchSpec:
     """Description of a k x n random projection: kind, target rows, seed.
 
-    ``kind`` may be a SketchKind or its value.  The checks are plain
-    isinstance tests, as the harness builds one spec per replicate.
+    ``kind`` may be a SketchKind or its value; ``k`` and ``seed`` are
+    stored as ints.
     """
 
     kind: SketchKind
@@ -74,14 +75,10 @@ class SketchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _sketch_kind(self.kind))
-        for name in ("k", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"sketch {name} takes an integer, got {value!r}")
+        object.__setattr__(self, "k", _integer("sketch k", self.k))
         if self.k < 1:
             raise InfeasibleSketchSize(f"sketch size k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise DomainError(f"sketch seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _integer("sketch seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)

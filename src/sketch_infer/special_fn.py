@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, DomainError, NonFinite, OverflowSignal
+from .errors import ConvergenceError, DomainError, NonFinite, OverflowSignal, _probability, _real
 
 __all__ = [
     "kummer_m",
@@ -173,9 +173,7 @@ def _chi2_rule(df: float) -> tuple:
     density in u, exp(df u / 2 - e^u / 2), with its Laplace width
     sqrt(2 / df).
     """
-    df = float(df)
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"chi2 mixing rule needs a finite df > 0, got {df}")
+    df = _real("chi2 mixing rule df", df)
     # df u / 2 - e^u / 2 at u = log df + v, less its value at the mode
     v, q = _mixing_rule(lambda v: 0.5 * df * (v - np.expm1(v)), math.sqrt(2.0 / df), None,
                         "chi2({:g}) mixing rule", df)
@@ -196,8 +194,7 @@ def _beta_rule(a: float, b: float) -> tuple:
     beta density in u, exp(a u - (a + b) log(1 + e^u)), with its Laplace
     width sqrt((a + b) / (a b)).
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"beta mixing rule needs finite a, b > 0, got {a}, {b}")
+    a, b = _real("beta mixing rule a", a), _real("beta mixing rule b", b)
     mode = math.log(a / b)
     # a u - (a + b) log(1 + e^u) at u = mode + v, less its value at the mode
     v, q = _mixing_rule(lambda v: a * v - (a + b) * (_softplus(mode + v) - _softplus(mode)),
@@ -223,9 +220,9 @@ def _t_tail_rule(df: float, a: float) -> tuple:
     ~ 1 / |a|) is slow on the scale of sigma: the rule's range, in steps of
     ``_NODES``, reaches at least ``_TAIL_REACH`` below the mode in u.
     """
-    df, a = float(df), float(a)
-    if not (math.isfinite(df) and df > 0.0 and math.isfinite(a)):
-        raise DomainError(f"t tail rule needs a finite df > 0 and a finite bound, got {df}, {a}")
+    df, a = _real("t tail rule df", df), float(a)
+    if not math.isfinite(a):
+        raise DomainError(f"t tail rule needs a finite bound, got {a}")
     root = math.sqrt(((df + 1.0) * a) ** 2 + 4.0 * df * df)
     mode = ((df + 1.0) * a + root) / (2.0 * df) if a >= 0.0 else 2.0 * df / (root - (df + 1.0) * a)
     d_mode = mode - a
@@ -397,37 +394,36 @@ def bessel_k(nu: float, x: float) -> float:
 @dataclass(frozen=True)
 class Law:
     """Tag of a classical distribution, e.g. Law('chi2', (10.0,)); parameters
-    must be finite and > 0."""
+    must be finite reals > 0, and are stored as floats."""
 
     name: str
     params: tuple
 
     def __post_init__(self):
-        if not all(0 < p < math.inf for p in self.params):  # NaN fails both
-            raise DomainError(f"{self.name} requires positive parameters, each finite, "
-                              f"got {self.params}")
+        object.__setattr__(self, "params", tuple(_real(f"{self.name} parameter", p)
+                                                 for p in self.params))
 
     def __str__(self):
         # integral parameters print exactly: :g would round t(1234567) to t(1.23457e+06)
-        inner = ", ".join(str(int(p)) if float(p).is_integer() else f"{p:g}"
+        inner = ", ".join(str(int(p)) if p.is_integer() else f"{p:g}"
                           for p in self.params)
         return f"{self.name}({inner})"
 
 
 def chi2(df: float) -> Law:
-    return Law("chi2", (float(df),))
+    return Law("chi2", (df,))
 
 
 def student_t(df: float) -> Law:
-    return Law("t", (float(df),))
+    return Law("t", (df,))
 
 
 def f_law(d1: float, d2: float) -> Law:
-    return Law("f", (float(d1), float(d2)))
+    return Law("f", (d1, d2))
 
 
 def beta_law(a: float, b: float) -> Law:
-    return Law("beta", (float(a), float(b)))
+    return Law("beta", (a, b))
 
 
 # law name -> (CDF, quantile, support): the scipy.special functions that
@@ -475,8 +471,6 @@ def dist_quantile(law: Law, q: float) -> float:
     own inverse departs: at q = 1e-10 Beta(0.5, 2) has quantile 4.44e-21,
     scipy.stats gives 2.5e-25.
     """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {q}")
+    q = _probability("quantile level", q)
     _, ppf, _ = _law_functions(law)
     return float(ppf(*law.params, q))

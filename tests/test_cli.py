@@ -196,6 +196,27 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory: ") and err.count("\n") == 1
 
+    def test_simulate_refuses_a_used_output_dir(self, tmp_path, capsys, monkeypatch):
+        # a second run into one directory wrote its CSV files beside the
+        # first run's, under a report.json that listed only its own tables
+        cfg = {"n": 250, "p": 4, "k": 12, "m": 3, "beta0": [2.0, -1.0, 0.0, 1.0],
+               "sigma2": 1.0, "sketch_kinds": ["gaussian"], "targets": [0, 2], "root_seed": 5}
+        first, second, out_dir = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "o"
+        first.write_text(json.dumps(cfg))
+        second.write_text(json.dumps({**cfg, "targets": [1]}))
+        assert main(["simulate", "--config", str(first), "--output-dir", str(out_dir)]) == 0
+        before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        capsys.readouterr()
+
+        def not_called(cfg):
+            raise AssertionError("the runner ran into a used output directory")
+
+        monkeypatch.setattr(cli, "run_repeated_sketching", not_called)
+        rc = main(["simulate", "--config", str(second), "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: output directory is not empty: {out_dir}\n"
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
 
 class TestInfer:
     def test_complete_mode_reports_cis(self, data_csv, tmp_path):
@@ -535,7 +556,7 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert re.match(rf"error: invalid simulation config: {field} "
-                        r"(takes integers only|must be >= [01]), got ", err), err
+                        r"(takes an integer|must be >= [01]), got ", err), err
         assert not out_dir.exists()
 
     # sigma2 and beta0 values a config can hold that are not finite reals
@@ -563,7 +584,7 @@ class TestSimulate:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("field,value,message", [
-        ("k", 12.5, "k takes integers only, got 12.5"),
+        ("k", 12.5, "k takes an integer, got 12.5"),
         ("sketch_kinds", ["fourier"], "'fourier' is not a valid SketchKind "
                                       "(valid sketches: gaussian, hadamard, clarkson_woodruff)"),
     ])

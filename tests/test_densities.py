@@ -1,6 +1,7 @@
 """Nonstandard densities: normalization, moments, and end-to-end MC agreement."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -262,6 +263,13 @@ class TestRatioLaw:
         # was taken as 1
         with pytest.raises(DomainError, match="^phi must be a finite real > 0, got "):
             ratio_law_logpdf(1.0, phi, HLawParams(alpha=4.0, lam=6.0))
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0, -1.5, True, "1.5"])
+    def test_ratio_beta_phi_finite_real_and_positive(self, phi):
+        # phi = True was taken as 1, "1.5" raised a bare TypeError, and the
+        # others raised a message naming no argument
+        with pytest.raises(DomainError, match="^phi must be a finite real > 0, got "):
+            ratio_beta_law_pdf([1.0], phi, 3.0, 2.0, HLawParams(alpha=4.0, lam=6.0))
 
     def test_sketching_instance_normalizes(self):
         # the instance used by the error-variance pivot: phi = p/2 with the
@@ -1012,7 +1020,7 @@ class TestDesignSizes:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 12.5, "12", True])
     def test_non_integer_size_is_named(self, law, name, value):
         sizes = {"n": 100, "k": 12, "p": 3, name: value}
-        with pytest.raises(DomainError, match=f"^{name} takes a finite integer, got "):
+        with pytest.raises(DomainError, match=f"^{name} takes an integer, got "):
             self.laws[law](self, **sizes)
 
     @pytest.mark.parametrize("law,sizes,message", [
@@ -1027,7 +1035,11 @@ class TestDesignSizes:
             self.laws[law](self, *sizes)
 
     def test_integral_sizes_of_any_type(self):
-        assert ssr_s_law_pdf(200.0, 100.0, np.int64(12), 3) == ssr_s_law_pdf(200.0, 100, 12, 3)
+        # a numpy integer is an integer; an integral float is refused, as
+        # every other integer argument of the package refuses it
+        assert ssr_s_law_pdf(200.0, 100, np.int64(12), 3) == ssr_s_law_pdf(200.0, 100, 12, 3)
+        with pytest.raises(DomainError, match=r"^n takes an integer, got 100\.0$"):
+            ssr_s_law_pdf(200.0, 100.0, 12, 3)
 
 
 class TestDrawCounts:
@@ -1039,7 +1051,9 @@ class TestDrawCounts:
     def test_count_is_a_nonnegative_integer(self, sampler, count):
         data = make_dataset(100, 3, [1.0, -2.0, 0.5], seed=19)
         gram = data.X.T @ data.X
-        with pytest.raises(DomainError, match=f"^count takes an integer >= 0, got {count!r}$"):
+        message = (f"count must be >= 0, got {count}" if type(count) is int
+                   else f"count takes an integer, got {count!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             if sampler == "sketching":
                 sample_partial_sketching_rep(np.eye(3)[1], fit_full(data), np.linalg.inv(gram),
                                              12, 3, count, seed=0)
@@ -1058,7 +1072,7 @@ class TestDrawCounts:
 class TestMultivariateTParameters:
     @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0, -1.0, True, "5"])
     def test_df_finite_and_positive(self, df):
-        with pytest.raises(DomainError, match="df must be finite and positive"):
+        with pytest.raises(DomainError, match="^df must be a finite real > 0, got "):
             MultivariateTParams(df=df, location=np.zeros(2), scale_matrix=np.eye(2))
 
     @pytest.mark.parametrize("location,scale", [
@@ -1070,14 +1084,15 @@ class TestMultivariateTParameters:
 
 class TestSketchingLawHelper:
     @pytest.mark.parametrize("k,p,message", [
-        (21.5, 3, "k takes a finite integer, got 21.5"),
-        (True, 3, "k takes a finite integer, got True"),
+        (21.5, 3, "k takes an integer, got 21.5"),
+        (True, 3, "k takes an integer, got True"),
+        (21.0, 3, r"k takes an integer, got 21\.0"),
         (12, 5, "beta_F has length 3, expected 5"),
         (2, 3, r"k must be at least p \(got k=2, p=3\)"),
-    ], ids=["fractional_k", "bool_k", "p_not_the_fits", "k_below_p"])
+    ], ids=["fractional_k", "bool_k", "integral_float_k", "p_not_the_fits", "k_below_p"])
     def test_design_is_checked(self, k, p, message):
         # a fractional k gave df 19.5, a p of 5 for a 3-coefficient fit df 17,
-        # and k = True was taken for 1
+        # k = True was taken for 1 and k = 21.0 gave df 19.0
         data = make_dataset(200, 3, [1.0, 0.5, -0.5], seed=61)
         with pytest.raises(DomainError, match=f"^{message}$"):
             complete_sketching_t_params(fit_full(data), np.linalg.inv(data.X.T @ data.X), k, p)

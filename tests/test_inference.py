@@ -357,6 +357,32 @@ class TestWStarMarginalT:
             wstar_marginal_t_tests(fit, sk, yty, np.zeros(4), 0.95)
 
 
+class TestArgumentPolicy:
+    """sigma2 and level are checked like every other real argument: sigma2 =
+    inf returned statistic 0 and p-value 1, nan raised "p-value nan outside
+    [0, 1]", "1" a bare TypeError and True was taken as 1; a level of "0.95"
+    raised a bare TypeError."""
+
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan, "1", True])
+    def test_wstar_sigma2(self, sigma2):
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        sk = _gauss(data, 10, 17, want_w_star=True)
+        with pytest.raises(DomainError, match="^sigma2 must be a finite real > 0, got "):
+            wstar_exact_tests(fit_efficient_star(sk), sk, float(data.y @ data.y), np.zeros(3),
+                              sigma2=sigma2)
+
+    @pytest.mark.parametrize("tests", ["complete", "wstar"])
+    def test_level_string(self, tests):
+        data = make_dataset(60, 3, [1.0, -1.0, 0.5], seed=16)
+        sk = _gauss(data, 10, 17, want_w_star=True)
+        with pytest.raises(DomainError, match=r"^level must be in \(0, 1\), got '0\.95'$"):
+            if tests == "complete":
+                complete_marginal_t_tests(fit_complete(sk), sk, np.zeros(3), "0.95")
+            else:
+                wstar_marginal_t_tests(fit_efficient_star(sk), sk, float(data.y @ data.y),
+                                       np.zeros(3), "0.95")
+
+
 class TestSamplingApproxT:
     def test_same_statistic_as_sketching_form(self):
         data = make_dataset(100, 3, [1.0, -1.0, 0.5], seed=19)

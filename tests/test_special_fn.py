@@ -403,6 +403,13 @@ class TestDistributions:
             assert np.all(np.diff(vals) >= -1e-15)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
 
+    @pytest.mark.parametrize("q", ["0.5", np.array([0.5]), None, True])
+    def test_quantile_level_is_a_real(self, q):
+        # "0.5" returned 0.0 and an array and None raised a bare TypeError;
+        # True is refused as a bool, where it was read as 1.0
+        with pytest.raises(DomainError, match=r"^quantile level must be in \(0, 1\), got "):
+            dist_quantile(student_t(5), q)
+
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             chi2(-1.0)
@@ -418,5 +425,5 @@ class TestDistributions:
                                       lambda: student_t(math.nan), lambda: chi2(math.inf),
                                       lambda: f_law(3, math.nan), lambda: beta_law(math.inf, 2)])
     def test_nonpositive_parameter_rejected(self, make):
-        with pytest.raises(DomainError, match="requires positive parameters"):
+        with pytest.raises(DomainError, match=r"^(t|chi2|f|beta) parameter must be a finite real > 0, got "):
             make()
