@@ -154,14 +154,41 @@ class DataSet:
         The copy's stack is this one's with y written over the first column:
         one contiguous copy costs about half of stacking y and X afresh.
         """
+        yX = self.yX.copy()
+        new = self._respond(y, yX, yX)
+        yX.flags.writeable = False
+        return new
+
+    def _respond(self, y, buffer: np.ndarray, yX: np.ndarray) -> DataSet:
+        """This dataset with response ``y``, checked and written into column 0
+        of ``buffer``, a writable copy of this stack; the result's stack is
+        ``yX``, ``buffer`` itself or a view of it."""
         y = _float_vector("y", y, self.n)
         _check_finite(y)
-        yX = self.yX.copy()
-        yX[:, 0] = y
-        yX.flags.writeable = False
+        buffer[:, 0] = y
         new = object.__new__(type(self))
         new.__dict__.update(vars(self), y=y, yX=yX)
         return new
+
+
+class _ResponseBuffer:
+    """``data.with_response`` for one fresh response after another, without
+    copying [y | X] for each.
+
+    Every response is written into column 0 of one private writable copy of
+    ``data.yX``, which each returned dataset reads through one read-only
+    view.  So a returned dataset holds its response only until the next
+    call: use it and drop it, and keep nothing that views its ``yX``.
+    """
+
+    def __init__(self, data: DataSet):
+        self._data = data
+        self.array = data.yX.copy()
+        self._view = self.array.view()
+        self._view.flags.writeable = False
+
+    def with_response(self, y) -> DataSet:
+        return self._data._respond(y, self.array, self._view)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +254,12 @@ def draw_response(mean: np.ndarray, sigma2: float, seed) -> np.ndarray:
     """
     if sigma2 == 0.0:  # ModelTruth allows this; keep the noiseless limit exact
         return mean.copy()
-    rng = np.random.default_rng(seed)
-    return mean + np.sqrt(sigma2) * rng.standard_normal(mean.shape[0])
+    # formed in place: IEEE sums and products commute, so these are the bits
+    # of mean + sqrt(sigma2) z, without its temporary
+    y = np.random.default_rng(seed).standard_normal(mean.shape[0])
+    y *= np.sqrt(sigma2)
+    y += mean
+    return y
 
 
 def simulate_response(X, truth: ModelTruth, seed) -> np.ndarray:

@@ -144,6 +144,14 @@ def _real(name: str, value, nonnegative: bool = False) -> float:
                       f"got {value!r}")
 
 
+def _finite_real(name: str, value) -> float:
+    """``value`` as a float, checked to be a finite real of either sign."""
+    x = value if type(value) is float else _as_float(value)
+    if abs(x) < math.inf:  # NaN fails
+        return x
+    raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
 def _probability(name: str, value) -> float:
     """``value`` as a float, checked to be a real in (0, 1)."""
     x = value if type(value) is float else _as_float(value)

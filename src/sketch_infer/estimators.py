@@ -23,6 +23,7 @@ from .errors import (
     MissingWStar,
     NonFinite,
     RankDeficient,
+    _integer,
 )
 from .sketch_ops import SketchedData
 
@@ -198,7 +199,8 @@ def fit_efficient_star(sk: SketchedData) -> SketchFit:
 
 def sigma2_hat_complete(SSR_s: float, n: int, k: int, p: int) -> float:
     """Unbiased error-variance estimator SSR_s * k / ((n-p)(k-p)), elementwise
-    for an array of SSR_s."""
+    for an array of SSR_s; n, k and p are integers."""
+    n, k, p = _integer("n", n), _integer("k", k), _integer("p", p)
     if n <= p or k <= p:
         raise DomainError(f"need n > p and k > p (got n={n}, k={k}, p={p})")
     if np.any(SSR_s < 0):
@@ -216,8 +218,9 @@ def partial_residual_ss_expectation(
     the constant implied by the inverse-Wishart second-moment identity
     E[B^{-2}] = (k-1) I / ((k-p)(k-p-1)(k-p-3)) for B ~ W_p(k, I); Monte
     Carlo calibration favors the corrected constant (see the adjudication
-    tests).
+    tests).  k and p are integers.
     """
+    k, p = _integer("k", k), _integer("p", p)
     if k <= p + 3:
         raise DomainError(f"expectation requires k > p + 3 (got k={k}, p={p})")
     c = 2.0 if second_moment_correction else 1.0

@@ -38,7 +38,7 @@ from .errors import (
     NonFinite,
     ZeroEstimate,
 )
-from .errors import _float_vector, _index, _probability, _real
+from .errors import _finite_real, _float_vector, _index, _integer, _probability, _real
 from .estimators import FitKind, SketchFit, sigma2_hat_complete
 from .sketch_ops import SketchedData
 from .special_fn import Law, chi2, dist_cdf, dist_quantile, f_law, student_t
@@ -363,8 +363,11 @@ def partial_univariate_chi2_test(fit: SketchFit, beta_F_hyp: float, k: int) -> T
     """Univariate (p = 1) partial pivot (k-2) beta_F / beta_p ~ chi2_k.
 
     Two-sided p-value by the equal-tail construction, since the reference
-    law is asymmetric.  Raises ZeroEstimate when beta_p is exactly zero.
+    law is asymmetric.  ``beta_F_hyp`` must be a finite real and k an integer
+    >= 3.  Raises ZeroEstimate when beta_p is exactly zero.
     """
+    beta_F_hyp = _finite_real("beta_F_hyp", beta_F_hyp)
+    k = _integer("k", k, 3)
     _require_kind(fit, FitKind.PARTIAL, "univariate chi2 test")
     if fit.beta.size != 1:
         raise DomainError("univariate pivot requires p = 1")

@@ -13,9 +13,12 @@ from one reference builder and one table builder.  Replicates are
 independent tasks with per-replicate derived seeds, so a run is
 bit-reproducible from its root seed regardless of scheduling: each sketch
 kind's replicates are split into contiguous index ranges, one per usable
-CPU, run in forked workers and joined in index order.  Within a range the sketches are drawn one at a
-time and fitted and pivoted in stacks of a fixed size, each replicate's
-values bit for bit those of its own library calls.
+CPU, run in forked workers and joined in index order.  Within a range the
+sketches are drawn one at a time and fitted and pivoted in stacks of a
+fixed size, each replicate's values bit for bit those of its own library
+calls.  A stack's seeds are derived in one vectorized pass of the seed
+rule, and under repeated sampling each range writes every fresh response
+into one private copy of [y | X] instead of copying it per replicate.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from scipy import special
 from .core_model import (
     DataSet,
     ModelTruth,
+    _ResponseBuffer,
     draw_response,
     fit_full,
     response_mean,
@@ -63,7 +67,15 @@ from .errors import (
 from .errors import _float_vector, _index, _integer, _probability, _real
 from .estimators import PartialInputs, fit_complete, fit_partial, sigma2_hat_complete
 from .inference import Regime, marginal_t_statistic, partial_t_statistic
-from .sketch_ops import SketchedData, SketchKind, SketchSpec, _sketch_kind, apply_sketch, derive_seed
+from .sketch_ops import (
+    SketchedData,
+    SketchKind,
+    SketchSpec,
+    _sketch_kind,
+    apply_sketch,
+    derive_seed,
+    derive_seeds,
+)
 from .special_fn import _t_pdf, dist_cdf, dist_quantile, student_t
 
 SCHEMA = "sketch-infer/1"  # version tag of every JSON report the package writes
@@ -504,18 +516,35 @@ def _run_replicates(kinds: tuple, m: int, workers: int, ranges: list) -> list:
             recv.close()
 
 
-def _sketch(cfg: SimConfig, data: DataSet, partial_in, mean, kind_idx: int, r: int) -> tuple:
-    """Replicate r's sketch of kind ``cfg.sketch_kinds[kind_idx]`` and its partial inputs.
+def _seeds(cfg: SimConfig, kind_idx: int, lo: int, hi: int) -> list:
+    """The seeds of replicates lo..hi-1 of kind ``cfg.sketch_kinds[kind_idx]``,
+    derived in one pass: item r - lo holds replicate r's d seeds.
 
-    Seed t < d is derive_seed(root, 10_000 + d (kind_idx m + r) + t), and the
-    last one seeds the sketch.  Under repeated sampling (d = 2, else 1) seed 0
-    draws a fresh response about ``mean`` whose summaries replace ``partial_in``.
+    Seed t < d of replicate r is derive_seed(root, 10_000 + d (kind_idx m + r)
+    + t), with d = 2 under repeated sampling, else 1; the last one seeds the
+    sketch, and under repeated sampling seed 0 draws the response.
     """
     d = 2 if cfg.regime is Regime.REPEATED_SAMPLE else 1
-    seeds = [derive_seed(cfg.root_seed, 10_000 + d * (kind_idx * cfg.m + r) + t)
-             for t in range(d)]
+    first = 10_000 + d * (kind_idx * cfg.m + lo)
+    flat = derive_seeds(cfg.root_seed, first, first + d * (hi - lo))
+    return [flat[i:i + d] for i in range(0, len(flat), d)]
+
+
+def _sketch(cfg: SimConfig, data: DataSet, partial_in, mean, kind_idx: int, r: int,
+            seeds=None, buffer=None) -> tuple:
+    """Replicate r's sketch of kind ``cfg.sketch_kinds[kind_idx]`` and its partial inputs.
+
+    ``seeds`` are the replicate's (see _seeds; derived here when None).
+    Under repeated sampling (``mean`` given) seed 0 draws a fresh response
+    about ``mean`` whose summaries replace ``partial_in``.  The dataset that
+    holds it is made by ``buffer``, a _ResponseBuffer of ``data`` (a new
+    one when None), and dropped here: neither returned value views it.
+    """
+    if seeds is None:
+        seeds = _seeds(cfg, kind_idx, r, r + 1)[0]
     if mean is not None:
-        data = data.with_response(draw_response(mean, cfg.sigma2, seeds[0]))
+        buffer = buffer or _ResponseBuffer(data)
+        data = buffer.with_response(draw_response(mean, cfg.sigma2, seeds[0]))
         partial_in = PartialInputs.of(data)
     sk = apply_sketch(data, SketchSpec(kind=cfg.sketch_kinds[kind_idx], k=cfg.k, seed=seeds[-1]))
     return sk, partial_in
@@ -542,18 +571,26 @@ def _replicate_range(cfg: SimConfig, data: DataSet, hyp: np.ndarray, partial_in,
     _statistics, and the first failure as (r, SketchInferError), else None.
 
     The sketches are drawn one at a time in index order, and fitted and
-    pivoted in stacks of up to _CHUNK.  A stack that raises is taken again one
-    sketch at a time, which stops where a loop over the replicates and then
-    their stages would, and gives NaN where a partial denominator is
-    negative.  A sketch that fails at r first lets the sketches before it be
-    fitted, so that an earlier replicate's failure is the one reported.
+    pivoted in stacks of up to _CHUNK.  Each stack's seeds are derived in one
+    pass (_seeds), and under repeated sampling every fresh response is
+    written into the range's one _ResponseBuffer.  A stack that raises is
+    taken again one sketch at a time, which stops where a loop over the
+    replicates and then their stages would, and gives NaN where a partial
+    denominator is negative.  A sketch that fails at r first lets the
+    sketches before it be fitted, so that an earlier replicate's failure is
+    the one reported.
     """
     out = np.empty((2 + 5 * len(cfg.targets), hi - lo))
+    # under repeated sampling, one copy of [y | X] takes every fresh response
+    buffer = None if mean is None else _ResponseBuffer(data)
     for start in range(lo, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
+        seeds = _seeds(cfg, kind_idx, start, stop)
         drawn, failure = [], None
-        for r in range(start, min(start + _CHUNK, hi)):
+        for r in range(start, stop):
             try:
-                drawn.append(_sketch(cfg, data, partial_in, mean, kind_idx, r))
+                drawn.append(_sketch(cfg, data, partial_in, mean, kind_idx, r, seeds[r - start],
+                                     buffer))
             except SketchInferError as exc:
                 failure = (r, exc)
                 break

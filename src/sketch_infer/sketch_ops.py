@@ -19,6 +19,7 @@ a new projection is one more entry of ``_KERNELS``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +136,105 @@ class SketchedData:
                    spec=first.spec, n=first.n, p=first.p)
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): the constants that
+# hash an entropy word into its pool of four 32-bit words, mix two words,
+# and hash the pool into the output state
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+
+
+def _hash(value, pre, post):
+    """SeedSequence's hash of ``value`` with the constant before (``pre``) and
+    after (``post``) its step: on Python ints, or on uint64 arrays of 32-bit
+    words (a product of two fits in 64 bits)."""
+    value = (value ^ pre) * post & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=64)
+def _steps(h: int, mult: int) -> tuple:
+    """(pre, post) constants, as (2, 1) uint64 columns, of two successive
+    hashes whose constant starts at ``h`` and is multiplied by ``mult`` each step."""
+    c = np.array([h, h * mult & _MASK32, h * mult * mult & _MASK32], dtype=np.uint64)[:, None]
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+@functools.lru_cache(maxsize=8)
+def _root_pool(root_seed: int) -> tuple:
+    """Pool words 0 and 1 of SeedSequence(root_seed, spawn_key=...) once the
+    root's words are mixed in, as a (2, 1) uint64 column, and the hash
+    constant reached: the spawn key's words are mixed in from there.  Only
+    words 0 and 1 make the one 64-bit word of output, and a spawn-key word
+    is mixed into each pool word on its own.
+    """
+    words = [root_seed & _MASK32]
+    while root_seed := root_seed >> 32:
+        words.append(root_seed & _MASK32)
+    # a root given with a spawn key is padded to the pool's size
+    words += [0] * (_POOL_WORDS - len(words))
+    h = _INIT_A
+
+    def hashed(value):
+        nonlocal h
+        pre, h = h, h * _MULT_A & _MASK32
+        return _hash(value, pre, h)
+
+    pool = [hashed(w) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashed(pool[src]))
+    for w in words[_POOL_WORDS:]:
+        pool = [_mix(x, hashed(w)) for x in pool]
+    column = np.array(pool[:2], dtype=np.uint64)[:, None]
+    column.flags.writeable = False
+    return column, h
+
+
+def derive_seeds(root_seed: int, start: int, stop: int) -> list:
+    """``derive_seed(root_seed, i)`` for i in range(start, stop), in one pass.
+
+    Each is the first uint64 word of
+    ``np.random.SeedSequence(root_seed, spawn_key=(i,)).generate_state``, bit
+    for bit: the root's words are mixed into the pool once (``_root_pool``),
+    then each 32-bit word of the spawn keys, least significant first, as
+    one array over the indices; a key with fewer words than the largest
+    keeps its pool past its last word.
+    """
+    root_seed = _integer("root seed", root_seed, 0)
+    start, stop = _integer("seed index", start, 0), _integer("seed index", stop, start)
+    pool, h = _root_pool(root_seed)
+    index = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+    for t in range(max(1, ((stop - 1).bit_length() + 31) // 32)):
+        # the word's hashes into pool words 0 and 1: its first two of four
+        pre, post = _steps(h * pow(_MULT_A, _POOL_WORDS * t, 1 << 32) & _MASK32, _MULT_A)
+        word = (index >> 32 * t & _MASK32).astype(np.uint64, copy=False)
+        mixed = _mix(pool, _hash(word, pre, post))
+        pool = mixed if t == 0 else np.where(index >> 32 * t != 0, mixed, pool)
+    state = _hash(pool, *_steps(_INIT_B, _MULT_B))
+    return (state[0] | state[1] << 32).tolist()
+
+
 def derive_seed(root_seed: int, index: int) -> int:
     """Derive the seed for one replicate from a root seed.
 
     Uses a spawn-key of the splittable counter-based SeedSequence, so any
     subset of replicates can be generated independently and in parallel
-    while the whole collection stays reproducible from ``root_seed``.
+    while the whole collection stays reproducible from ``root_seed``.  It is
+    ``derive_seeds`` over the one index.
     """
-    ss = np.random.SeedSequence(root_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    index = _integer("seed index", index, 0)
+    return derive_seeds(root_seed, index, index + 1)[0]
 
 
 def _split(B: np.ndarray):

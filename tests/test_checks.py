@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sketch_infer.errors import (
     DomainError,
+    _finite_real,
     _float_vector,
     _index,
     _integer,
@@ -69,6 +70,13 @@ def test_real(value, nonnegative):
     if out is not None:
         assert type(out) is float and out == float(value) and math.isfinite(out)
         assert out >= 0.0 if nonnegative else out > 0.0
+
+
+@given(ADVERSARIAL)
+def test_finite_real(value):
+    out = _named(lambda: _finite_real(NAME, value))
+    if out is not None:
+        assert type(out) is float and out == float(value) and math.isfinite(out)
 
 
 @given(ADVERSARIAL)

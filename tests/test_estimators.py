@@ -387,6 +387,12 @@ class TestSigma2Hat:
         with pytest.raises(DomainError):
             sigma2_hat_complete(-1.0, 100, 10, 3)
 
+    @pytest.mark.parametrize("n,k,p,name", [
+        ("50", 10, 1, "n"), (50, 10.0, 1, "k"), (50, 10, True, "p")])
+    def test_sizes_are_integers(self, n, k, p, name):
+        with pytest.raises(DomainError, match=f"^{name} takes an integer"):
+            sigma2_hat_complete(3.0, n, k, p)
+
 
 class TestPartialResidualExpectation:
     def test_zero_signal(self):
@@ -432,3 +438,8 @@ class TestPartialResidualExpectation:
     def test_domain(self):
         with pytest.raises(DomainError):
             partial_residual_ss_expectation(1.0, 1.0, 6, 3)
+
+    @pytest.mark.parametrize("k,p,name", [("20", 3, "k"), (20, 3.5, "p")])
+    def test_sizes_are_integers(self, k, p, name):
+        with pytest.raises(DomainError, match=f"^{name} takes an integer"):
+            partial_residual_ss_expectation(1.0, 1.0, k, p)

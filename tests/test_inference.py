@@ -608,6 +608,19 @@ class TestPartialUnivariate:
         with pytest.raises(DomainError):
             partial_univariate_chi2_test(fit, 1.0, 9)
 
+    @pytest.mark.parametrize("beta_F_hyp,k,match", [
+        ("1.0", 9, "^beta_F_hyp must be a finite real"),
+        (math.nan, 9, "^beta_F_hyp must be a finite real"),
+        (True, 9, "^beta_F_hyp must be a finite real"),
+        (1.0, 10.5, "^k takes an integer"),
+        (1.0, 2, "^k must be >= 3"),
+    ])
+    def test_arguments_checked(self, beta_F_hyp, k, match):
+        data = make_dataset(50, 1, [2.0], seed=28, intercept=False)
+        fit = fit_partial(_gauss(data, 10, 29), _partial_inputs(data))
+        with pytest.raises(DomainError, match=match):
+            partial_univariate_chi2_test(fit, beta_F_hyp, k)
+
 
 class TestPartialMarginalT:
     def test_null_law_exact_zero_coordinate(self):

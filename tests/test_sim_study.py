@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_infer import estimators, sim_study
+from sketch_infer import core_model, estimators, sim_study
 from sketch_infer.core_model import draw_response, fit_full, response_mean
 from sketch_infer.densities import (
     complete_sketching_t_params,
@@ -798,3 +798,59 @@ class TestStackedRanges:
         run(cfg)
         # ranges of 10 in stacks of 4, 4 and 2, per kind; none taken one by one
         assert shapes == [(c, cfg.k, cfg.p) for c in (4, 4, 2)] * 2
+
+
+class TestRangeState:
+    """A range derives its seeds once per stack of _CHUNK replicates, and under
+    repeated sampling writes every fresh response into one buffer that no
+    returned sketch or partial input views."""
+
+    @pytest.mark.parametrize("regime,run", _RUNNERS, ids=["sketching", "sampling"])
+    def test_seeds_once_per_chunk(self, monkeypatch, regime, run):
+        spans = []
+        real = sim_study.derive_seeds
+
+        def counting(root, start, stop):
+            spans.append(stop - start)
+            return real(root, start, stop)
+
+        monkeypatch.setattr(sim_study, "derive_seeds", counting)
+        monkeypatch.setattr(sim_study, "_CHUNK", 4)
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 1)
+        run(_small_cfg(regime, m=10, kinds=(SketchKind.HADAMARD, SketchKind.GAUSSIAN)))
+        # ranges of 10 in stacks of 4, 4 and 2, per kind, d seeds per replicate
+        d = 2 if regime is Regime.REPEATED_SAMPLE else 1
+        assert spans == [d * c for c in (4, 4, 2)] * 2
+
+    def test_nothing_returned_views_the_buffer(self, monkeypatch):
+        buffers, returned = [], []
+
+        class Recording(core_model._ResponseBuffer):
+            def __init__(self, data):
+                super().__init__(data)
+                buffers.append(self.array)
+
+        real_apply, real_sketch = sim_study.apply_sketch, sim_study._sketch
+
+        def apply(data, spec, *args):
+            # the sketch reads the fresh response through a read-only view of the buffer
+            assert not data.yX.flags.writeable and np.shares_memory(data.yX, buffers[-1])
+            assert np.array_equal(data.yX[:, 0], data.y)
+            return real_apply(data, spec, *args)
+
+        def sketch(*args):
+            out = real_sketch(*args)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(sim_study, "_ResponseBuffer", Recording)
+        monkeypatch.setattr(sim_study, "apply_sketch", apply)
+        monkeypatch.setattr(sim_study, "_sketch", sketch)
+        monkeypatch.setattr(sim_study, "_usable_cpus", lambda: 1)
+        cfg = _small_cfg(Regime.REPEATED_SAMPLE, m=10, kinds=tuple(SketchKind))
+        run_repeated_sampling(cfg)
+        assert len(buffers) == len(cfg.sketch_kinds) and len(returned) == 10 * len(buffers)
+        for sk, partial_in in returned:
+            for value in (sk.Xs, sk.ys, partial_in.Xty):
+                assert not any(np.shares_memory(value, b) for b in buffers)
+

@@ -28,6 +28,7 @@ from sketch_infer.sketch_ops import (
     apply_gaussian,
     apply_sketch,
     derive_seed,
+    derive_seeds,
 )
 
 from conftest import ks_distance, make_dataset
@@ -300,6 +301,51 @@ class TestSharedProperties:
         seeds = {derive_seed(5, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert derive_seed(5, 17) == derive_seed(5, 17)
+
+
+# ---------------------------------------------------------------------------
+# Seed derivation: SeedSequence is the oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def _spawned(root, i):
+    """The seed of spawn key (i,) under ``root``, as numpy's SeedSequence derives it."""
+    return int(np.random.SeedSequence(root, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+
+
+# roots of one to four 32-bit words and beyond the pool's four, and random 63-bit roots
+_ROOTS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 100 + 3, 2 ** 160 + 11] + \
+    np.random.default_rng(2024).integers(0, 2 ** 63, 6).tolist()
+
+
+class TestSeedDerivation:
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_first_indices(self, root):
+        assert derive_seeds(root, 0, 300) == [_spawned(root, i) for i in range(300)]
+
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_random_indices(self, root):
+        rng = np.random.default_rng(root % 2 ** 32)
+        # one-word keys, two-word keys, and keys of more words than the pool
+        for i in (rng.integers(0, 2 ** 32, 40).tolist() + rng.integers(2 ** 32, 2 ** 63, 20).tolist()
+                  + [2 ** 64 + 5, 2 ** 100 + 1, 2 ** 200 + 3]):
+            assert derive_seed(root, i) == _spawned(root, i), i
+
+    @pytest.mark.parametrize("root", _ROOTS[::3])
+    @pytest.mark.parametrize("lo,hi", [(2 ** 32 - 3, 2 ** 32 + 3), (2 ** 64 - 3, 2 ** 64 + 3),
+                                       (2 ** 96 - 2, 2 ** 96 + 2), (12_345_678_901, 12_345_679_001)])
+    def test_ranges_across_word_boundaries(self, root, lo, hi):
+        # a range whose keys differ in their number of words
+        assert derive_seeds(root, lo, hi) == [_spawned(root, i) for i in range(lo, hi)]
+
+    def test_numpy_integers_and_empty_range(self):
+        assert derive_seed(np.int64(7), np.uint32(3)) == _spawned(7, 3)
+        assert derive_seeds(7, 5, 5) == []
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1), (5, -1, 1), (5, 3, 2), (1.5, 0, 1),
+                                      (True, 0, 1), (5, "0", 1)])
+    def test_bad_arguments(self, args):
+        with pytest.raises(DomainError):
+            derive_seeds(*args)
 
 
 # ---------------------------------------------------------------------------
